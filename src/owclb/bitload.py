@@ -7,6 +7,16 @@ only a lookup table of block heads, one per populated bit level, instead
 of all K subcarriers.  Both produce identical allocations on monotone
 grids; only the instrumented work differs.
 
+``hh_sorted_prefix`` loads for a whole batch of budgets at once: greedy
+loading grants the longest prefix of all (subcarrier, bit) increments,
+sorted stably by (cost, subcarrier), whose running sum fits the budget.
+One sort serves every budget, and the allocations equal ``hh_naive``'s
+bit for bit on any grid.  The CLI uses ``hh_sorted_prefix`` for the
+``rate-curve`` power sweep, ``hh_accelerated`` for ``optimize-hh`` and
+``compare`` (whose outputs report its FLOPs and iterations), and
+``hh_naive`` for ``optimize-hh --naive`` and as the reference in
+``compare``.
+
 Power bookkeeping uses the closed form
 
     sigma2_k = Delta_B * Gamma * (2^b(k) - 1) / GNR(f_k)
@@ -244,6 +254,15 @@ def hh_naive(
     return _finish(state, grid, gamma, sigma2_budget, state.flops, iterations, "hh_naive", None)
 
 
+def require_monotone_grid(grid: SubcarrierGrid) -> None:
+    """Refuse a grid whose GNR rises somewhere, as ``hh_accelerated`` does."""
+    if not grid.is_monotone_nonincreasing():
+        raise ValueError(
+            "hh_accelerated requires gnr_k non-increasing in k; "
+            "sort the grid or use hh_naive"
+        )
+
+
 def hh_accelerated(
     grid: SubcarrierGrid,
     gap,
@@ -263,11 +282,7 @@ def hh_accelerated(
     gamma = _gamma_of(gap)
     if sigma2_budget < 0.0:
         raise ValueError("sigma2_budget must be >= 0")
-    if not grid.is_monotone_nonincreasing():
-        raise ValueError(
-            "hh_accelerated requires gnr_k non-increasing in k; "
-            "sort the grid or use hh_naive"
-        )
+    require_monotone_grid(grid)
     if sigma2_budget == 0.0:
         empty = GroupTable(tuple([1] + [0] * bit_cap))  # level 0 heads the grid
         return _finish(None, grid, gamma, 0.0, 0, 0, "hh_accelerated", empty)
@@ -323,6 +338,61 @@ def hh_accelerated(
         "hh_accelerated",
         GroupTable(tuple(levels)),
     )
+
+
+@dataclass(frozen=True, eq=False)
+class PrefixSweep:
+    """Greedy loading for a batch of budgets, from one sorted increment list.
+
+    ``order`` holds the 0-based subcarrier of every affordable (subcarrier,
+    bit) increment in the order the greedy grants them; ``loaded[i]`` is
+    how many of them fit the i-th budget.
+    """
+
+    grid: SubcarrierGrid
+    order: np.ndarray
+    loaded: np.ndarray
+
+    @property
+    def rates(self) -> np.ndarray:
+        """delta_b * total bits per budget, in bit/s."""
+        return self.grid.delta_b * self.loaded.astype(float)
+
+    def bits(self, i: int) -> np.ndarray:
+        """Bits per subcarrier granted under the i-th budget."""
+        return np.bincount(self.order[: self.loaded[i]], minlength=self.grid.K)
+
+
+def hh_sorted_prefix(
+    grid: SubcarrierGrid,
+    gap,
+    budgets,
+    *,
+    bit_cap: int = DEFAULT_BIT_CAP,
+) -> PrefixSweep:
+    """Greedy loading for every budget at once; equals ``hh_naive`` exactly.
+
+    Each subcarrier's increment costs (delta_b*gamma/gnr_k) * 2^b double,
+    so the greedy grants increments in the order of a stable sort by
+    (cost, subcarrier), and it stops at the first one whose running sum
+    exceeds the budget.  The costs use ``_LoadState``'s arithmetic (one
+    multiply, one divide, then exact doublings) and ``np.cumsum`` adds in
+    the greedy's order, so every partial sum is bit-identical to the
+    greedy's running total.  Costs that overflow to infinity are never
+    granted.  Works on any grid, monotone or not.
+    """
+    gamma = _gamma_of(gap)
+    budgets = np.atleast_1d(np.asarray(budgets, dtype=float))
+    if np.any(budgets < 0.0):
+        raise ValueError("sigma2_budget must be >= 0")
+    marginal = grid.delta_b * gamma / grid.gnr_k
+    costs = (marginal[:, None] * 2.0 ** np.arange(bit_cap)).ravel()  # subcarrier-major
+    order = np.argsort(costs, kind="stable")
+    sorted_costs = costs[order]
+    finite = int(np.count_nonzero(np.isfinite(sorted_costs)))
+    loaded = np.searchsorted(np.cumsum(sorted_costs[:finite]), budgets, side="right")
+    loaded[budgets == 0.0] = 0  # a zero budget loads nothing, even a zero-cost bit
+    return PrefixSweep(grid=grid, order=order[:finite] // bit_cap, loaded=loaded)
 
 
 @dataclass(frozen=True)

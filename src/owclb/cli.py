@@ -25,7 +25,6 @@ import json
 import logging
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -232,28 +231,24 @@ def cmd_rate_curve(cfg: RunConfig) -> int:
 
     budgets = cfg.sweep.values()
     grid = bitload.SubcarrierGrid.from_model(g, cfg.k, cfg.f_chip)
-
-    def point(budget: float):
-        sol = waterfill.newton_fmax(g, gamma, budget, cfg.k, cfg.f_chip)
-        plan = bitload.hh_accelerated(grid, gamma, budget)
-        flat = _flat_band_rate(g, gamma.gamma_linear, budget, cfg.k, cfg.f_chip)
-        return sol.rate, plan.rate, flat
-
-    with ThreadPoolExecutor(max_workers=min(8, os.cpu_count() or 1)) as pool:
-        results = list(pool.map(point, budgets))
+    newton, flat = [], []
+    for i, budget in enumerate(budgets):
+        newton.append(waterfill.newton_fmax(g, gamma, budget, cfg.k, cfg.f_chip).rate)
+        if i == 0:
+            # the sorted pass needs no monotone grid, but the sweep keeps the
+            # refusal hh_accelerated made here, so errors stay as they were
+            bitload.require_monotone_grid(grid)
+        flat.append(_flat_band_rate(g, gamma.gamma_linear, budget, cfg.k, cfg.f_chip))
+    hh = bitload.hh_sorted_prefix(grid, gamma, budgets).rates
     _write_csv(
         cfg.output_path,
         ["sigma2_v2", "rate_newton_mbit_s", "rate_hh_mbit_s", "rate_flat_mbit_s"],
-        (
-            (b, rn / 1e6, rh / 1e6, rf / 1e6)
-            for b, (rn, rh, rf) in zip(budgets, results)
-        ),
+        zip(budgets, (r / 1e6 for r in newton), hh / 1e6, (r / 1e6 for r in flat)),
     )
     if cfg.output_path:
-        top = results[-1]
         print(
-            f"rate-curve: {len(results)} budgets, at max budget "
-            f"newton={top[0] / 1e6:.3f} hh={top[1] / 1e6:.3f} flat={top[2] / 1e6:.3f} Mbit/s"
+            f"rate-curve: {len(budgets)} budgets, at max budget "
+            f"newton={newton[-1] / 1e6:.3f} hh={hh[-1] / 1e6:.3f} flat={flat[-1] / 1e6:.3f} Mbit/s"
         )
     return 0
 
@@ -383,7 +378,7 @@ def run(argv: list[str]) -> int:
         return 2
     try:
         return _HANDLERS[cfg.command](cfg)
-    except CliError as exc:
+    except (CliError, linkchain.ChannelFormatError) as exc:
         print(f"owclb: {exc}", file=sys.stderr)
         return 2
     except (ValueError, RuntimeError, OSError, json.JSONDecodeError) as exc:

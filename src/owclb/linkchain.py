@@ -23,7 +23,9 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, fields
+import numbers
+import sys
+from dataclasses import MISSING, dataclass, fields
 from functools import lru_cache
 from pathlib import Path
 from typing import Union
@@ -43,6 +45,10 @@ class TableRangeError(ValueError):
 
 class NotReducibleError(ValueError):
     """Chain contains a stage with no exact pole-zero representation."""
+
+
+class ChannelFormatError(ValueError):
+    """Malformed channel document; the message starts with the JSON path."""
 
 
 def _check_positive(name: str, value: float) -> float:
@@ -517,18 +523,89 @@ def _stage_params(stage: ComponentResponse) -> dict:
     return out
 
 
-def _stage_from_dict(obj: dict) -> ComponentResponse:
+def _positive_number(path: str, value):
+    # the upper bound also keeps huge JSON integers from overflowing float()
+    if isinstance(value, bool) or not (
+        isinstance(value, numbers.Real) and 0.0 < value <= sys.float_info.max
+    ):
+        raise ChannelFormatError(f"{path}: must be a positive finite number, got {value!r}")
+    return value
+
+
+def _object(path: str, obj) -> dict:
+    if not isinstance(obj, dict):
+        raise ChannelFormatError(f"{path}: must be an object, got {obj!r}")
+    return obj
+
+
+def _from_params(cls: type, obj, path: str):
+    """Build a stage or noise spectrum from its JSON params object.
+
+    Every number in a channel document is a positive corner, gain, floor,
+    delay or count; list-typed fields hold positive numbers.  Checks that
+    need more than the JSON value (integer counts) are left to the class.
+    """
+    params = _object(path, obj)
+    known = {fld.name: fld for fld in fields(cls)}
+    for key in params:
+        if key not in known:
+            raise ChannelFormatError(
+                f"{path}.{key}: unknown parameter of {cls.__name__}; "
+                f"expected one of {sorted(known)}"
+            )
+    kwargs = {}
+    for name, fld in known.items():
+        where = f"{path}.{name}"
+        if name not in params:
+            if fld.default is MISSING:
+                raise ChannelFormatError(f"{where}: missing")
+            continue
+        value = params[name]
+        if value is None and "None" in fld.type:
+            kwargs[name] = None
+        elif fld.type.startswith("tuple"):
+            if not isinstance(value, (list, tuple)):
+                raise ChannelFormatError(f"{where}: must be a list of numbers, got {value!r}")
+            kwargs[name] = [_positive_number(f"{where}[{j}]", v) for j, v in enumerate(value)]
+        else:
+            kwargs[name] = _positive_number(where, value)
     try:
-        kind = obj["kind"]
-        params = dict(obj.get("params", {}))
-    except (TypeError, KeyError) as exc:
-        raise ValueError(f"stage entry must be an object with 'kind' and 'params': {obj!r}") from exc
-    cls = _STAGE_KINDS.get(kind)
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ChannelFormatError(f"{path}: {exc}") from exc
+
+
+def _tabulated_from_params(obj, path: str) -> Tabulated:
+    params = _object(path, obj)
+    for key in params:
+        if key != "rows":
+            raise ChannelFormatError(f"{path}.{key}: unknown parameter of Tabulated; expected ['rows']")
+    rows = params.get("rows")
+    if not isinstance(rows, (list, tuple)):
+        raise ChannelFormatError(f"{path}.rows: must be a list of [frequency_hz, value] rows, got {rows!r}")
+    for j, row in enumerate(rows):
+        if not isinstance(row, (list, tuple)) or len(row) != 2:
+            raise ChannelFormatError(f"{path}.rows[{j}]: must be a [frequency_hz, value] pair, got {row!r}")
+        _positive_number(f"{path}.rows[{j}][0]", row[0])
+        _positive_number(f"{path}.rows[{j}][1]", row[1])
+    try:
+        return Tabulated(table=ResponseTable.from_rows(rows))
+    except ValueError as exc:
+        raise ChannelFormatError(f"{path}.rows: {exc}") from exc
+
+
+def _stage_from_dict(obj, path: str) -> ComponentResponse:
+    entry = _object(path, obj)
+    kind = entry.get("kind")
+    cls = _STAGE_KINDS.get(kind) if isinstance(kind, str) else None
     if cls is None:
-        raise ValueError(f"unknown stage kind {kind!r}; expected one of {sorted(_STAGE_KINDS)}")
+        raise ChannelFormatError(
+            f"{path}.kind: unknown stage kind {kind!r}; expected one of {sorted(_STAGE_KINDS)}"
+        )
+    params = entry.get("params", {})
     if cls is Tabulated:
-        return Tabulated(table=ResponseTable.from_rows(params["rows"]))
-    return cls(**params)
+        return _tabulated_from_params(params, f"{path}.params")
+    return _from_params(cls, params, f"{path}.params")
 
 
 def chain_to_dict(chain: LinkChain) -> dict:
@@ -550,10 +627,19 @@ def chain_to_dict(chain: LinkChain) -> dict:
 
 
 def chain_from_dict(obj: dict) -> LinkChain:
-    if "stages" not in obj or "noise" not in obj:
-        raise ValueError("channel document needs 'stages' and 'noise'")
-    stages = tuple(_stage_from_dict(s) for s in obj["stages"])
-    noise = NoiseSpectrum(**obj["noise"])
+    """Build a chain from its JSON document.
+
+    Malformed documents raise ``ChannelFormatError``, whose message starts
+    with the JSON path of the offending entry, e.g. ``stages[0].params.corner``.
+    """
+    doc = _object("channel", obj)
+    for key in ("stages", "noise"):
+        if key not in doc:
+            raise ChannelFormatError(f"{key}: missing from the channel document")
+    if not isinstance(doc["stages"], (list, tuple)) or not doc["stages"]:
+        raise ChannelFormatError(f"stages: must be a non-empty list, got {doc['stages']!r}")
+    stages = tuple(_stage_from_dict(s, f"stages[{i}]") for i, s in enumerate(doc["stages"]))
+    noise = _from_params(NoiseSpectrum, doc["noise"], "noise")
     return LinkChain(stages=stages, noise=noise)
 
 

@@ -208,6 +208,86 @@ class TestAccelerated:
             assert plan.total_power + nxt > budget
 
 
+class TestSortedPrefix:
+    """hh_sorted_prefix against the per-budget loaders it replaces."""
+
+    @staticmethod
+    def check(grid, gamma, budgets, bit_cap=owclb.DEFAULT_BIT_CAP):
+        sweep = owclb.hh_sorted_prefix(grid, gamma, budgets, bit_cap=bit_cap)
+        monotone = grid.is_monotone_nonincreasing()
+        for i, budget in enumerate(budgets):
+            ref = owclb.hh_naive(grid, gamma, budget, bit_cap=bit_cap)
+            np.testing.assert_array_equal(sweep.bits(i), ref.bits)
+            assert sweep.rates[i] == ref.rate
+            if monotone:
+                acc = owclb.hh_accelerated(grid, gamma, budget, bit_cap=bit_cap)
+                assert sweep.rates[i] == acc.rate
+        return sweep
+
+    @staticmethod
+    def full_load(grid, gamma, bit_cap=owclb.DEFAULT_BIT_CAP):
+        return float(np.sum(grid.delta_b * gamma * (2.0**bit_cap - 1.0) / grid.gnr_k))
+
+    def test_random_monotone_grids(self):
+        rng = np.random.default_rng(11)
+        for k in (8, 64, 256):
+            for _ in range(3):
+                grid = random_monotone_grid(rng, k)
+                top = self.full_load(grid, 2.0, bit_cap=4)
+                budgets = np.sort(rng.uniform(0.0, 1.2, 6)) * top
+                self.check(grid, 2.0, budgets, bit_cap=4)
+
+    def test_non_monotone_grids(self):
+        rng = np.random.default_rng(12)
+        for k in (5, 40, 200):
+            grid = owclb.SubcarrierGrid(K=k, f_chip=2e8, gnr_k=10.0 ** rng.uniform(1, 5, k))
+            assert not grid.is_monotone_nonincreasing()
+            budgets = np.sort(rng.uniform(0.0, 1.1, 6)) * self.full_load(grid, 1.0, bit_cap=5)
+            self.check(grid, 1.0, budgets, bit_cap=5)
+
+    def test_power_of_two_gnrs_force_ties(self):
+        # delta_b = 1 and power-of-two GNRs make many increments cost exactly
+        # the same, so the (cost, subcarrier) order decides every tie
+        rng = np.random.default_rng(13)
+        for sort in (True, False):
+            gnr = 2.0 ** rng.integers(-3, 6, 48).astype(float)
+            if sort:
+                gnr = np.sort(gnr)[::-1]
+            grid = owclb.SubcarrierGrid(K=48, f_chip=48.0, gnr_k=gnr)
+            top = self.full_load(grid, 1.0)
+            budgets = np.concatenate([np.arange(0.0, 64.0, 0.25), top * np.array([0.3, 0.7, 1.0])])
+            self.check(grid, 1.0, budgets)
+
+    def test_reference_channel_sweep(self, ref_model, gap):
+        grid = owclb.SubcarrierGrid.from_model(ref_model, 128, 200e6)
+        self.check(grid, gap, np.geomspace(1e4, 1e9, 12))
+
+    def test_edge_budgets(self):
+        grid = flat_grid(8)
+        sweep = self.check(grid, 1.0, np.array([0.0, 0.5, 1e30]), bit_cap=5)
+        assert sweep.bits(0).tolist() == [0] * 8
+        assert sweep.bits(1).tolist() == [0] * 8  # below the first bit
+        assert sweep.bits(2).tolist() == [5] * 8  # past every carrier's cap
+        assert sweep.rates.tolist() == [0.0, 0.0, 40.0]
+
+    def test_scalar_budget_and_negative_budget(self):
+        assert owclb.hh_sorted_prefix(flat_grid(4), 1.0, 4.0).bits(0).tolist() == [1, 1, 1, 1]
+        with pytest.raises(ValueError, match="sigma2_budget"):
+            owclb.hh_sorted_prefix(flat_grid(4), 1.0, [1.0, -1.0])
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        exponents=st.lists(st.floats(min_value=-3.0, max_value=3.0), min_size=1, max_size=20),
+        fracs=st.lists(st.floats(min_value=0.0, max_value=1.2), min_size=1, max_size=5),
+        bit_cap=st.integers(min_value=1, max_value=6),
+    )
+    def test_equals_naive_property(self, exponents, fracs, bit_cap):
+        gnr = 10.0 ** np.asarray(exponents)
+        grid = owclb.SubcarrierGrid(K=gnr.size, f_chip=1e6, gnr_k=gnr)
+        top = self.full_load(grid, 1.5, bit_cap)
+        self.check(grid, 1.5, [f * top for f in fracs], bit_cap=bit_cap)
+
+
 class TestFlopReport:
     def test_accelerated_beats_naive(self, ref_model, gap):
         grid = owclb.SubcarrierGrid.from_model(ref_model, 64, 200e6)

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +8,8 @@ import owclb
 from owclb.cli import main, read_table
 
 from conftest import build_reference_chain
+
+DATA = Path(__file__).parent / "data"
 
 
 @pytest.fixture
@@ -78,6 +81,37 @@ class TestRateCurve:
         # optimized spectra beat the flat baseline once power is plentiful
         assert rows[-1, 1] > rows[-1, 3]
         assert rows[-1, 2] > rows[-1, 3]
+
+
+    def test_power_sweep_matches_golden_csv(self, channel_path, tmp_path):
+        # recorded from the per-budget hh_accelerated sweep this replaced
+        out = tmp_path / "rp.csv"
+        assert (
+            run_cli(
+                "rate-curve", "--channel", channel_path,
+                "--sweep", "power:1e4:1e9:24:log", "--k", "1024", "--fchip", "2e8",
+                "--out", str(out),
+            )
+            == 0
+        )
+        assert out.read_bytes() == (DATA / "power_sweep_ref_k1024.csv").read_bytes()
+
+    def test_power_sweep_refuses_rising_channel(self, tmp_path, capsys):
+        chain = owclb.LinkChain(
+            stages=(owclb.RationalPoleZero(dc_gain=1.0, zeros=(10e6, 50e6), poles=(1e6, 100e6, 1e9)),),
+            noise=owclb.NoiseSpectrum(floor=1e-15),
+        )
+        path = tmp_path / "bump.json"
+        owclb.save_chain(chain, path)
+        rc = run_cli(
+            "rate-curve", "--channel", str(path), "--sweep", "power:1e4:1e9:6:log",
+            "--k", "64", "--fchip", "2e8",
+        )
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "owclb: rate-curve failed: newton_fmax requires GNR non-increasing up to "
+            "2e+08 Hz; use waterlevel_solve for non-monotone channels\n"
+        )
 
 
 class TestOptimize:
@@ -234,6 +268,27 @@ class TestValidationAndDeterminism:
         )
         assert rc == 1
         assert "fit" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "stage, noise, where",
+        [
+            ({"kind": "FirstOrderLowPass", "params": {"dc_gain": 1.0, "cornr": 1e6}},
+             {"floor": 1e-17}, "stages[0].params.cornr"),
+            ({"kind": "FlatGain", "params": {"gain": 1.0}},
+             {"flor": 1e-17}, "noise.flor"),
+            ({"kind": "Tabulated", "params": {}},
+             {"floor": 1e-17}, "stages[0].params.rows"),
+            ({"kind": "FirstOrderLowPass", "params": {"dc_gain": 1.0, "corner": -1e6}},
+             {"floor": 1e-17}, "stages[0].params.corner"),
+        ],
+        ids=["stage-param-key", "noise-key", "tabulated-rows", "negative-corner"],
+    )
+    def test_malformed_channel_names_json_path(self, tmp_path, capsys, stage, noise, where):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"stages": [stage], "noise": noise}))
+        rc = run_cli("rate-curve", "--channel", str(path), "--sweep", "fmax:1e6:1e8:5")
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"owclb: {where}: ")
 
     def test_byte_identical_reruns(self, channel_path, tmp_path):
         out1 = tmp_path / "a.csv"

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -360,6 +361,46 @@ class TestChainJson:
             owclb.chain_from_dict(
                 {"stages": [{"kind": "Mystery", "params": {}}], "noise": {"floor": 1.0}}
             )
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+_FUZZ_DOC = {
+    "stages": [
+        {"kind": "FirstOrderLowPass", "params": {"dc_gain": 1.0, "corner": 3e6}},
+        {"kind": "RationalPoleZero", "params": {"dc_gain": 2.0, "zeros": [1e7], "poles": [1e6]}},
+        {"kind": "BeamSquintSinc",
+         "params": {"element_gain": 1.0, "elements": 16, "spacing_delay": 5e-13}},
+        {"kind": "Tabulated", "params": {"rows": [[1e3, 1.0], [1e9, 0.1]]}},
+    ],
+    "noise": {"floor": 1e-17, "uplift_zero": 2e6, "rolloff_poles": [1e8]},
+}
+
+
+class TestChainJsonFuzz:
+    @given(
+        where=st.sampled_from(
+            [("stages", i, "params", key) for i, stage in enumerate(_FUZZ_DOC["stages"])
+             for key in list(stage["params"]) + ["typo"]]
+            + [("stages", i, field) for i in range(4) for field in ("kind", "params")]
+            + [("noise", key) for key in ("floor", "uplift_zero", "rolloff_poles", "typo")]
+            + [("stages",), ("noise",)]
+        ),
+        value=_JSON_VALUES,
+    )
+    def test_corrupted_document_loads_or_names_its_path(self, where, value):
+        doc = json.loads(json.dumps(_FUZZ_DOC))
+        node = doc
+        for key in where[:-1]:
+            node = node[key]
+        node[where[-1]] = value
+        try:
+            owclb.chain_from_dict(doc)
+        except owclb.ChannelFormatError as exc:
+            assert str(exc).startswith(str(where[0]))
 
 
 class TestResponseTableCsv:
