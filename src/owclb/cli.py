@@ -26,6 +26,7 @@ import logging
 import os
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -97,7 +98,9 @@ def _parse_sweep(text: str) -> Sweep:
     return Sweep(var, start, stop, points, log_spaced)
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(prog="owclb", description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
@@ -194,6 +197,11 @@ def _flat_band_rate(g, gamma: float, budget: float, k: int, f_chip: float) -> fl
     return delta * float(np.sum(np.log2(1.0 + psd * gnr / gamma)))
 
 
+def _require_newton_k(cfg: RunConfig) -> None:
+    if cfg.k < 2:
+        raise CliError(f"k must be >= 2 for the Newton search, got {cfg.k}")
+
+
 def cmd_gnr_eval(cfg: RunConfig) -> int:
     chain = linkchain.load_chain(cfg.channel_path)
     sweep = cfg.sweep or Sweep("fmax", 1e3, 1e10, 481, True)
@@ -229,6 +237,7 @@ def cmd_rate_curve(cfg: RunConfig) -> int:
             print(f"rate-curve: {len(rates)} points, peak {max(rates) / 1e6:.3f} Mbit/s")
         return 0
 
+    _require_newton_k(cfg)
     budgets = cfg.sweep.values()
     grid = bitload.SubcarrierGrid.from_model(g, cfg.k, cfg.f_chip)
     newton, flat = [], []
@@ -256,6 +265,7 @@ def cmd_rate_curve(cfg: RunConfig) -> int:
 def cmd_optimize_newton(cfg: RunConfig) -> int:
     if cfg.budget is None or cfg.budget <= 0.0:
         raise CliError("budget must be a positive V^2 value for optimize-newton")
+    _require_newton_k(cfg)
     g = _load_reduced(cfg)
     gamma = waterfill.ModulationGap.from_db(cfg.gamma_db)
     sol = waterfill.newton_fmax(g, gamma, cfg.budget, cfg.k, cfg.f_chip)
@@ -381,7 +391,7 @@ def run(argv: list[str]) -> int:
     except (CliError, linkchain.ChannelFormatError) as exc:
         print(f"owclb: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, RuntimeError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, RuntimeError, OSError) as exc:
         print(f"owclb: {cfg.command} failed: {exc}", file=sys.stderr)
         log.debug("failure detail", exc_info=True)
         return 1

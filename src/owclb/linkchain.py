@@ -48,7 +48,12 @@ class NotReducibleError(ValueError):
 
 
 class ChannelFormatError(ValueError):
-    """Malformed channel document; the message starts with the JSON path."""
+    """Malformed channel file; the message starts with where the fault is.
+
+    That is the JSON path of a bad entry (``stages[0].params.corner``), or
+    the file name for a file that does not parse, followed by the row number
+    for a bad response-table CSV row.
+    """
 
 
 def _check_positive(name: str, value: float) -> float:
@@ -466,34 +471,79 @@ def reduce_to_polezero(chain: LinkChain) -> MagSqPoleZeroGnr:
     return MagSqPoleZeroGnr(gnr0=gnr0, zeros=tuple(zeros), poles=tuple(poles))
 
 
+# A rise of d(log GNR)/d(f^2) up to this fraction of its summed terms'
+# magnitudes counts as flat: it absorbs rounding, and a slope that merely
+# touches zero does not end a decreasing range.
+RISE_RTOL = 1e-12
+
+
+def _product_poly(c2: list[float]) -> tuple[list[float], list[float]]:
+    """prod(u + c) over c2 and its derivative, highest power first, same length."""
+    q = [1.0]
+    for c in c2:
+        q = [a + c * b for a, b in zip(q + [0.0], [0.0] + q)]
+    n = len(q) - 1
+    return q, [0.0] + [a * (n - i) for i, a in enumerate(q[:-1])]
+
+
+def _rise(z2: list[float], p2: list[float], u: float) -> tuple[float, float]:
+    """pos - RISE_RTOL*mag for d(log GNR)/du at u, and its derivative in u."""
+    tz = [1.0 / (c + u) for c in z2]
+    tp = [1.0 / (c + u) for c in p2]
+    h = (1.0 - RISE_RTOL) * sum(tz) - (1.0 + RISE_RTOL) * sum(tp)
+    dh = (1.0 + RISE_RTOL) * sum(t * t for t in tp) - (1.0 - RISE_RTOL) * sum(t * t for t in tz)
+    return h, dh
+
+
+@lru_cache(maxsize=512)
+def monotone_limit(g: MagSqPoleZeroGnr) -> float:
+    """Largest f such that GNR is non-increasing on (0, f]; inf if it never rises.
+
+    With u = f^2, d(log GNR)/du = pos(u) = sum_m 1/(fz_m^2+u) - sum_n
+    1/(fp_n^2+u), and mag(u) is the same sum with every term added.  The
+    GNR rises where pos > RISE_RTOL*mag.  Over the common denominator that
+    difference has the sign of the polynomial
+
+        (1 - RISE_RTOL) Qz'(u) Qp(u) - (1 + RISE_RTOL) Qz(u) Qp'(u),
+
+    Qz and Qp being prod(fz_m^2+u) and prod(fp_n^2+u), of degree <= M+N-1.
+    The real parts of its roots with positive real part split u >= 0 into
+    intervals of constant sign (a spurious split point only makes them
+    finer); one probe inside each interval finds the first rising one, and
+    Newton steps on the sum form polish its left end, since the polynomial
+    coefficients carry the cancellation of near pole-zero pairs.  Corners
+    are scaled by the largest one to keep the coefficients in range.
+    """
+    scale = max(g.zeros + g.poles, default=1.0)
+    z2 = [(fz / scale) ** 2 for fz in g.zeros]
+    p2 = [(fp / scale) ** 2 for fp in g.poles]
+    qz, dqz = _product_poly(z2)
+    qp, dqp = _product_poly(p2)
+    roots = np.roots(
+        (1.0 - RISE_RTOL) * np.convolve(dqz, qp) - (1.0 + RISE_RTOL) * np.convolve(qz, dqp)
+    )
+    edges = [0.0] + sorted(r.real for r in roots if r.real > 0.0)
+    probes = [0.5 * (a + b) for a, b in zip(edges, edges[1:])] + [2.0 * edges[-1] + 1.0]
+    k = next((i for i, u in enumerate(probes) if _rise(z2, p2, u)[0] > 0.0), None)
+    if k is None:
+        return math.inf
+    if k == 0:
+        return 0.0
+    lo, hi, u = probes[k - 1], probes[k], edges[k]
+    for _ in range(4):
+        h, dh = _rise(z2, p2, u)
+        step = u - h / dh
+        if not lo < step < hi:
+            break
+        u = step
+    return scale * math.sqrt(u)
+
+
 @lru_cache(maxsize=512)
 def is_monotone_decreasing(g: MagSqPoleZeroGnr, f_hi: float) -> bool:
-    """True iff GNR(f) is non-increasing on (0, f_hi].
-
-    The sign of d(log GNR)/d(f^2) is sum_m 1/(fz_m^2+f^2) minus
-    sum_n 1/(fp_n^2+f^2); monotone decrease means this never goes
-    positive.  The sign expression is evaluated on a dense log grid in
-    u = f^2 plus both endpoints.
-    """
+    """True iff GNR(f) is non-increasing on (0, f_hi], i.e. f_hi <= monotone_limit(g)."""
     f_hi = _check_positive("f_hi", f_hi)
-    if not g.zeros and not g.poles:
-        return True
-    corners = list(g.zeros) + list(g.poles)
-    u_min = (min(corners) * 1e-4) ** 2
-    u_grid = np.concatenate(
-        [[0.0], np.geomspace(u_min, f_hi**2, 4096), [f_hi**2]]
-    )
-    pos = np.zeros_like(u_grid)
-    mag = np.zeros_like(u_grid)
-    for fz in g.zeros:
-        t = 1.0 / (fz**2 + u_grid)
-        pos += t
-        mag += t
-    for fp in g.poles:
-        t = 1.0 / (fp**2 + u_grid)
-        pos -= t
-        mag += t
-    return bool(np.all(pos <= 1e-12 * mag))
+    return f_hi <= monotone_limit(g)
 
 
 # ---------------------------------------------------------------------------
@@ -648,7 +698,13 @@ def save_chain(chain: LinkChain, path) -> None:
 
 
 def load_chain(path) -> LinkChain:
-    return chain_from_dict(json.loads(Path(path).read_text()))
+    try:
+        doc = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ChannelFormatError(
+            f"{path}: not valid JSON: {exc.msg} at line {exc.lineno} column {exc.colno}"
+        ) from exc
+    return chain_from_dict(doc)
 
 
 # ---------------------------------------------------------------------------
@@ -661,22 +717,38 @@ def read_response_table(path, *, values_in_db: bool = False) -> ResponseTable:
     """Read a two-column CSV ``frequency_hz,value`` (header row required).
 
     With ``values_in_db`` the value column is 10*log10 of the stored
-    quantity and is converted to linear before validation.
+    quantity and is converted to linear before validation.  A malformed
+    file raises ``ChannelFormatError`` naming the file and, for a bad data
+    row, its row number (the header is row 1).
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
-            raise ValueError(f"{path}: empty response-table CSV") from None
+            raise ChannelFormatError(f"{path}: empty response-table CSV") from None
         if [h.strip() for h in header] != _TABLE_HEADER:
-            raise ValueError(
+            raise ChannelFormatError(
                 f"{path}: expected header {','.join(_TABLE_HEADER)!r}, got {','.join(header)!r}"
             )
-        rows = [(float(r[0]), float(r[1])) for r in reader if r]
-    if values_in_db:
-        rows = [(f, 10.0 ** (v / 10.0)) for f, v in rows]
-    return ResponseTable.from_rows(rows)
+        rows = []
+        for r in reader:
+            if not r:
+                continue
+            where = f"{path}: row {reader.line_num}"
+            if len(r) != 2:
+                raise ChannelFormatError(f"{where}: expected 2 columns, got {len(r)}: {r!r}")
+            try:
+                f, v = float(r[0]), float(r[1])
+                rows.append((f, 10.0 ** (v / 10.0) if values_in_db else v))
+            except ValueError:
+                raise ChannelFormatError(f"{where}: cells must be numbers, got {r!r}") from None
+            except OverflowError:
+                raise ChannelFormatError(f"{where}: {r[1]} dB is out of range") from None
+    try:
+        return ResponseTable.from_rows(rows)
+    except ValueError as exc:
+        raise ChannelFormatError(f"{path}: {exc}") from exc
 
 
 def write_response_table(table: ResponseTable, path) -> None:

@@ -63,6 +63,28 @@ def _log_gnr(g, f: float) -> float:
     return out
 
 
+def sampled_monotone(g, f_hi: float) -> bool:
+    """Whether GNR is non-increasing on (0, f_hi], by sampling the sign of
+    d(log GNR)/d(f^2) = sum_m 1/(fz_m^2+u) - sum_n 1/(fp_n^2+u) on a dense
+    log grid in u = f^2 plus both endpoints."""
+    if not g.zeros and not g.poles:
+        return True
+    corners = list(g.zeros) + list(g.poles)
+    u_min = (min(corners) * 1e-4) ** 2
+    u_grid = np.concatenate([[0.0], np.geomspace(u_min, f_hi**2, 4096), [f_hi**2]])
+    pos = np.zeros_like(u_grid)
+    mag = np.zeros_like(u_grid)
+    for fz in g.zeros:
+        t = 1.0 / (fz**2 + u_grid)
+        pos += t
+        mag += t
+    for fp in g.poles:
+        t = 1.0 / (fp**2 + u_grid)
+        pos -= t
+        mag += t
+    return bool(np.all(pos <= 1e-12 * mag))
+
+
 def central_diff(fn, x: float, h: float) -> float:
     return (fn(x + h) - fn(x - h)) / (2.0 * h)
 

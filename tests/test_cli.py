@@ -83,6 +83,18 @@ class TestRateCurve:
         assert rows[-1, 2] > rows[-1, 3]
 
 
+    def test_fmax_sweep_matches_golden_csv(self, channel_path, tmp_path):
+        # recorded with the sampled monotonicity scan that monotone_limit replaced
+        out = tmp_path / "rate.csv"
+        assert (
+            run_cli(
+                "rate-curve", "--channel", channel_path,
+                "--sweep", "fmax:1e5:2e8:200:log", "--out", str(out),
+            )
+            == 0
+        )
+        assert out.read_bytes() == (DATA / "fmax_sweep_ref.csv").read_bytes()
+
     def test_power_sweep_matches_golden_csv(self, channel_path, tmp_path):
         # recorded from the per-budget hh_accelerated sweep this replaced
         out = tmp_path / "rp.csv"
@@ -289,6 +301,91 @@ class TestValidationAndDeterminism:
         rc = run_cli("rate-curve", "--channel", str(path), "--sweep", "fmax:1e6:1e8:5")
         assert rc == 2
         assert capsys.readouterr().err.startswith(f"owclb: {where}: ")
+
+    def test_invalid_json_names_file_line_and_column(self, tmp_path, capsys):
+        path = tmp_path / "cut.json"
+        path.write_text('{"stages": [\n')
+        assert run_cli("gnr-eval", "--channel", str(path)) == 2
+        assert capsys.readouterr().err == (
+            f"owclb: {path}: not valid JSON: Expecting value at line 2 column 1\n"
+        )
+
+    @pytest.mark.parametrize(
+        "row, flags, message",
+        [
+            ("2e6", [], "expected 2 columns, got 1"),
+            ("2e6,abc", [], "cells must be numbers"),
+            ("2e6,5000", ["--db"], "5000 dB is out of range"),
+        ],
+        ids=["one-column", "non-numeric", "db-overflow"],
+    )
+    def test_bad_table_row_names_row(self, tmp_path, capsys, row, flags, message):
+        path = tmp_path / "meas.csv"
+        path.write_text(f"frequency_hz,value\n1e6,1.0\n{row}\n3e6,0.5\n")
+        assert run_cli("fit", "--channel", str(path), *flags) == 2
+        assert capsys.readouterr().err.startswith(f"owclb: {path}: row 3: {message}")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["optimize-newton", "--budget", "1e6"],
+            ["rate-curve", "--sweep", "power:1e4:1e9:4:log"],
+        ],
+        ids=["optimize-newton", "power-sweep"],
+    )
+    def test_k_below_2_is_flag_error_for_newton(self, channel_path, capsys, argv):
+        assert run_cli(*argv, "--channel", channel_path, "--k", "1") == 2
+        assert capsys.readouterr().err == (
+            "owclb: k must be >= 2 for the Newton search, got 1\n"
+        )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["optimize-hh", "--budget", "1e6"],
+            ["compare", "--budget", "1e6"],
+            ["rate-curve", "--sweep", "fmax:1e6:1e8:4:log"],
+        ],
+        ids=["optimize-hh", "compare", "fmax-sweep"],
+    )
+    def test_k_1_still_accepted_without_newton(self, channel_path, argv):
+        assert run_cli(*argv, "--channel", channel_path, "--k", "1") == 0
+
+    def test_every_subcommand_reruns_byte_identical(self, channel_path, tmp_path, capsys):
+        model = owclb.MagSqPoleZeroGnr(gnr0=9.0, poles=(3e6, 50e6))
+        freqs = np.geomspace(1e4, 1e9, 40)
+        table_path = tmp_path / "meas.csv"
+        owclb.write_response_table(
+            owclb.ResponseTable(frequencies=freqs, values=model.evaluate(freqs)), table_path
+        )
+        ch = ["--channel", channel_path, "--gamma-db", "6.06", "--fchip", "2e8"]
+        cases = [
+            ["gnr-eval", *ch, "--sweep", "fmax:1e6:1e8:7:log"],
+            ["rate-curve", *ch, "--sweep", "fmax:1e5:2e8:9:log"],
+            ["rate-curve", *ch, "--sweep", "power:1e4:1e9:5:log", "--k", "32"],
+            ["optimize-newton", *ch, "--budget", "1e7", "--k", "32"],
+            ["optimize-hh", *ch, "--budget", "1e7", "--k", "32"],
+            ["optimize-hh", *ch, "--budget", "1e7", "--k", "32", "--naive"],
+            ["compare", *ch, "--budget", "1e7", "--k", "32"],
+            ["fit", "--channel", str(table_path), "--zeros", "0", "--poles", "2", "--seed", "3"],
+            ["optimize-newton", *ch, "--k", "32"],
+        ]
+        for argv in cases:
+            runs = []
+            for i in range(2):
+                out = tmp_path / f"out{i}"
+                out.unlink(missing_ok=True)
+                rc = run_cli(*argv, "--out", str(out))
+                captured = capsys.readouterr()
+                written = out.read_bytes() if out.exists() else None
+                runs.append((rc, captured.out, captured.err, written))
+            assert runs[0] == runs[1], argv
+        # a flag the parser rejects exits the same way twice
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                run_cli("optimize-hh", "--channel", channel_path, "--k", "many")
+            assert exc.value.code == 2
+            assert "argument --k: invalid int value: 'many'" in capsys.readouterr().err
 
     def test_byte_identical_reruns(self, channel_path, tmp_path):
         out1 = tmp_path / "a.csv"

@@ -4,10 +4,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
+from numpy.polynomial import polynomial as P
 
 import owclb
 from owclb.linkchain import SPEED_OF_LIGHT_M_S, chain_magsq
+
+from _oracles import sampled_monotone
 
 from conftest import (
     NOISE_FLOOR,
@@ -319,6 +322,66 @@ class TestMonotone:
             vals = g.evaluate(freqs)
             scan_monotone = bool(np.all(np.diff(vals) <= vals[:-1] * 1e-9))
             assert owclb.is_monotone_decreasing(g, 1e10) == scan_monotone
+
+
+@st.composite
+def pole_zero_models(draw):
+    """0-6 zeros / 1-6 poles log-uniform in [1e5, 1e9] Hz; some zeros are
+    moved next to a pole (relative gap 1e-8 to 1e-2, either side)."""
+    log_corner = st.floats(min_value=5.0, max_value=9.0)
+    poles = draw(st.lists(log_corner, min_size=1, max_size=6))
+    zeros = draw(st.lists(log_corner, min_size=0, max_size=6))
+    poles = [10.0**p for p in poles]
+    zeros = [10.0**z for z in zeros]
+    n_pairs = draw(st.integers(min_value=0, max_value=min(len(zeros), len(poles))))
+    for k in range(n_pairs):
+        gap = 10.0 ** draw(st.floats(min_value=-8.0, max_value=-2.0))
+        zeros[k] = poles[k] * (1.0 + draw(st.sampled_from([-gap, gap])))
+    return owclb.MagSqPoleZeroGnr(gnr0=1.0, zeros=tuple(zeros), poles=tuple(poles))
+
+
+class TestMonotoneLimit:
+    @settings(deadline=None, max_examples=300)
+    @given(pole_zero_models(), st.floats(min_value=4.0, max_value=10.5))
+    def test_matches_sampled_oracle(self, g, log_f_hi):
+        f_hi = 10.0**log_f_hi
+        limit = owclb.monotone_limit(g)
+        # Where a near-cancelling pair makes the slope cross the tolerance
+        # slowly, the crossing is only defined to the sum's rounding (the
+        # scan's and the limit's differ by up to ~1e-8 relative).
+        assume(not limit * (1.0 - 1e-6) < f_hi < limit * (1.0 + 1e-6))
+        assert owclb.is_monotone_decreasing(g, f_hi) == sampled_monotone(g, f_hi)
+
+    def test_bump_limit_is_first_positive_root(self, bump_model):
+        # numerator of d(log GNR)/du, one product per corner, in u = (f/1 MHz)^2
+        z2 = [(fz / 1e6) ** 2 for fz in bump_model.zeros]
+        p2 = [(fp / 1e6) ** 2 for fp in bump_model.poles]
+        num = np.zeros(1)
+        for sign, own, other in [(1.0, z2, p2), (-1.0, p2, z2)]:
+            for i in range(len(own)):
+                rest = own[:i] + own[i + 1 :] + other
+                num = P.polyadd(num, sign * P.polyfromroots([-c for c in rest]))
+        roots = P.polyroots(num)
+        first = min(r.real for r in roots if abs(r.imag) < 1e-12 and r.real > 0.0)
+        limit = owclb.monotone_limit(bump_model)
+        assert limit == pytest.approx(1e6 * math.sqrt(first), rel=1e-9)
+        assert bump_model(limit * (1.0 + 1e-3)) > bump_model(limit)
+        assert bump_model(limit * (1.0 - 1e-3)) > bump_model(limit)
+        assert owclb.is_monotone_decreasing(bump_model, limit * (1.0 - 1e-9))
+        assert not owclb.is_monotone_decreasing(bump_model, limit * (1.0 + 1e-9))
+
+    @pytest.mark.parametrize(
+        "poles",
+        [(), (3e6,), (2e6, 2e6, 2e6), (1e5, 3e6, 4e7, 5e8, 1e9, 7e9)],
+        ids=["flat", "one-pole", "repeated", "six-poles"],
+    )
+    def test_all_pole_never_rises(self, poles):
+        assert owclb.monotone_limit(owclb.MagSqPoleZeroGnr(gnr0=2.0, poles=poles)) == math.inf
+
+    def test_zeros_only_rises_at_once(self):
+        g = owclb.MagSqPoleZeroGnr(gnr0=1.0, zeros=(5e6,))
+        assert owclb.monotone_limit(g) == 0.0
+        assert not owclb.is_monotone_decreasing(g, 1.0)
 
 
 class TestChainJson:
