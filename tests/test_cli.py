@@ -430,3 +430,33 @@ class TestValidationAndDeterminism:
             )
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+
+# Recorded with the code before the CSV codec, gap validator and per-command
+# flags were merged; every output file and stdout must match byte for byte.
+_REF = ["--gamma-db", "6.06", "--fchip", "2e8"]
+GOLDEN_CASES = {
+    "gnr_eval_ref.csv": ["gnr-eval"],
+    "newton_ref_k64.csv": ["optimize-newton", *_REF, "--budget", "3.5e7", "--k", "64"],
+    "hh_accel_ref_k64.csv": ["optimize-hh", *_REF, "--budget", "3.5e7", "--k", "64"],
+    "hh_naive_ref_k64.csv": ["optimize-hh", *_REF, "--budget", "3.5e7", "--k", "64", "--naive"],
+    "compare_ref_k512.csv": ["compare", *_REF, "--budget", "1e7", "--k", "512"],
+    "fit_ref.json": ["fit", "--zeros", "1", "--poles", "2", "--seed", "4", "--scan-orders"],
+    # no --out: the CSV itself goes to stdout
+    "compare_stdout_k64": ["compare", *_REF, "--budget", "1e7", "--k", "64"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+def test_matches_golden_output(channel_path, tmp_path, capsys, name):
+    argv = list(GOLDEN_CASES[name])
+    channel = str(DATA / "fit_table.csv") if argv[0] == "fit" else channel_path
+    argv[1:1] = ["--channel", channel]
+    out = tmp_path / name
+    if "." in name:
+        argv += ["--out", str(out)]
+    assert run_cli(*argv) == 0
+    stdout = json.loads((DATA / "cli_stdout_ref.json").read_text())[name]
+    assert capsys.readouterr().out == stdout
+    if "." in name:
+        assert out.read_bytes() == (DATA / name).read_bytes()
