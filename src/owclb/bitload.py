@@ -42,7 +42,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linkchain import _check_positive
+from .linkchain import ChannelFormatError, _check_positive, _read_csv, _write_csv
+from .waterfill import _gamma_value
 
 DEFAULT_BIT_CAP = 12
 
@@ -134,18 +135,10 @@ class BitLoadPlan:
     group_table: GroupTable | None = None
 
 
-def _gamma_of(gap) -> float:
-    gamma = getattr(gap, "gamma_linear", gap)
-    gamma = float(gamma)
-    if not math.isfinite(gamma) or gamma < 1.0:
-        raise ValueError(f"modulation gap must be >= 1 linear, got {gamma!r}")
-    return gamma
-
-
 def marginal_power(grid: SubcarrierGrid, gap, k: int, b_current: int) -> float:
     """Power needed to raise subcarrier k (1-based) from b to b+1 bits:
     Delta_B * Gamma * 2^b / GNR(f_k)."""
-    gamma = _gamma_of(gap)
+    gamma = _gamma_value(gap)
     if not 1 <= k <= grid.K:
         raise ValueError(f"k must be in 1..{grid.K}, got {k}")
     if b_current < 0:
@@ -230,9 +223,9 @@ def hh_naive(
     subcarrier sits at the bit cap).  A non-positive budget yields the
     all-zero plan at setup cost only.
     """
-    gamma = _gamma_of(gap)
-    if sigma2_budget < 0.0:
-        raise ValueError("sigma2_budget must be >= 0")
+    gamma = _gamma_value(gap)
+    if not sigma2_budget >= 0.0:  # NaN too; inf loads every carrier to the cap
+        raise ValueError(f"sigma2_budget must be >= 0, got {sigma2_budget!r}")
     if sigma2_budget == 0.0:
         return _finish(None, grid, gamma, 0.0, 0, 0, "hh_naive", None)
 
@@ -279,9 +272,9 @@ def hh_accelerated(
     K.  Produces exactly the same bits and powers as ``hh_naive``.
     Subcarriers that reach the bit cap leave the candidate set.
     """
-    gamma = _gamma_of(gap)
-    if sigma2_budget < 0.0:
-        raise ValueError("sigma2_budget must be >= 0")
+    gamma = _gamma_value(gap)
+    if not sigma2_budget >= 0.0:  # NaN too; inf loads every carrier to the cap
+        raise ValueError(f"sigma2_budget must be >= 0, got {sigma2_budget!r}")
     require_monotone_grid(grid)
     if sigma2_budget == 0.0:
         empty = GroupTable(tuple([1] + [0] * bit_cap))  # level 0 heads the grid
@@ -381,10 +374,10 @@ def hh_sorted_prefix(
     greedy's running total.  Costs that overflow to infinity are never
     granted.  Works on any grid, monotone or not.
     """
-    gamma = _gamma_of(gap)
+    gamma = _gamma_value(gap)
     budgets = np.atleast_1d(np.asarray(budgets, dtype=float))
-    if np.any(budgets < 0.0):
-        raise ValueError("sigma2_budget must be >= 0")
+    if not np.all(budgets >= 0.0):
+        raise ValueError(f"sigma2_budget must be >= 0, got {budgets[~(budgets >= 0.0)][0]!r}")
     marginal = grid.delta_b * gamma / grid.gnr_k
     costs = (marginal[:, None] * 2.0 ** np.arange(bit_cap)).ravel()  # subcarrier-major
     order = np.argsort(costs, kind="stable")
@@ -449,59 +442,35 @@ def flop_report(plan_a: BitLoadPlan, plan_b: BitLoadPlan) -> FlopComparison:
 # CSV interface
 
 _PLAN_HEADER = ["k", "f_hz", "bits", "power_v2"]
+_PLAN_META = {
+    "total_power_v2": float,
+    "rate_bit_s": float,
+    "flops": int,
+    "iterations": int,
+    "algorithm": str,
+    "budget_v2": float,
+    "gamma_linear": float,
+    "f_chip_hz": float,
+}
 
 
 def write_plan_csv(plan: BitLoadPlan, path) -> None:
-    from pathlib import Path
-
-    lines = [
-        "# "
-        f"total_power_v2={repr(plan.total_power)} "
-        f"rate_bit_s={repr(plan.rate)} "
-        f"flops={plan.flops} "
-        f"iterations={plan.iterations} "
-        f"algorithm={plan.algorithm} "
-        f"budget_v2={repr(plan.sigma2_budget)} "
-        f"gamma_linear={repr(plan.gamma)} "
-        f"f_chip_hz={repr(plan.grid.f_chip)}",
-        ",".join(_PLAN_HEADER),
-    ]
-    f_k = plan.grid.f_k
-    for i in range(plan.grid.K):
-        lines.append(
-            f"{i + 1},{repr(float(f_k[i]))},{int(plan.bits[i])},{repr(float(plan.power_k[i]))}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n")
+    scalars = (plan.total_power, plan.rate, plan.flops, plan.iterations, plan.algorithm,
+               plan.sigma2_budget, plan.gamma, plan.grid.f_chip)
+    rows = zip(range(1, plan.grid.K + 1), plan.grid.f_k, plan.bits, plan.power_k)
+    _write_csv(path, _PLAN_HEADER, rows, dict(zip(_PLAN_META, scalars)))
 
 
 def read_plan_csv(path) -> dict:
     """Parse a plan CSV back into its metadata and per-subcarrier arrays."""
-    from pathlib import Path
-
-    text = Path(path).read_text().strip().splitlines()
-    if len(text) < 2 or not text[0].startswith("# "):
-        raise ValueError(f"{path}: not a bit-load plan CSV")
-    meta = dict(kv.split("=", 1) for kv in text[0][2:].split(" ") if "=" in kv)
-    if text[1].split(",") != _PLAN_HEADER:
-        raise ValueError(f"{path}: expected header {','.join(_PLAN_HEADER)!r}")
-    k, f_hz, bits, power = [], [], [], []
-    for line in text[2:]:
-        a, b, c, d = line.split(",")
-        k.append(int(a))
-        f_hz.append(float(b))
-        bits.append(int(c))
-        power.append(float(d))
+    meta, _, rows = _read_csv(path, _PLAN_HEADER, _PLAN_META)
+    counts = rows[:, [0, 2]]
+    if not np.all((counts == np.round(counts)) & (np.abs(counts) < 2.0**53)):
+        raise ChannelFormatError(f"{path}: k and bits must be integers")
     return {
-        "total_power_v2": float(meta["total_power_v2"]),
-        "rate_bit_s": float(meta["rate_bit_s"]),
-        "flops": int(meta["flops"]),
-        "iterations": int(meta["iterations"]),
-        "algorithm": meta["algorithm"],
-        "budget_v2": float(meta["budget_v2"]),
-        "gamma_linear": float(meta["gamma_linear"]),
-        "f_chip_hz": float(meta["f_chip_hz"]),
-        "k": np.array(k),
-        "f_hz": np.array(f_hz),
-        "bits": np.array(bits),
-        "power_v2": np.array(power),
+        **meta,
+        "k": rows[:, 0].astype(np.int64),
+        "f_hz": rows[:, 1],
+        "bits": rows[:, 2].astype(np.int64),
+        "power_v2": rows[:, 3],
     }

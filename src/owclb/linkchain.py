@@ -75,6 +75,17 @@ def _as_f(f):
     return arr if arr.ndim else float(arr)
 
 
+def _polezero(gain: float, zeros, poles, f):
+    """gain * prod(1 + f^2/fz^2) / prod(1 + f^2/fp^2), zeros first, in list order."""
+    u = np.square(_as_f(f))
+    out = gain + 0.0 * u
+    for fz in zeros:
+        out = out * (1.0 + u / fz**2)
+    for fp in poles:
+        out = out / (1.0 + u / fp**2)
+    return out
+
+
 @dataclass(frozen=True)
 class FlatGain:
     """Frequency-flat stage, e.g. line-of-sight propagation loss."""
@@ -127,14 +138,7 @@ class RationalPoleZero:
         object.__setattr__(self, "poles", _freq_tuple("poles", self.poles))
 
     def magsq(self, f):
-        f = _as_f(f)
-        u = np.square(f)
-        out = self.dc_gain**2 + 0.0 * u
-        for fz in self.zeros:
-            out = out * (1.0 + u / fz**2)
-        for fp in self.poles:
-            out = out / (1.0 + u / fp**2)
-        return out
+        return _polezero(self.dc_gain**2, self.zeros, self.poles, f)
 
 
 @dataclass(frozen=True)
@@ -322,16 +326,8 @@ class NoiseSpectrum:
         object.__setattr__(self, "extra_zeros", _freq_tuple("extra_zeros", self.extra_zeros))
 
     def psd(self, f):
-        f = _as_f(f)
-        u = np.square(f)
-        out = self.floor + 0.0 * u
-        if self.uplift_zero is not None:
-            out = out * (1.0 + u / self.uplift_zero**2)
-        for fz in self.extra_zeros:
-            out = out * (1.0 + u / fz**2)
-        for fp in self.rolloff_poles:
-            out = out / (1.0 + u / fp**2)
-        return out
+        uplift = () if self.uplift_zero is None else (self.uplift_zero,)
+        return _polezero(self.floor, uplift + self.extra_zeros, self.rolloff_poles, f)
 
 
 @dataclass(frozen=True, eq=False)
@@ -366,14 +362,7 @@ class MagSqPoleZeroGnr:
         object.__setattr__(self, "poles", tuple(sorted(_freq_tuple("poles", self.poles))))
 
     def evaluate(self, f):
-        f = _as_f(f)
-        u = np.square(f)
-        out = self.gnr0 + 0.0 * u
-        for fz in self.zeros:
-            out = out * (1.0 + u / fz**2)
-        for fp in self.poles:
-            out = out / (1.0 + u / fp**2)
-        return out
+        return _polezero(self.gnr0, self.zeros, self.poles, f)
 
     __call__ = evaluate
 
@@ -394,11 +383,7 @@ def eval_noise_psd(noise: NoiseSpectrum, f):
 
 def gnr_eval(chain: LinkChain, f):
     """Spectral GNR of the chain: product of stage |H|^2 over noise PSD."""
-    f = _as_f(f)
-    num = 1.0 + 0.0 * np.asarray(f, dtype=float)
-    for stage in chain.stages:
-        num = num * stage.magsq(f)
-    out = num / chain.noise.psd(f)
+    out = chain_magsq(chain, f) / chain.noise.psd(f)
     return out if np.ndim(out) else float(out)
 
 
@@ -697,9 +682,16 @@ def save_chain(chain: LinkChain, path) -> None:
     Path(path).write_text(json.dumps(chain_to_dict(chain), indent=2) + "\n")
 
 
+def _read_text(path) -> str:
+    try:
+        return Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ChannelFormatError(f"{path}: not UTF-8: {exc.reason} at byte {exc.start}") from None
+
+
 def load_chain(path) -> LinkChain:
     try:
-        doc = json.loads(Path(path).read_text())
+        doc = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise ChannelFormatError(
             f"{path}: not valid JSON: {exc.msg} at line {exc.lineno} column {exc.colno}"
@@ -708,9 +700,101 @@ def load_chain(path) -> LinkChain:
 
 
 # ---------------------------------------------------------------------------
-# response-table CSV interface
+# CSV files: an optional "# key=value ..." line, a header row, numeric rows
+
+
+def _write_csv(path, header, rows, meta: dict | None = None) -> None:
+    """Write the ``# key=value ...`` line (when ``meta`` is given), header and rows.
+
+    Integers (bools included) are written as integers, strings as they are
+    and every other value as ``repr(float(x))``, so floats read back exactly;
+    a row column takes the kind of its first cell.  Lines end in LF.  With
+    ``path`` None the text goes to stdout.
+    """
+
+    def column(values) -> list[str]:
+        if isinstance(values[0], str):
+            return list(values)
+        if isinstance(values[0], (int, np.integer)):
+            return list(map(str, map(int, values)))
+        return list(map(repr, map(float, values)))
+
+    lines = []
+    if meta is not None:
+        lines.append("# " + " ".join(f"{key}={column([v])[0]}" for key, v in meta.items()))
+    lines.append(",".join(header))
+    lines.extend(map(",".join, zip(*map(column, zip(*rows)))))
+    text = "\n".join(lines) + "\n"
+    if path is None:
+        sys.stdout.write(text)
+    else:
+        Path(path).write_text(text)
+
+
+def _read_csv(path, header=None, meta=None, columns=None):
+    """Parse a ``_write_csv`` file into (meta values, column names, float rows).
+
+    ``header`` lists the expected column names (None accepts any header);
+    ``meta`` maps each key the ``#`` line must carry to its parser; ``columns``
+    gives one cell parser per column (default ``float``), whose ValueError
+    marks a non-number and whose OverflowError says what is out of range.
+    Blank lines are skipped.  Every fault raises ``ChannelFormatError`` naming
+    the file and, for a row, its line number (the first line is 1).
+    """
+    lines = _read_text(path).splitlines()
+    comment = ""
+    if lines and lines[0].startswith("#"):
+        comment, lines[0] = lines[0][1:], ""  # a blank line keeps the numbering
+    found = dict(kv.split("=", 1) for kv in comment.split() if "=" in kv)
+    values = {}
+    for key, parse in (meta or {}).items():
+        if key not in found:
+            raise ChannelFormatError(f"{path}: the # line has no {key}=")
+        try:
+            values[key] = parse(found[key])
+        except ValueError:
+            raise ChannelFormatError(f"{path}: # {key}={found[key]!r} is not valid") from None
+    reader = csv.reader(lines)
+    names = None
+    rows = []
+    try:
+        for cells in reader:
+            where = f"{path}: row {reader.line_num}"
+            if not cells:
+                continue
+            if names is None:
+                names = [c.strip() for c in cells]
+                if header is not None and names != header:
+                    raise ChannelFormatError(
+                        f"{path}: expected header {','.join(header)!r}, got {','.join(cells)!r}"
+                    )
+                parsers = columns or [float] * len(names)
+                continue
+            if len(cells) != len(names):
+                raise ChannelFormatError(
+                    f"{where}: expected {len(names)} columns, got {len(cells)}: {cells!r}"
+                )
+            try:
+                rows.append([parse(c) for parse, c in zip(parsers, cells)])
+            except ValueError:
+                raise ChannelFormatError(f"{where}: cells must be numbers, got {cells!r}") from None
+            except OverflowError as exc:
+                raise ChannelFormatError(f"{where}: {exc}") from None
+    except csv.Error as exc:
+        raise ChannelFormatError(f"{path}: row {reader.line_num}: {exc}") from None
+    if names is None:
+        raise ChannelFormatError(f"{path}: no header row")
+    return values, names, np.array(rows, dtype=float).reshape(len(rows), len(names))
+
 
 _TABLE_HEADER = ["frequency_hz", "value"]
+
+
+def _db_to_linear(text: str) -> float:
+    try:
+        return 10.0 ** (float(text) / 10.0)
+    except OverflowError:
+        raise OverflowError(f"{text} dB is out of range") from None
 
 
 def read_response_table(path, *, values_in_db: bool = False) -> ResponseTable:
@@ -719,41 +803,16 @@ def read_response_table(path, *, values_in_db: bool = False) -> ResponseTable:
     With ``values_in_db`` the value column is 10*log10 of the stored
     quantity and is converted to linear before validation.  A malformed
     file raises ``ChannelFormatError`` naming the file and, for a bad data
-    row, its row number (the header is row 1).
+    row, its row number.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ChannelFormatError(f"{path}: empty response-table CSV") from None
-        if [h.strip() for h in header] != _TABLE_HEADER:
-            raise ChannelFormatError(
-                f"{path}: expected header {','.join(_TABLE_HEADER)!r}, got {','.join(header)!r}"
-            )
-        rows = []
-        for r in reader:
-            if not r:
-                continue
-            where = f"{path}: row {reader.line_num}"
-            if len(r) != 2:
-                raise ChannelFormatError(f"{where}: expected 2 columns, got {len(r)}: {r!r}")
-            try:
-                f, v = float(r[0]), float(r[1])
-                rows.append((f, 10.0 ** (v / 10.0) if values_in_db else v))
-            except ValueError:
-                raise ChannelFormatError(f"{where}: cells must be numbers, got {r!r}") from None
-            except OverflowError:
-                raise ChannelFormatError(f"{where}: {r[1]} dB is out of range") from None
+    _, _, rows = _read_csv(
+        path, _TABLE_HEADER, columns=(float, _db_to_linear if values_in_db else float)
+    )
     try:
-        return ResponseTable.from_rows(rows)
+        return ResponseTable(frequencies=rows[:, 0], values=rows[:, 1])
     except ValueError as exc:
         raise ChannelFormatError(f"{path}: {exc}") from exc
 
 
 def write_response_table(table: ResponseTable, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_TABLE_HEADER)
-        for f, v in table.rows:
-            writer.writerow([repr(f), repr(v)])
+    _write_csv(path, _TABLE_HEADER, table.rows)

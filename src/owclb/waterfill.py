@@ -37,13 +37,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from pathlib import Path
 
 import numpy as np
 from numpy.polynomial import polynomial as P
 from scipy.integrate import quad
 
-from .linkchain import MagSqPoleZeroGnr, _check_positive, is_monotone_decreasing
+from .linkchain import (
+    MagSqPoleZeroGnr,
+    _check_positive,
+    _read_csv,
+    _write_csv,
+    is_monotone_decreasing,
+)
 
 _LN2 = math.log(2.0)
 
@@ -59,9 +64,7 @@ class ModulationGap:
     gamma_linear: float
 
     def __post_init__(self):
-        g = float(self.gamma_linear)
-        if not math.isfinite(g) or g < 1.0:
-            raise ValueError(f"gamma_linear must be >= 1, got {g!r}")
+        _gamma_value(self.gamma_linear)
 
     @classmethod
     def from_db(cls, gamma_db: float) -> "ModulationGap":
@@ -69,7 +72,8 @@ class ModulationGap:
 
 
 def _gamma_value(gap) -> float:
-    gamma = gap.gamma_linear if isinstance(gap, ModulationGap) else float(gap)
+    """The linear gap of a ``ModulationGap`` or a plain number; finite and >= 1."""
+    gamma = float(getattr(gap, "gamma_linear", gap))
     if not math.isfinite(gamma) or gamma < 1.0:
         raise ValueError(f"modulation gap must be >= 1 linear, got {gamma!r}")
     return gamma
@@ -517,46 +521,43 @@ def sigma2_from_power(power_budget: float, power_map=None, *, hi_guess: float = 
 _SOLUTION_HEADER = ["f_hz", "psd_v2_per_hz", "gnr_linear"]
 
 
+def _parse_islands(text: str) -> tuple[tuple[float, float], ...]:
+    return tuple(
+        (float(a), float(b)) for a, b in (pair.split(":") for pair in text.split(";") if pair)
+    )
+
+
+_SOLUTION_META = {
+    "f_max_hz": float,
+    "water_level_v2_per_hz": float,
+    "sigma2_v2": float,
+    "rate_bit_s": float,
+    "saturated": lambda text: bool(int(text)),
+    "iterations": int,
+    "island": _parse_islands,
+}
+
+
 def write_solution_csv(sol: WaterfillSolution, path) -> None:
     """Serialize a solution: one comment line with the scalars, then rows."""
-    island_txt = ";".join(f"{repr(a)}:{repr(b)}" for a, b in sol.island)
-    lines = [
-        "# "
-        f"f_max_hz={repr(sol.f_max)} "
-        f"water_level_v2_per_hz={repr(sol.water_level)} "
-        f"sigma2_v2={repr(sol.sigma2)} "
-        f"rate_bit_s={repr(sol.rate)} "
-        f"saturated={int(sol.saturated)} "
-        f"iterations={sol.iterations} "
-        f"island={island_txt}",
-        ",".join(_SOLUTION_HEADER),
-    ]
-    for fv, sv, gv in zip(sol.f_hz, sol.psd, sol.gnr):
-        lines.append(f"{repr(float(fv))},{repr(float(sv))},{repr(float(gv))}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    island = ";".join(f"{repr(a)}:{repr(b)}" for a, b in sol.island)
+    scalars = (sol.f_max, sol.water_level, sol.sigma2, sol.rate, sol.saturated,
+               sol.iterations, island)
+    rows = zip(sol.f_hz, sol.psd, sol.gnr)
+    _write_csv(path, _SOLUTION_HEADER, rows, dict(zip(_SOLUTION_META, scalars)))
 
 
 def read_solution_csv(path) -> WaterfillSolution:
-    text = Path(path).read_text().strip().splitlines()
-    if len(text) < 3 or not text[0].startswith("# "):
-        raise ValueError(f"{path}: not a waterfill solution CSV")
-    meta = dict(kv.split("=", 1) for kv in text[0][2:].split(" ") if "=" in kv)
-    if text[1].split(",") != _SOLUTION_HEADER:
-        raise ValueError(f"{path}: expected header {','.join(_SOLUTION_HEADER)!r}")
-    rows = np.array([[float(x) for x in line.split(",")] for line in text[2:]])
-    island = tuple(
-        (float(a), float(b))
-        for a, b in (pair.split(":") for pair in meta["island"].split(";") if pair)
-    )
+    meta, _, rows = _read_csv(path, _SOLUTION_HEADER, _SOLUTION_META)
     return WaterfillSolution(
-        f_max=float(meta["f_max_hz"]),
-        water_level=float(meta["water_level_v2_per_hz"]),
+        f_max=meta["f_max_hz"],
+        water_level=meta["water_level_v2_per_hz"],
         f_hz=rows[:, 0],
         psd=rows[:, 1],
         gnr=rows[:, 2],
-        sigma2=float(meta["sigma2_v2"]),
-        rate=float(meta["rate_bit_s"]),
-        island=island,
-        saturated=bool(int(meta["saturated"])),
-        iterations=int(meta["iterations"]),
+        sigma2=meta["sigma2_v2"],
+        rate=meta["rate_bit_s"],
+        island=meta["island"],
+        saturated=meta["saturated"],
+        iterations=meta["iterations"],
     )

@@ -270,6 +270,15 @@ class TestSortedPrefix:
         assert sweep.bits(2).tolist() == [5] * 8  # past every carrier's cap
         assert sweep.rates.tolist() == [0.0, 0.0, 40.0]
 
+    @pytest.mark.parametrize("loader", ["hh_naive", "hh_accelerated", "hh_sorted_prefix"])
+    def test_nan_budget_rejected_inf_loads_to_cap(self, loader):
+        load = getattr(owclb, loader)
+        with pytest.raises(ValueError, match="sigma2_budget must be >= 0, got"):
+            load(flat_grid(4), 1.0, float("nan"))
+        plan = load(flat_grid(4), 1.0, float("inf"))
+        bits = plan.bits(0) if loader == "hh_sorted_prefix" else plan.bits
+        assert bits.tolist() == [owclb.DEFAULT_BIT_CAP] * 4
+
     def test_scalar_budget_and_negative_budget(self):
         assert owclb.hh_sorted_prefix(flat_grid(4), 1.0, 4.0).bits(0).tolist() == [1, 1, 1, 1]
         with pytest.raises(ValueError, match="sigma2_budget"):

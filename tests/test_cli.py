@@ -1,11 +1,12 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import owclb
-from owclb.cli import main, read_table
+from owclb.cli import COMMANDS, main, read_table
 
 from conftest import build_reference_chain
 
@@ -351,6 +352,50 @@ class TestValidationAndDeterminism:
     def test_k_1_still_accepted_without_newton(self, channel_path, argv):
         assert run_cli(*argv, "--channel", channel_path, "--k", "1") == 0
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["rate-curve", "--sweep", "fmax:1e5:1e8:5", "--gamma-db", "nan"],
+             "gamma_db must be finite, got nan"),
+            (["optimize-hh", "--k", "16", "--budget", "nan"], "budget must be finite, got nan"),
+            (["optimize-hh", "--k", "16", "--budget", "inf"], "budget must be finite, got inf"),
+            (["compare", "--budget", "1e7", "--fchip", "nan"], "fchip must be finite, got nan"),
+            (["optimize-newton", "--budget", "1e7", "--fchip", "inf"],
+             "fchip must be finite, got inf"),
+            (["rate-curve", "--sweep", "fmax:1e5:inf:5"],
+             "sweep bounds must be finite, got 'fmax:1e5:inf:5'"),
+        ],
+        ids=["gamma-db-nan", "budget-nan", "budget-inf", "fchip-nan", "fchip-inf", "sweep-inf"],
+    )
+    def test_non_finite_flag_is_flag_error(self, channel_path, capsys, argv, message):
+        assert run_cli(*argv, "--channel", channel_path) == 2
+        assert capsys.readouterr().err == f"owclb: {message}\n"
+
+    @pytest.mark.parametrize("command", ["gnr-eval", "fit"])
+    def test_non_utf8_input_names_file(self, tmp_path, capsys, command):
+        path = tmp_path / "input"
+        path.write_bytes(b"\xff\xfe")
+        assert run_cli(command, "--channel", str(path)) == 2
+        assert capsys.readouterr().err == (
+            f"owclb: {path}: not UTF-8: invalid start byte at byte 0\n"
+        )
+
+    def test_flag_of_another_command_rejected(self, channel_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("gnr-eval", "--channel", channel_path, "--gamma-db", "6")
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --gamma-db 6" in capsys.readouterr().err
+
+    def test_help_lists_only_own_flags(self, capsys):
+        settable = set()
+        for command in COMMANDS:
+            with pytest.raises(SystemExit):
+                run_cli(command, "--help")
+            flags = set(re.findall(r"--[a-z-]+", capsys.readouterr().out)) - {"--help"}
+            assert flags == {"--" + f.replace("_", "-") for f in COMMANDS[command]}, command
+            settable |= {(command, flag) for flag in flags}
+        assert len(settable) == 35
+
     def test_every_subcommand_reruns_byte_identical(self, channel_path, tmp_path, capsys):
         model = owclb.MagSqPoleZeroGnr(gnr0=9.0, poles=(3e6, 50e6))
         freqs = np.geomspace(1e4, 1e9, 40)
@@ -360,7 +405,7 @@ class TestValidationAndDeterminism:
         )
         ch = ["--channel", channel_path, "--gamma-db", "6.06", "--fchip", "2e8"]
         cases = [
-            ["gnr-eval", *ch, "--sweep", "fmax:1e6:1e8:7:log"],
+            ["gnr-eval", "--channel", channel_path, "--sweep", "fmax:1e6:1e8:7:log"],
             ["rate-curve", *ch, "--sweep", "fmax:1e5:2e8:9:log"],
             ["rate-curve", *ch, "--sweep", "power:1e4:1e9:5:log", "--k", "32"],
             ["optimize-newton", *ch, "--budget", "1e7", "--k", "32"],
