@@ -489,6 +489,12 @@ GOLDEN_CASES = {
     "fit_ref.json": ["fit", "--zeros", "1", "--poles", "2", "--seed", "4", "--scan-orders"],
     # no --out: the CSV itself goes to stdout
     "compare_stdout_k64": ["compare", *_REF, "--budget", "1e7", "--k", "64"],
+    # recorded with the per-bit greedy loops, before both loaders became one
+    # sorted pass: at 1e14 every carrier ends at the 12-bit cap (the last
+    # round has no budget check), at 1e12 789 of them do
+    "compare_ref_k1024_b1e8.csv": ["compare", *_REF, "--budget", "1e8", "--k", "1024"],
+    "compare_ref_k1024_b1e14.csv": ["compare", *_REF, "--budget", "1e14", "--k", "1024"],
+    "hh_accel_ref_k1024_b1e12.csv": ["optimize-hh", *_REF, "--budget", "1e12", "--k", "1024"],
 }
 
 
