@@ -1,43 +1,48 @@
 """Greedy per-subcarrier integer bit loading (Hughes-Hartogs style).
 
-``hh_naive`` scans every subcarrier each round for the cheapest next bit.
-``hh_accelerated`` exploits the grouping property of monotone channels —
-subcarriers carrying equal bit counts form contiguous blocks — to search
-only a lookup table of block heads, one per populated bit level, instead
-of all K subcarriers.  Both produce identical allocations on monotone
-grids; only the instrumented work differs.
+The greedy grants the cheapest next bit until the budget runs out.  A
+subcarrier's next bit costs Delta_B * Gamma * 2^b / GNR(f_k), which
+doubles with every bit, so the greedy grants the (subcarrier, bit)
+increments in the order of one stable sort by (cost, subcarrier) and stops
+at the first one whose running sum exceeds the budget (cf. Campello,
+"Practical bit loading for DMT", ICC 1999).  All three loaders are that one
+sort:
 
-``hh_sorted_prefix`` loads for a whole batch of budgets at once: greedy
-loading grants the longest prefix of all (subcarrier, bit) increments,
-sorted stably by (cost, subcarrier), whose running sum fits the budget.
-One sort serves every budget, and the allocations equal ``hh_naive``'s
-bit for bit on any grid.  The CLI uses ``hh_sorted_prefix`` for the
-``rate-curve`` power sweep, ``hh_accelerated`` for ``optimize-hh`` and
-``compare`` (whose outputs report its FLOPs and iterations), and
-``hh_naive`` for ``optimize-hh --naive`` and as the reference in
-``compare``.
+``hh_sorted_prefix`` loads for a whole batch of budgets at once; the CLI
+uses it for the ``rate-curve`` power sweep.  ``hh_naive`` and
+``hh_accelerated`` load for one budget and report the FLOPs and search
+rounds of the two Hughes-Hartogs searches the paper compares: a scan of
+all K subcarriers per round, and a search of a lookup table of block
+heads, one per populated bit level.  The table search is exact only on
+monotone channels, where subcarriers carrying equal bit counts form
+contiguous blocks, so ``hh_accelerated`` refuses a grid whose GNR rises.
+Both give the same bits on any grid they accept.  The CLI uses
+``hh_accelerated`` for ``optimize-hh`` and ``compare`` and ``hh_naive`` for
+``optimize-hh --naive`` and as the reference in ``compare``.
 
 Power bookkeeping uses the closed form
 
     sigma2_k = Delta_B * Gamma * (2^b(k) - 1) / GNR(f_k)
 
-rather than accumulated increments, so the two algorithms cannot drift
-apart in floating point.  ``BitLoadPlan.total_power`` is the plain
-left-to-right sum of these per-subcarrier terms in subcarrier order.
+rather than accumulated increments.  ``BitLoadPlan.total_power`` is the
+plain left-to-right sum of these per-subcarrier terms in subcarrier order.
 
-FLOP counting convention (used by both algorithms and by ``flop_report``):
-every floating-point add, multiply, divide, comparison and
+FLOP counting convention (used by both searches and by ``flop_report``),
+computed from the grant order rather than counted in a loop: every
+floating-point add, multiply, divide, comparison and
 exponentiation-by-squaring step counts as one FLOP; table lookups and
 index bookkeeping are free.  Concretely: marginal-power setup costs
 K + 1 (one multiply for Delta_B*Gamma, one divide per subcarrier); each
-search round costs (candidates - 1) comparisons plus 2 for the budget
-check (one add, one compare); each accepted bit costs 6 (marginal
-doubling, closed-form power refresh, running-total add).
+search round costs (candidates - 1) comparisons, plus 2 for the budget
+check (one add, one compare) when a finite candidate is left; each
+accepted bit costs 6 (marginal doubling, closed-form power refresh,
+running-total add).  L grants take L + 1 rounds, the last one rejecting.
+The scan has K candidates per round, the table one per populated level
+below the cap.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -146,48 +151,82 @@ def marginal_power(grid: SubcarrierGrid, gap, k: int, b_current: int) -> float:
     return grid.delta_b * gamma * 2.0**b_current / float(grid.gnr_k[k - 1])
 
 
-class _LoadState:
-    """Shared bookkeeping for both greedy variants (identical arithmetic)."""
+def _grant_order(grid: SubcarrierGrid, gamma: float, bit_cap: int):
+    """Every finite (subcarrier, bit) increment in greedy order, and the
+    running sum of their costs.
 
-    def __init__(self, grid: SubcarrierGrid, gamma: float):
-        self.grid = grid
-        self.gamma = gamma
-        self.bits = np.zeros(grid.K, dtype=np.int64)
-        self.power = np.zeros(grid.K, dtype=float)
-        self.marginal = np.empty(grid.K, dtype=float)
-        base = grid.delta_b * gamma
-        self.marginal[:] = base / grid.gnr_k
-        self.running = 0.0
-        self.flops = grid.K + _SETUP_FLOPS_PER_K
-
-    def load(self, idx: int) -> None:
-        """Grant one bit to 0-based subcarrier idx."""
-        m = float(self.marginal[idx])
-        self.running += m
-        self.bits[idx] += 1
-        b = int(self.bits[idx])
-        self.power[idx] = (
-            self.grid.delta_b * self.gamma * (2.0**b - 1.0) / float(self.grid.gnr_k[idx])
-        )
-        self.marginal[idx] = 2.0 * m
-        self.flops += _LOAD_FLOPS
+    Increments are numbered subcarrier-major, k * bit_cap + b for 0-based
+    subcarrier k raised from b to b+1 bits.  Each costs
+    (delta_b*gamma/gnr_k) * 2^b, so the greedy grants them in the order of
+    a stable sort by (cost, subcarrier) and stops at the first one whose
+    running sum exceeds the budget.  The costs take one multiply, one
+    divide and then exact doublings, and ``np.cumsum`` adds in the greedy's
+    order, so every partial sum is bit-identical to the greedy's running
+    total.  Costs that overflow to infinity are never granted.
+    """
+    with np.errstate(over="ignore"):  # past the largest float is inf, as in scalar code
+        marginal = grid.delta_b * gamma / grid.gnr_k
+        costs = (marginal[:, None] * 2.0 ** np.arange(bit_cap)).ravel()
+        order = np.argsort(costs, kind="stable")
+        sorted_costs = costs[order]
+        finite = int(np.count_nonzero(np.isfinite(sorted_costs)))
+        return order[:finite], np.cumsum(sorted_costs[:finite])
 
 
-def _finish(
-    state: _LoadState | None,
-    grid: SubcarrierGrid,
-    gamma: float,
-    budget: float,
-    flops: int,
-    iterations: int,
-    algorithm: str,
-    table: GroupTable | None,
-) -> BitLoadPlan:
-    if state is None:
-        bits = np.zeros(grid.K, dtype=np.int64)
-        power = np.zeros(grid.K, dtype=float)
-    else:
-        bits, power = state.bits, state.power
+def _check_budget(sigma2_budget: float) -> None:
+    if not sigma2_budget >= 0.0:  # NaN too; inf loads every carrier to the cap
+        raise ValueError(f"sigma2_budget must be >= 0, got {sigma2_budget!r}")
+
+
+def _table_search_flops(old_levels: np.ndarray, K: int, bit_cap: int) -> int:
+    """Comparisons the lookup-table search makes over every round.
+
+    A round compares the heads of the populated levels below the cap, so
+    it costs their count minus one; it sees at least one unless every
+    carrier sits at the cap.  Grant i moves a carrier from level
+    ``old_levels[i]`` to the next one, so level b gains a carrier at each
+    grant from b-1 (all K start at level 0) and loses one at each grant
+    from b.  The level is empty before its first arrival, and after each
+    departure that leaves no carrier behind until the next arrival.
+    """
+    rounds = old_levels.size + 1
+    held = 0  # (round, level) pairs in which the level holds a carrier
+    arrived = np.full(K, -1)  # grant that brought each carrier to level b
+    for b in range(bit_cap):
+        if not arrived.size:
+            break  # no carrier reaches this level or any above it
+        left = np.flatnonzero(old_levels == b)  # grant that moved it on
+        nxt = np.append(arrived, rounds - 1)  # next arrival after each departure
+        empty = nxt[0] + 1 + np.maximum(nxt[1 : left.size + 1] - left, 0).sum()
+        held += rounds - empty
+        arrived = left
+    return int(held - rounds + (rounds - 1 == K * bit_cap))
+
+
+def _granted(grid: SubcarrierGrid, gamma: float, sigma2_budget: float, bit_cap: int):
+    """The increments the greedy grants under one budget, in order, and
+    whether a finite one is left over for the rejecting round to see."""
+    grants, running = _grant_order(grid, gamma, bit_cap)
+    loads = 0
+    if sigma2_budget > 0.0:  # a zero budget loads nothing, even a zero-cost bit
+        loads = int(np.searchsorted(running, sigma2_budget, side="right"))
+    return grants[:loads], loads < grants.size
+
+
+def _plan(grid, gamma, sigma2_budget, bits, finite_left, search_flops, algorithm, table=None):
+    """A plan from its final bits, costed by the module's FLOP convention;
+    the rejecting round checks the budget only if a finite bit is left."""
+    flops = iterations = 0
+    if sigma2_budget > 0.0:
+        loads = int(np.sum(bits))
+        flops = grid.K + _SETUP_FLOPS_PER_K + search_flops
+        flops += (_BUDGET_CHECK_FLOPS + _LOAD_FLOPS) * loads
+        flops += _BUDGET_CHECK_FLOPS * finite_left
+        iterations = loads + 1
+    power = np.zeros(grid.K, dtype=float)
+    on = bits > 0  # unloaded carriers stay 0.0 even when delta_b*gamma overflows
+    with np.errstate(over="ignore"):
+        power[on] = grid.delta_b * gamma * (2.0 ** bits[on] - 1.0) / grid.gnr_k[on]
     bits.flags.writeable = False
     power.flags.writeable = False
     total = 0.0
@@ -203,7 +242,7 @@ def _finish(
         algorithm=algorithm,
         grid=grid,
         gamma=gamma,
-        sigma2_budget=float(budget),
+        sigma2_budget=float(sigma2_budget),
         group_table=table,
     )
 
@@ -214,37 +253,20 @@ def hh_naive(
     sigma2_budget: float,
     *,
     bit_cap: int = DEFAULT_BIT_CAP,
-    on_load=None,
 ) -> BitLoadPlan:
-    """Reference greedy loader: full scan of all K subcarriers per round.
+    """Greedy loader, costed as a full scan of all K subcarriers per round.
 
     Ties in marginal power break toward the lowest subcarrier index.
     Stops when the cheapest next bit would exceed the budget (or every
-    subcarrier sits at the bit cap).  A non-positive budget yields the
-    all-zero plan at setup cost only.
+    subcarrier sits at the bit cap).  A zero budget yields the all-zero
+    plan at no cost.  Works on any grid.
     """
     gamma = _gamma_value(gap)
-    if not sigma2_budget >= 0.0:  # NaN too; inf loads every carrier to the cap
-        raise ValueError(f"sigma2_budget must be >= 0, got {sigma2_budget!r}")
-    if sigma2_budget == 0.0:
-        return _finish(None, grid, gamma, 0.0, 0, 0, "hh_naive", None)
-
-    state = _LoadState(grid, gamma)
-    iterations = 0
-    while True:
-        iterations += 1
-        candidates = np.where(state.bits < bit_cap, state.marginal, np.inf)
-        idx = int(np.argmin(candidates))  # first minimum = lowest index
-        state.flops += grid.K - 1
-        if not np.isfinite(candidates[idx]):
-            break
-        state.flops += _BUDGET_CHECK_FLOPS
-        if state.running + candidates[idx] > sigma2_budget:
-            break
-        state.load(idx)
-        if on_load is not None:
-            on_load(idx + 1, state.bits)
-    return _finish(state, grid, gamma, sigma2_budget, state.flops, iterations, "hh_naive", None)
+    _check_budget(sigma2_budget)
+    granted, finite_left = _granted(grid, gamma, sigma2_budget, bit_cap)
+    bits = np.bincount(granted // bit_cap, minlength=grid.K)
+    search = (granted.size + 1) * (grid.K - 1)
+    return _plan(grid, gamma, sigma2_budget, bits, finite_left, search, "hh_naive")
 
 
 def require_monotone_grid(grid: SubcarrierGrid) -> None:
@@ -262,75 +284,28 @@ def hh_accelerated(
     sigma2_budget: float,
     *,
     bit_cap: int = DEFAULT_BIT_CAP,
-    on_load=None,
 ) -> BitLoadPlan:
-    """Lookup-table-accelerated greedy loader for monotone channels.
+    """Greedy loader, costed as a lookup-table search, for monotone channels.
 
     Requires gnr_k non-increasing in k, which guarantees the grouping
     property: per bit level only the block head can be the cheapest
     candidate, so each round searches at most bit_cap entries instead of
-    K.  Produces exactly the same bits and powers as ``hh_naive``.
-    Subcarriers that reach the bit cap leave the candidate set.
+    K.  Produces exactly the same bits and powers as ``hh_naive``, and
+    ``group_table`` holds the block heads at the end.  Subcarriers that
+    reach the bit cap leave the candidate set.
     """
     gamma = _gamma_value(gap)
-    if not sigma2_budget >= 0.0:  # NaN too; inf loads every carrier to the cap
-        raise ValueError(f"sigma2_budget must be >= 0, got {sigma2_budget!r}")
+    _check_budget(sigma2_budget)
     require_monotone_grid(grid)
-    if sigma2_budget == 0.0:
-        empty = GroupTable(tuple([1] + [0] * bit_cap))  # level 0 heads the grid
-        return _finish(None, grid, gamma, 0.0, 0, 0, "hh_accelerated", empty)
-
-    state = _LoadState(grid, gamma)
-    levels = [0] * (bit_cap + 1)
-    levels[0] = 1
-    iterations = 0
-    while True:
-        iterations += 1
-        # Scan populated levels from highest b to lowest so candidates come
-        # out in ascending subcarrier order; strict < keeps ties on the
-        # lowest index, matching the naive scan.
-        best_k = 0
-        best_m = math.inf
-        n_candidates = 0
-        for b in range(bit_cap - 1, -1, -1):
-            head = levels[b]
-            if head == 0:
-                continue
-            n_candidates += 1
-            m = float(state.marginal[head - 1])
-            if m < best_m:
-                best_m = m
-                best_k = head
-        if n_candidates:
-            state.flops += n_candidates - 1
-        if best_k == 0:
-            break
-        state.flops += _BUDGET_CHECK_FLOPS
-        if state.running + best_m > sigma2_budget:
-            break
-
-        idx = best_k - 1
-        b_old = int(state.bits[idx])
-        state.load(idx)
-        b_new = b_old + 1
-        if levels[b_new] == 0:
-            levels[b_new] = best_k  # new bit level
-        if best_k < grid.K and int(state.bits[idx + 1]) == b_old:
-            levels[b_old] = best_k + 1  # shift old level to the successor
-        else:
-            levels[b_old] = 0  # old level emptied
-        if on_load is not None:
-            on_load(best_k, state.bits)
-    return _finish(
-        state,
-        grid,
-        gamma,
-        sigma2_budget,
-        state.flops,
-        iterations,
-        "hh_accelerated",
-        GroupTable(tuple(levels)),
-    )
+    granted, finite_left = _granted(grid, gamma, sigma2_budget, bit_cap)
+    carrier, old_level = np.divmod(granted, bit_cap)
+    bits = np.bincount(carrier, minlength=grid.K)
+    search = _table_search_flops(old_level, grid.K, bit_cap)
+    heads = np.zeros(bit_cap + 1, dtype=np.int64)
+    held, first = np.unique(bits, return_index=True)
+    heads[held] = first + 1  # 1-based first carrier holding exactly b bits
+    table = GroupTable(tuple(heads.tolist()))
+    return _plan(grid, gamma, sigma2_budget, bits, finite_left, search, "hh_accelerated", table)
 
 
 @dataclass(frozen=True, eq=False)
@@ -363,29 +338,16 @@ def hh_sorted_prefix(
     *,
     bit_cap: int = DEFAULT_BIT_CAP,
 ) -> PrefixSweep:
-    """Greedy loading for every budget at once; equals ``hh_naive`` exactly.
-
-    Each subcarrier's increment costs (delta_b*gamma/gnr_k) * 2^b double,
-    so the greedy grants increments in the order of a stable sort by
-    (cost, subcarrier), and it stops at the first one whose running sum
-    exceeds the budget.  The costs use ``_LoadState``'s arithmetic (one
-    multiply, one divide, then exact doublings) and ``np.cumsum`` adds in
-    the greedy's order, so every partial sum is bit-identical to the
-    greedy's running total.  Costs that overflow to infinity are never
-    granted.  Works on any grid, monotone or not.
-    """
+    """Greedy loading for every budget at once from one sort; equals
+    ``hh_naive`` exactly, on any grid, monotone or not."""
     gamma = _gamma_value(gap)
     budgets = np.atleast_1d(np.asarray(budgets, dtype=float))
     if not np.all(budgets >= 0.0):
         raise ValueError(f"sigma2_budget must be >= 0, got {budgets[~(budgets >= 0.0)][0]!r}")
-    marginal = grid.delta_b * gamma / grid.gnr_k
-    costs = (marginal[:, None] * 2.0 ** np.arange(bit_cap)).ravel()  # subcarrier-major
-    order = np.argsort(costs, kind="stable")
-    sorted_costs = costs[order]
-    finite = int(np.count_nonzero(np.isfinite(sorted_costs)))
-    loaded = np.searchsorted(np.cumsum(sorted_costs[:finite]), budgets, side="right")
+    grants, running = _grant_order(grid, gamma, bit_cap)
+    loaded = np.searchsorted(running, budgets, side="right")
     loaded[budgets == 0.0] = 0  # a zero budget loads nothing, even a zero-cost bit
-    return PrefixSweep(grid=grid, order=order[:finite] // bit_cap, loaded=loaded)
+    return PrefixSweep(grid=grid, order=grants // bit_cap, loaded=loaded)
 
 
 @dataclass(frozen=True)

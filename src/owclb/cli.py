@@ -65,11 +65,15 @@ _FLAGS = {
 }
 # Numeric flags in the order they are checked, with the test that rejects a
 # value and the rule its message states; non-finite values are refused next.
+# The linear gap overflows a float above about 3082 dB.
 _RANGES = (
     ("gamma_db", lambda v: v < 0.0, ">= 0 dB"),
+    ("gamma_db", lambda v: v > 3000.0, "<= 3000 dB"),
     ("k", lambda v: v < 1, ">= 1"),
     ("fchip", lambda v: v <= 0.0, "> 0 Hz"),
     ("budget", lambda v: v < 0.0, ">= 0 V^2"),
+    ("zeros", lambda v: v < 0, ">= 0"),
+    ("poles", lambda v: v < 1, ">= 1"),
 )
 
 
@@ -212,6 +216,8 @@ def cmd_rate_curve(args) -> int:
         return 0
 
     _require_newton_k(args.k)
+    if sweep.start <= 0.0:
+        raise CliError(f"sweep budgets must be > 0 V^2, got {sweep.start}")
     budgets = sweep.values()
     grid = bitload.SubcarrierGrid.from_model(g, args.k, args.fchip)
     newton, flat = [], []

@@ -68,7 +68,10 @@ class ModulationGap:
 
     @classmethod
     def from_db(cls, gamma_db: float) -> "ModulationGap":
-        return cls(10.0 ** (float(gamma_db) / 10.0))
+        try:
+            return cls(10.0 ** (float(gamma_db) / 10.0))
+        except OverflowError:  # above about 3082 dB
+            raise ValueError(f"modulation gap of {gamma_db!r} dB overflows a float") from None
 
 
 def _gamma_value(gap) -> float:

@@ -1,12 +1,16 @@
 """Independent numeric oracles: brute-force quadrature, finite differences,
-and exhaustive enumeration.  These never call the closed-form paths they are
-used to check."""
+exhaustive enumeration and per-bit greedy loops.  These never call the
+closed-form or sorted paths they are used to check."""
 
 import itertools
 import math
 
 import numpy as np
 from scipy.integrate import quad
+
+import owclb
+from owclb.bitload import require_monotone_grid
+from owclb.waterfill import _gamma_value
 
 
 def _interior_corners(g, f_max):
@@ -117,3 +121,159 @@ def exhaustive_table(grid, gamma: float, bit_cap: int):
     totals = (cost_per_bitlevel / np.asarray(grid.gnr_k)).sum(axis=1)
     bits = allocs.sum(axis=1)
     return totals, bits
+
+
+# ---------------------------------------------------------------------------
+# Per-bit greedy loops: the Hughes-Hartogs loaders as first written, one
+# search round per granted bit, counting FLOPs as they go.  The library's
+# loaders derive the same plans from one sort; these check them field by
+# field.  ``on_load(k, bits)`` sees the bits after each grant (k is 1-based).
+
+_SETUP_FLOPS_PER_K = 1
+_LOAD_FLOPS = 6
+_BUDGET_CHECK_FLOPS = 2
+
+
+class _LoadState:
+    """Shared bookkeeping for both greedy variants (identical arithmetic)."""
+
+    def __init__(self, grid, gamma: float):
+        self.grid = grid
+        self.gamma = gamma
+        self.bits = np.zeros(grid.K, dtype=np.int64)
+        self.power = np.zeros(grid.K, dtype=float)
+        self.marginal = np.empty(grid.K, dtype=float)
+        base = grid.delta_b * gamma
+        self.marginal[:] = base / grid.gnr_k
+        self.running = 0.0
+        self.flops = grid.K + _SETUP_FLOPS_PER_K
+
+    def load(self, idx: int) -> None:
+        """Grant one bit to 0-based subcarrier idx."""
+        m = float(self.marginal[idx])
+        self.running += m
+        self.bits[idx] += 1
+        b = int(self.bits[idx])
+        self.power[idx] = (
+            self.grid.delta_b * self.gamma * (2.0**b - 1.0) / float(self.grid.gnr_k[idx])
+        )
+        self.marginal[idx] = 2.0 * m
+        self.flops += _LOAD_FLOPS
+
+
+def _loop_plan(state, grid, gamma, budget, flops, iterations, algorithm, table):
+    if state is None:
+        bits = np.zeros(grid.K, dtype=np.int64)
+        power = np.zeros(grid.K, dtype=float)
+    else:
+        bits, power = state.bits, state.power
+    total = 0.0
+    for p in power.tolist():  # ascending subcarrier index
+        total += p
+    return owclb.BitLoadPlan(
+        bits=bits,
+        power_k=power,
+        total_power=total,
+        rate=grid.delta_b * float(np.sum(bits)),
+        flops=flops,
+        iterations=iterations,
+        algorithm=algorithm,
+        grid=grid,
+        gamma=gamma,
+        sigma2_budget=float(budget),
+        group_table=table,
+    )
+
+
+def _check_budget(sigma2_budget):
+    if not sigma2_budget >= 0.0:
+        raise ValueError(f"sigma2_budget must be >= 0, got {sigma2_budget!r}")
+
+
+def hh_naive_loop(grid, gap, sigma2_budget, *, bit_cap=owclb.DEFAULT_BIT_CAP, on_load=None):
+    """Full scan of all K subcarriers per round; ties go to the lowest index."""
+    gamma = _gamma_value(gap)
+    _check_budget(sigma2_budget)
+    if sigma2_budget == 0.0:
+        return _loop_plan(None, grid, gamma, 0.0, 0, 0, "hh_naive", None)
+
+    state = _LoadState(grid, gamma)
+    iterations = 0
+    while True:
+        iterations += 1
+        candidates = np.where(state.bits < bit_cap, state.marginal, np.inf)
+        idx = int(np.argmin(candidates))  # first minimum = lowest index
+        state.flops += grid.K - 1
+        if not np.isfinite(candidates[idx]):
+            break
+        state.flops += _BUDGET_CHECK_FLOPS
+        if state.running + candidates[idx] > sigma2_budget:
+            break
+        state.load(idx)
+        if on_load is not None:
+            on_load(idx + 1, state.bits)
+    return _loop_plan(state, grid, gamma, sigma2_budget, state.flops, iterations, "hh_naive", None)
+
+
+def hh_accelerated_loop(
+    grid, gap, sigma2_budget, *, bit_cap=owclb.DEFAULT_BIT_CAP, on_load=None
+):
+    """Search only the head of each populated bit level (a lookup table).
+
+    On a non-increasing grid the head is the cheapest carrier of its level,
+    so the loop grants what the full scan grants.  On a grid that rises by
+    less than the monotone check's 1e-12 tolerance it need not be, and this
+    loop can grant out of greedy order there.
+    """
+    gamma = _gamma_value(gap)
+    _check_budget(sigma2_budget)
+    require_monotone_grid(grid)
+    if sigma2_budget == 0.0:
+        empty = owclb.GroupTable(tuple([1] + [0] * bit_cap))  # level 0 heads the grid
+        return _loop_plan(None, grid, gamma, 0.0, 0, 0, "hh_accelerated", empty)
+
+    state = _LoadState(grid, gamma)
+    levels = [0] * (bit_cap + 1)
+    levels[0] = 1
+    iterations = 0
+    while True:
+        iterations += 1
+        # Scan populated levels from highest b to lowest so candidates come
+        # out in ascending subcarrier order; strict < keeps ties on the
+        # lowest index, matching the naive scan.
+        best_k = 0
+        best_m = math.inf
+        n_candidates = 0
+        for b in range(bit_cap - 1, -1, -1):
+            head = levels[b]
+            if head == 0:
+                continue
+            n_candidates += 1
+            m = float(state.marginal[head - 1])
+            if m < best_m:
+                best_m = m
+                best_k = head
+        if n_candidates:
+            state.flops += n_candidates - 1
+        if best_k == 0:
+            break
+        state.flops += _BUDGET_CHECK_FLOPS
+        if state.running + best_m > sigma2_budget:
+            break
+
+        idx = best_k - 1
+        b_old = int(state.bits[idx])
+        state.load(idx)
+        b_new = b_old + 1
+        if levels[b_new] == 0:
+            levels[b_new] = best_k  # new bit level
+        if best_k < grid.K and int(state.bits[idx + 1]) == b_old:
+            levels[b_old] = best_k + 1  # shift old level to the successor
+        else:
+            levels[b_old] = 0  # old level emptied
+        if on_load is not None:
+            on_load(best_k, state.bits)
+    return _loop_plan(
+        state, grid, gamma, sigma2_budget, state.flops, iterations, "hh_accelerated",
+        owclb.GroupTable(tuple(levels)),
+    )

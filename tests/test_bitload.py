@@ -1,6 +1,8 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import owclb
 
@@ -15,6 +17,20 @@ def flat_grid(k: int, gnr: float = 1.0) -> owclb.SubcarrierGrid:
 def random_monotone_grid(rng, k: int) -> owclb.SubcarrierGrid:
     gnr = 10.0 ** rng.uniform(2, 6) * 10.0 ** (-np.cumsum(rng.uniform(0.0, 0.06, k)))
     return owclb.SubcarrierGrid(K=k, f_chip=2e8, gnr_k=gnr)
+
+
+PLAN_FIELDS = ("total_power", "rate", "flops", "iterations", "algorithm", "gamma",
+               "sigma2_budget", "group_table")
+
+
+def assert_same_plan(plan, ref):
+    """Every BitLoadPlan field equal, floats bit for bit."""
+    assert plan.grid is ref.grid
+    assert plan.bits.dtype == ref.bits.dtype
+    np.testing.assert_array_equal(plan.bits, ref.bits)
+    assert plan.power_k.tobytes() == ref.power_k.tobytes()
+    for name in PLAN_FIELDS:
+        assert getattr(plan, name) == getattr(ref, name), name
 
 
 class TestGrid:
@@ -181,6 +197,8 @@ class TestAccelerated:
             assert b1 < b2 and k1 > k2
 
     def test_grouping_invariant_after_every_load(self, ref_model, gap):
+        # the library loader has no per-grant hook; the per-bit loop it
+        # must equal shows the grouping property after every grant
         grid = owclb.SubcarrierGrid.from_model(ref_model, 64, 200e6)
 
         def check(_k, bits):
@@ -188,7 +206,8 @@ class TestAccelerated:
             assert np.all(diffs <= 0), "bits must be non-increasing in k"
             # equal-bit groups are contiguous automatically when non-increasing
 
-        owclb.hh_accelerated(grid, gap, 3e7, on_load=check)
+        loop = _oracles.hh_accelerated_loop(grid, gap, 3e7, on_load=check)
+        assert_same_plan(owclb.hh_accelerated(grid, gap, 3e7), loop)
 
     def test_budget_safety_and_exhaustion(self, ref_model, gap):
         grid = owclb.SubcarrierGrid.from_model(ref_model, 64, 200e6)
@@ -206,6 +225,83 @@ class TestAccelerated:
                 ]
             )
             assert plan.total_power + nxt > budget
+
+
+@st.composite
+def decreasing_grids(draw):
+    """Strictly decreasing grids; power-of-two GNRs with delta_b = 1 make
+    many increments cost exactly the same, so the tie rule decides."""
+    k = draw(st.integers(min_value=1, max_value=40))
+    if draw(st.booleans()):
+        exps = draw(st.lists(st.integers(-20, 20), min_size=k, max_size=k, unique=True))
+        gnr = 2.0 ** np.sort(np.asarray(exps, dtype=float))[::-1]
+        return owclb.SubcarrierGrid(K=k, f_chip=float(k), gnr_k=gnr)
+    steps = draw(st.lists(st.floats(min_value=1e-6, max_value=1.0), min_size=k, max_size=k))
+    gnr = 10.0 ** (draw(st.floats(min_value=-3.0, max_value=6.0)) - np.cumsum(steps))
+    return owclb.SubcarrierGrid(K=k, f_chip=draw(st.sampled_from([float(k), 2e8])), gnr_k=gnr)
+
+
+def budgets_for(grid, gamma, bit_cap):
+    """Zero, infinite, anywhere up to past the full load, or exactly the
+    cost of the n cheapest increments, which puts the cut between two of them."""
+    costs = grid.delta_b * gamma / grid.gnr_k[:, None] * 2.0 ** np.arange(bit_cap)
+    spent = np.cumsum(np.sort(costs, axis=None))
+    return st.one_of(
+        st.sampled_from([0.0, math.inf]),
+        st.floats(min_value=0.0, max_value=1.2).map(lambda frac: frac * float(spent[-1])),
+        st.integers(min_value=0, max_value=spent.size - 1).map(lambda n: float(spent[n])),
+    )
+
+
+class TestAgainstLoops:
+    """The sorted loaders against the per-bit loops in ``_oracles``."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(
+        grid=decreasing_grids(),
+        gamma=st.sampled_from([1.0, 4.03645392967605, 1e3]),
+        bit_cap=st.integers(min_value=1, max_value=12),
+        data=st.data(),
+    )
+    def test_plans_equal_the_loops(self, grid, gamma, bit_cap, data):
+        budget = data.draw(budgets_for(grid, gamma, bit_cap))
+        for loader, loop in (
+            (owclb.hh_naive, _oracles.hh_naive_loop),
+            (owclb.hh_accelerated, _oracles.hh_accelerated_loop),
+        ):
+            plan = loader(grid, gamma, budget, bit_cap=bit_cap)
+            assert_same_plan(plan, loop(grid, gamma, budget, bit_cap=bit_cap))
+
+    def test_reference_channel_plans_equal_the_loops(self, ref_model, gap):
+        for k, budget in ((64, 3.5e7), (512, 1e7), (256, 1e12)):
+            grid = owclb.SubcarrierGrid.from_model(ref_model, k, 200e6)
+            assert_same_plan(owclb.hh_naive(grid, gap, budget),
+                             _oracles.hh_naive_loop(grid, gap, budget))
+            assert_same_plan(owclb.hh_accelerated(grid, gap, budget),
+                             _oracles.hh_accelerated_loop(grid, gap, budget))
+
+    @settings(deadline=None, max_examples=150)
+    @given(
+        exps=st.lists(st.integers(-6, 6), min_size=1, max_size=30),
+        rises=st.lists(st.sampled_from([0.0, 3e-13, 6e-13, 1e-12]), min_size=30, max_size=30),
+        bit_cap=st.integers(min_value=1, max_value=12),
+        data=st.data(),
+    )
+    def test_accelerated_equals_naive_on_every_accepted_grid(self, exps, rises, bit_cap, data):
+        # power-of-two steps down, each carrier then nudged up by at most
+        # 1e-12: the grid may rise a little and still pass the monotone check,
+        # and the nudges split the ties the steps create
+        k = len(exps)
+        base = 2.0 ** np.sort(np.asarray(exps, dtype=float))[::-1]
+        grid = owclb.SubcarrierGrid(K=k, f_chip=float(k), gnr_k=base * (1.0 + np.asarray(rises[:k])))
+        assume(grid.is_monotone_nonincreasing())
+        budget = data.draw(budgets_for(grid, 1.0, bit_cap))
+        naive = owclb.hh_naive(grid, 1.0, budget, bit_cap=bit_cap)
+        accel = owclb.hh_accelerated(grid, 1.0, budget, bit_cap=bit_cap)
+        np.testing.assert_array_equal(accel.bits, naive.bits)
+        assert accel.power_k.tobytes() == naive.power_k.tobytes()
+        assert accel.total_power == naive.total_power
+        assert accel.iterations == naive.iterations
 
 
 class TestSortedPrefix:

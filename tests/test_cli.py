@@ -182,6 +182,28 @@ class TestCompare:
         assert saved > 0
         assert rows[0, header.index("naive_flops")] > rows[0, header.index("accel_flops")]
 
+    def test_grid_rising_below_tolerance(self, tmp_path, capsys):
+        # the pole-zero pair 3.7e-9 apart (just outside the cancellation
+        # tolerance) lifts the GNR by less than 1e-12 between subcarriers,
+        # so the grid passes the monotone check without being monotone
+        path = tmp_path / "rise.json"
+        path.write_text(json.dumps({
+            "stages": [{"kind": "RationalPoleZero", "params": {
+                "dc_gain": 1000.0, "zeros": [83856138.06264794],
+                "poles": [83856138.37441848, 1e12]}}],
+            "noise": {"floor": 1.0},
+        }))
+        argv = ["--channel", str(path), "--budget", "1.0", "--k", "256"]
+        assert run_cli("compare", *argv) == 0
+        assert capsys.readouterr().err == ""
+        plans = []
+        for extra in ([], ["--naive"]):
+            out = tmp_path / "plan.csv"
+            assert run_cli("optimize-hh", *argv, *extra, "--out", str(out)) == 0
+            plans.append(owclb.read_plan_csv(out))
+        np.testing.assert_array_equal(plans[0]["bits"], plans[1]["bits"])
+        np.testing.assert_array_equal(plans[0]["power_v2"], plans[1]["power_v2"])
+
 
 class TestFitCommand:
     def test_fit_writes_loadable_fragment(self, tmp_path):
@@ -369,6 +391,29 @@ class TestValidationAndDeterminism:
     )
     def test_non_finite_flag_is_flag_error(self, channel_path, capsys, argv, message):
         assert run_cli(*argv, "--channel", channel_path) == 2
+        assert capsys.readouterr().err == f"owclb: {message}\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["rate-curve", "--gamma-db", "4000", "--sweep", "fmax:1e5:1e8:5"],
+             "gamma_db must be <= 3000 dB, got 4000.0"),
+            (["rate-curve", "--sweep", "power:0:1e9:5"], "sweep budgets must be > 0 V^2, got 0.0"),
+        ],
+        ids=["gamma-db-overflow", "power-sweep-zero-budget"],
+    )
+    def test_out_of_range_flag_is_flag_error(self, channel_path, capsys, argv, message):
+        assert run_cli(*argv, "--channel", channel_path) == 2
+        assert capsys.readouterr().err == f"owclb: {message}\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [(["--zeros", "-1"], "zeros must be >= 0, got -1"),
+         (["--poles", "0"], "poles must be >= 1, got 0")],
+        ids=["zeros", "poles"],
+    )
+    def test_fit_order_is_flag_error(self, capsys, argv, message):
+        assert run_cli("fit", "--channel", str(DATA / "fit_table.csv"), *argv) == 2
         assert capsys.readouterr().err == f"owclb: {message}\n"
 
     @pytest.mark.parametrize("command", ["gnr-eval", "fit"])

@@ -380,6 +380,12 @@ class TestWaterlevel:
         assert active[0] <= f_peak <= active[-1]
 
 
+def test_gap_from_db_overflow_is_value_error():
+    assert owclb.ModulationGap.from_db(3000.0).gamma_linear == 1e300
+    with pytest.raises(ValueError, match="modulation gap of 4000.0 dB overflows a float"):
+        owclb.ModulationGap.from_db(4000.0)
+
+
 class TestPowerMap:
     def test_identity_default(self):
         assert owclb.sigma2_from_power(3.5) == 3.5
