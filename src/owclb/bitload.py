@@ -226,7 +226,12 @@ def _plan(grid, gamma, sigma2_budget, bits, finite_left, search_flops, algorithm
     power = np.zeros(grid.K, dtype=float)
     on = bits > 0  # unloaded carriers stay 0.0 even when delta_b*gamma overflows
     with np.errstate(over="ignore"):
-        power[on] = grid.delta_b * gamma * (2.0 ** bits[on] - 1.0) / grid.gnr_k[on]
+        steps = 2.0 ** bits[on] - 1.0
+        numer = grid.delta_b * gamma * steps
+        # divide first only where the numerator overflows; finite powers keep their bits
+        power[on] = np.where(
+            np.isinf(numer), grid.delta_b * gamma / grid.gnr_k[on] * steps, numer / grid.gnr_k[on]
+        )
     bits.flags.writeable = False
     power.flags.writeable = False
     total = 0.0

@@ -278,6 +278,10 @@ def cmd_optimize_hh(args) -> int:
 
 
 def cmd_fit(args) -> int:
+    if args.poles < args.zeros:
+        raise CliError(
+            f"poles must be >= zeros for a low-pass fit, got --zeros {args.zeros} --poles {args.poles}"
+        )
     table = linkchain.read_response_table(args.channel, values_in_db=args.db)
     f_range = (float(table.frequencies[0]), float(table.frequencies[-1]))
     fcfg = fit.FitConfig(

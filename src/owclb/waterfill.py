@@ -7,12 +7,14 @@ frequency, v = Gamma/GNR(f_max), which collapses the optimization to a
 one-dimensional search over f_max:
 
 * ``psd_opt``          optimal PSD at one frequency for a given f_max
-* ``sigma2_of_fmax``   total signal power as a function of f_max
+* ``sigma2_of_fmax``   total signal power as a function of f_max, by
+                       fixed Gauss-Legendre on octave panels
 * ``rate_closed_form`` throughput in bit/s, closed form in f_max
 * ``dsigma2_dfmax``    analytic derivative of the power w.r.t. f_max
 * ``newton_fmax``      grid-snapped Newton search for f_max given a budget
-* ``waterlevel_solve`` water-level bisection for arbitrary (also
-                       non-monotone) GNR shapes, with island reporting
+* ``waterlevel_solve`` exact water level for arbitrary (also
+                       non-monotone) GNR shapes on a grid, with island
+                       reporting
 
 When the GNR is flat the f_max parameterization degenerates (S is zero
 for every f_max); ``waterlevel_solve`` is the designated path for flat or
@@ -36,11 +38,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial import polynomial as P
-from scipy.integrate import quad
 
 from .linkchain import (
     MagSqPoleZeroGnr,
@@ -133,107 +132,54 @@ def psd_opt(g: MagSqPoleZeroGnr, gap, f_max: float, f) -> float:
 
 
 # ---------------------------------------------------------------------------
-# closed-form power integral
+# transmit power integral
 
-# The transmit power sigma2(F) = F*W(F) - int_0^F W(f) df with
-# W = Gamma/GNR needs int prod(1+f^2/fp^2)/prod(1+f^2/fz^2) df.  With
-# distinct zero corners the integrand splits (in u = f^2) into a
-# polynomial quotient T(u) plus simple fractions r_m/(fz_m^2+u), giving an
-# exact antiderivative of power terms and arctangents.  Frequencies are
-# rescaled by the largest corner so intermediate polynomial coefficients
-# stay well inside double range.
-
-
-class _RepeatedZeros(Exception):
-    pass
+# sigma2(F) = F*W(F) - int_0^F W df with W = Gamma/GNR is computed as
+# W(F) * int_0^F -expm1(L(f)) df, where L = log(W(f)/W(F)) <= 0 is summed
+# term by term through log1p, so nothing cancels.  W(f)/W(F) is rational
+# in f with poles only at +-i*fz.  On the octave panels [F/2^(i+1), F/2^i]
+# down to the lowest zero corner, and one panel [0, edge] below them, those
+# poles lie outside a Bernstein ellipse with rho >= 4.6, so fixed 20-node
+# Gauss-Legendre leaves only rounding error, for any corner layout.
 
 
-CANCEL_ZERO_RTOL = 1e-9
+def _gauss_legendre(n: int):
+    """Nodes and weights on [-1, 1] from the Jacobi matrix (Golub-Welsch)."""
+    k = np.arange(1.0, n)
+    beta = k / np.sqrt(4.0 * k * k - 1.0)
+    nodes, vecs = np.linalg.eigh(np.diag(beta, 1) + np.diag(beta, -1))
+    return nodes, 2.0 * vecs[0] ** 2
 
 
-@lru_cache(maxsize=512)
-def _decompose(g: MagSqPoleZeroGnr):
-    corners = list(g.zeros) + list(g.poles)
-    scale = max(corners) if corners else 1.0
-    kap2 = [(fp / scale) ** 2 for fp in g.poles]
-    zet2 = [(fz / scale) ** 2 for fz in g.zeros]
-    for a, b in zip(sorted(zet2), sorted(zet2)[1:]):
-        if b - a <= 2.0 * CANCEL_ZERO_RTOL * b:
-            raise _RepeatedZeros
-    p_coeffs = P.polyfromroots([-k for k in kap2]) if kap2 else np.array([1.0])
-    q_coeffs = P.polyfromroots([-z for z in zet2]) if zet2 else np.array([1.0])
-    quo, _rem = P.polydiv(p_coeffs, q_coeffs)
-    residues = []
-    for m, zm in enumerate(zet2):
-        num = float(P.polyval(-zm, p_coeffs))
-        den = 1.0
-        for mm, zo in enumerate(zet2):
-            if mm != m:
-                den *= zo - zm
-        residues.append((math.sqrt(zm), num / den))
-    pref = float(np.prod(zet2)) / float(np.prod(kap2)) if kap2 or zet2 else 1.0
-    return scale, pref, tuple(float(c) for c in quo), tuple(residues)
-
-
-def _atan_deficit(y: float) -> float:
-    """atan(y) - y/(1+y^2), series-evaluated for small y to avoid cancellation."""
-    if y < 0.1:
-        total = 0.0
-        y2 = y * y
-        term = y * y2
-        k = 1
-        while True:
-            contrib = (2.0 * k / (2.0 * k + 1.0)) * term
-            total += contrib if k % 2 == 1 else -contrib
-            term *= y2
-            k += 1
-            if contrib <= 1e-18 * abs(total) or k > 24:
-                return total
-    return math.atan(y) - y / (1.0 + y * y)
-
-
-def _sigma2_closed(g: MagSqPoleZeroGnr, a_scale: float, f_max: float) -> float:
-    scale, pref, quo, residues = _decompose(g)
-    x = f_max / scale
-    acc = 0.0
-    xpow = x**3
-    for j, coeff in enumerate(quo[1:], start=1):
-        acc += coeff * (2.0 * j / (2.0 * j + 1.0)) * xpow
-        xpow *= x * x
-    for zeta, r in residues:
-        acc -= (r / zeta) * _atan_deficit(x / zeta)
-    return a_scale * scale * pref * acc
-
-
-def _sigma2_quad(g: MagSqPoleZeroGnr, gamma: float, f_max: float) -> float:
-    level = _inv_gnr(g, gamma, f_max)
-
-    def integrand(f):
-        return level - gamma / float(g.evaluate(f))
-
-    pts = [c for c in list(g.zeros) + list(g.poles) if 0.0 < c < f_max]
-    val, _err = quad(integrand, 0.0, f_max, points=sorted(pts) or None,
-                     limit=200, epsabs=0.0, epsrel=1e-10)
-    return val
+_GL_NODES, _GL_WEIGHTS = _gauss_legendre(20)
 
 
 def sigma2_of_fmax(g: MagSqPoleZeroGnr, gap, f_max: float) -> float:
     """Transmit power f_max*Gamma/GNR(f_max) - int_0^f_max Gamma/GNR df.
 
-    Evaluated via the exact partial-fraction antiderivative whenever the
-    zero corners are distinct; repeated zeros fall back to adaptive
-    quadrature at 1e-10 relative tolerance.
+    One path for every model: 20-node Gauss-Legendre on octave panels of
+    W(f_max) - W(f), evaluated as W(f_max) * -expm1(log(W(f)/W(f_max))).
     """
     gamma = _gamma_value(gap)
     if f_max == 0.0:
         return 0.0
     f_max = _check_positive("f_max", f_max)
     _require_monotone(g, f_max, "sigma2_of_fmax")
-    a_scale = gamma / g.gnr0
-    try:
-        return _sigma2_closed(g, a_scale, f_max)
-    except _RepeatedZeros:
-        return _sigma2_quad(g, gamma, f_max)
+    edges, lowest_zero = [f_max], min(g.zeros, default=f_max)
+    while edges[-1] > lowest_zero:
+        edges.append(0.5 * edges[-1])
+    hi = np.array(edges)[:, None]
+    lo = np.append(hi[1:], 0.0)[:, None]
+    half = 0.5 * (hi - lo)
+    f = 0.5 * (hi + lo) + half * _GL_NODES
+    dist = (f_max - f) * (f_max + f)  # F^2 - f^2 without cancellation
+    log_ratio = np.zeros_like(f)
+    for fz in g.zeros:
+        log_ratio += np.log1p(dist / (fz * fz + f * f))
+    for fp in g.poles:
+        log_ratio -= np.log1p(dist / (fp * fp + f * f))
+    integral = np.sum(half * _GL_WEIGHTS * -np.expm1(log_ratio))
+    return float(_inv_gnr(g, gamma, f_max) * integral)
 
 
 def dsigma2_dfmax(g: MagSqPoleZeroGnr, gap, f_max: float) -> float:
@@ -285,14 +231,12 @@ def _nearest_index(f: float, delta: float, k_max: int) -> int:
     return min(max(k, 1), k_max)
 
 
+# Newton steps before the search falls back to bisection over its bracket.
+_NEWTON_MAX_ITERS = 100
+
+
 def newton_fmax(
-    g: MagSqPoleZeroGnr,
-    gap,
-    sigma2_budget: float,
-    K: int,
-    f_chip: float,
-    *,
-    max_iters: int = 100,
+    g: MagSqPoleZeroGnr, gap, sigma2_budget: float, K: int, f_chip: float
 ) -> WaterfillSolution:
     """Find the grid-snapped f_max whose waterfilling PSD meets the budget.
 
@@ -367,7 +311,7 @@ def newton_fmax(
     sigma_cur = power(K)
     iters = 0
     while hi - lo > 1:
-        if iters >= max_iters:
+        if iters >= _NEWTON_MAX_ITERS:
             lo = bisect_index(lo, hi)
             break
         iters += 1
@@ -401,26 +345,22 @@ def newton_fmax(
 
 
 # ---------------------------------------------------------------------------
-# water-level bisection (general GNR shapes)
+# exact water level (general GNR shapes)
 
 
-def waterlevel_solve(
-    g_eval,
-    gap,
-    sigma2_budget: float,
-    f_grid,
-    *,
-    rel_tol: float = 1e-9,
-    max_iters: int = 300,
-) -> WaterfillSolution:
-    """Bisect the water level so the allocated power meets the budget.
+def waterlevel_solve(g_eval, gap, sigma2_budget: float, f_grid) -> WaterfillSolution:
+    """Solve the water level exactly so the allocated power meets the budget.
 
     ``g_eval`` is any frequency -> linear-GNR function (a
     ``MagSqPoleZeroGnr`` works directly); no monotonicity is assumed.  The
     PSD on the grid is S = max(0, v - Gamma/GNR); power is accumulated
     with left cell widths (f_i - f_{i-1}, first cell anchored at 0), which
     matches the discrete sum used by ``newton_fmax`` on a uniform grid.
-    Zero-power intervals below f_max are reported as islands.
+    The level comes from the active set (Palomar & Fonollosa, IEEE TSP
+    2005): with w = Gamma/GNR stably sorted, v_j = (budget + sum of
+    width*w) / (sum of width) over the j cheapest cells, at the largest j
+    with v_j > w_(j).  Zero-power intervals below f_max are reported as
+    islands.
     """
     gamma = _gamma_value(gap)
     if not math.isfinite(sigma2_budget) or sigma2_budget <= 0.0:
@@ -439,30 +379,16 @@ def waterlevel_solve(
     w = gamma / gnr
     widths = np.diff(f, prepend=0.0)
 
-    def total_power(v: float) -> float:
-        return float(np.sum(widths * np.maximum(0.0, v - w)))
-
-    v_lo = 0.0
-    v_hi = float(np.max(w)) + sigma2_budget / float(f[-1])
-    v = v_hi
-    iters = 0
-    for iters in range(1, max_iters + 1):
-        v = 0.5 * (v_lo + v_hi)
-        p = total_power(v)
-        if abs(p - sigma2_budget) <= rel_tol * sigma2_budget:
-            break
-        if p < sigma2_budget:
-            v_lo = v
-        else:
-            v_hi = v
-    else:
-        raise RuntimeError("water-level bisection did not reach the power tolerance")
+    order = np.argsort(w, kind="stable")
+    w_sorted, cells = w[order], widths[order]
+    levels = (sigma2_budget + np.cumsum(cells * w_sorted)) / np.cumsum(cells)
+    lifted = np.nonzero(levels > w_sorted)[0]
+    if lifted.size == 0:
+        raise RuntimeError("no active frequencies at the water level: budget too small")
+    v = float(levels[lifted[-1]])
 
     psd = np.maximum(0.0, v - w)
-    active = np.nonzero(psd > 0.0)[0]
-    if active.size == 0:
-        raise RuntimeError("no active frequencies at the converged water level")
-    last = int(active[-1])
+    last = int(np.nonzero(psd > 0.0)[0][-1])
     f_max = float(f[last])
 
     islands: list[tuple[float, float]] = []
@@ -483,11 +409,11 @@ def waterlevel_solve(
         f_hz=f,
         psd=psd,
         gnr=gnr,
-        sigma2=total_power(v),
+        sigma2=float(np.sum(widths * psd)),
         rate=rate,
         island=tuple(islands),
         saturated=False,
-        iterations=iters,
+        iterations=0,
     )
 
 

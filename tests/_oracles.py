@@ -1,10 +1,11 @@
-"""Independent numeric oracles: brute-force quadrature, finite differences,
-exhaustive enumeration and per-bit greedy loops.  These never call the
-closed-form or sorted paths they are used to check."""
+"""Independent numeric oracles: brute-force and multiprecision quadrature,
+finite differences, exhaustive enumeration and per-bit greedy loops.  These
+never call the closed-form or sorted paths they are used to check."""
 
 import itertools
 import math
 
+import mpmath
 import numpy as np
 from scipy.integrate import quad
 
@@ -18,23 +19,28 @@ def _interior_corners(g, f_max):
     return pts or None
 
 
-def quad_sigma2(g, gamma: float, f_max: float) -> float:
-    """Adaptive quadrature of the waterfilling power integral."""
-    level = gamma / float(g.evaluate(f_max))
+def mp_sigma2(g, gamma: float, f_max: float) -> float:
+    """The waterfilling power integral int_0^f_max (W(f_max) - W(f)) df,
+    W = gamma/GNR, by mpmath quadrature at 40 digits with breakpoints at
+    the corners; the subtraction keeps ~25 digits where double precision
+    quadrature cancels."""
+    with mpmath.workdps(40):
+        inv_p2 = [1 / mpmath.mpf(fp) ** 2 for fp in g.poles]
+        inv_z2 = [1 / mpmath.mpf(fz) ** 2 for fz in g.zeros]
+        scale = mpmath.mpf(gamma) / g.gnr0
 
-    def integrand(f):
-        return level - gamma / float(g.evaluate(f))
+        def w(f):
+            u = f * f
+            num, den = scale, 1
+            for a in inv_p2:
+                num *= 1 + u * a
+            for a in inv_z2:
+                den *= 1 + u * a
+            return num / den
 
-    val, _ = quad(
-        integrand,
-        0.0,
-        f_max,
-        points=_interior_corners(g, f_max),
-        limit=300,
-        epsabs=0.0,
-        epsrel=1e-12,
-    )
-    return val
+        level = w(mpmath.mpf(f_max))
+        points = [0.0] + (_interior_corners(g, f_max) or []) + [f_max]
+        return float(mpmath.quad(lambda f: level - w(f), points))
 
 
 def quad_rate(g, f_max: float) -> float:

@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -166,6 +169,19 @@ class TestOptimize:
         )
         assert owclb.read_plan_csv(out)["algorithm"] == "hh_naive"
 
+
+    def test_hh_power_stays_finite_near_overflow(self, channel_path, tmp_path, capsys):
+        # delta_b * gamma * (2^b - 1) overflows before the divide by the GNR
+        out = tmp_path / "hh.csv"
+        assert run_cli(
+            "optimize-hh", "--channel", channel_path, "--gamma-db", "2990",
+            "--budget", "1e300", "--k", "64", "--out", str(out),
+        ) == 0
+        assert "power=inf" not in capsys.readouterr().out
+        plan = owclb.read_plan_csv(out)
+        assert np.all(np.isfinite(plan["power_v2"]))
+        assert np.sum(plan["bits"]) > 0
+        assert plan["total_power_v2"] <= 1e300 * (1.0 + 1e-12)
 
 class TestCompare:
     def test_savings_positive(self, channel_path, tmp_path):
@@ -409,8 +425,10 @@ class TestValidationAndDeterminism:
     @pytest.mark.parametrize(
         "argv, message",
         [(["--zeros", "-1"], "zeros must be >= 0, got -1"),
-         (["--poles", "0"], "poles must be >= 1, got 0")],
-        ids=["zeros", "poles"],
+         (["--poles", "0"], "poles must be >= 1, got 0"),
+         (["--zeros", "3", "--poles", "1"],
+          "poles must be >= zeros for a low-pass fit, got --zeros 3 --poles 1")],
+        ids=["zeros", "poles", "zeros-above-poles"],
     )
     def test_fit_order_is_flag_error(self, capsys, argv, message):
         assert run_cli("fit", "--channel", str(DATA / "fit_table.csv"), *argv) == 2
@@ -556,3 +574,14 @@ def test_matches_golden_output(channel_path, tmp_path, capsys, name):
     assert capsys.readouterr().out == stdout
     if "." in name:
         assert out.read_bytes() == (DATA / name).read_bytes()
+
+
+def test_cli_import_loads_no_scipy():
+    code = "import sys, owclb.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(owclb.__file__).parent.parent), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert proc.stdout == "[]\n"
+

@@ -137,13 +137,13 @@ class TestNonRationalBridge:
         assert spread < 1.05  # poles collapse onto one repeated corner
 
     def test_fitted_repeated_poles_feed_closed_forms(self):
-        # repeated poles are fine for the power/rate closed forms
+        # repeated poles are fine for the power integral and the rate closed form
         g = owclb.MagSqPoleZeroGnr(gnr0=1e18, poles=(1.1e9,) * 4)
         assert owclb.is_monotone_decreasing(g, 1e10)
         import _oracles
 
         got = owclb.sigma2_of_fmax(g, 1.0, 2e9)
-        assert got == pytest.approx(_oracles.quad_sigma2(g, 1.0, 2e9), rel=1e-9)
+        assert got == pytest.approx(_oracles.mp_sigma2(g, 1.0, 2e9), rel=1e-9)
 
 
 class TestResidualScan:

@@ -5,7 +5,6 @@ import pytest
 from scipy.optimize import brentq
 
 import owclb
-from owclb.waterfill import _atan_deficit
 
 import _oracles
 from conftest import random_monotone_model
@@ -59,17 +58,17 @@ class TestSigma2:
 
     def test_reference_against_quadrature(self, ref_model, gap):
         got = owclb.sigma2_of_fmax(ref_model, gap, 50e6)
-        want = _oracles.quad_sigma2(ref_model, gap.gamma_linear, 50e6)
+        want = _oracles.mp_sigma2(ref_model, gap.gamma_linear, 50e6)
         assert got == pytest.approx(want, rel=1e-9)
 
-    def test_repeated_zero_falls_back_to_quadrature(self):
+    def test_repeated_zero_matches_oracle(self):
         g = owclb.MagSqPoleZeroGnr(
             gnr0=1e9, zeros=(20e6, 20e6), poles=(1e6, 2e6, 5e6, 8e6)
         )
         assert owclb.is_monotone_decreasing(g, 1e8)
         got = owclb.sigma2_of_fmax(g, 1.0, 6e7)
-        want = _oracles.quad_sigma2(g, 1.0, 6e7)
-        assert got == pytest.approx(want, rel=1e-9)
+        want = _oracles.mp_sigma2(g, 1.0, 6e7)
+        assert got == pytest.approx(want, rel=1e-12)
 
     def test_scales_linearly_in_gap_over_gnr0(self, ref_model):
         base = owclb.sigma2_of_fmax(ref_model, 2.0, 40e6)
@@ -87,6 +86,61 @@ class TestSigma2:
         fmaxes = np.geomspace(1e5, 2e8, 30)
         vals = [owclb.sigma2_of_fmax(ref_model, gap, f) for f in fmaxes]
         assert np.all(np.diff(vals) > 0.0)
+
+
+# Corners spread over four decades: the partial-fraction closed form this
+# integral replaced returned -2194 V^2 here at Gamma = 1.
+SPREAD_MODEL = owclb.MagSqPoleZeroGnr(
+    gnr0=15450.707620194267,
+    zeros=(27361097.031306818, 221626771.02612427),
+    poles=(103494.54251754828, 430201.5334753852, 628500.0848039133,
+           706663.1171422418, 1387216.535175772, 109617949.22905576),
+)
+
+
+def _with_pairs(g, zeros, poles):
+    """g times one decreasing factor (1+f^2/z^2)/(1+f^2/p^2) per pair, p <= z."""
+    return owclb.MagSqPoleZeroGnr(
+        gnr0=g.gnr0, zeros=g.zeros + tuple(zeros), poles=g.poles + tuple(poles)
+    )
+
+
+def _sigma2_case(rng, kind):
+    g = random_monotone_model(rng)
+    z = 10.0 ** rng.uniform(5, 9)
+    if kind in ("repeated", "near-repeated"):
+        copies = int(rng.integers(2, 4))
+        poles = z * 10.0 ** rng.uniform(-2, 0, copies)
+        if kind == "repeated":
+            zeros = (z,) * copies
+        else:
+            zeros = z * (1.0 + np.append(0.0, 10.0 ** rng.uniform(-12, -6, copies - 1)))
+        g = _with_pairs(g, zeros, poles)
+    elif kind == "cancelling":
+        g = _with_pairs(g, [z * (1.0 + 10.0 ** rng.uniform(-8, -2))], [z])
+    return g, 10.0 ** rng.uniform(3, 10)
+
+
+class TestSigma2Oracle:
+    @pytest.mark.parametrize(
+        "kind, cases, rel",
+        [("random", 25, 1e-12), ("repeated", 12, 1e-12),
+         ("near-repeated", 12, 1e-12), ("cancelling", 12, 1e-9)],
+    )
+    def test_matches_multiprecision(self, kind, cases, rel):
+        rng = np.random.default_rng(8)
+        for _ in range(cases):
+            g, f_max = _sigma2_case(rng, kind)
+            assert owclb.is_monotone_decreasing(g, f_max)
+            got = owclb.sigma2_of_fmax(g, 1.0, f_max)
+            assert got == pytest.approx(_oracles.mp_sigma2(g, 1.0, f_max), rel=rel), (g, f_max)
+
+    def test_corners_spread_over_decades(self):
+        for f_max in (1e3, 72477.97, 1e6, 3e7):
+            got = owclb.sigma2_of_fmax(SPREAD_MODEL, 1.0, f_max)
+            want = _oracles.mp_sigma2(SPREAD_MODEL, 1.0, f_max)
+            assert got == pytest.approx(want, rel=1e-12)
+        assert owclb.sigma2_of_fmax(SPREAD_MODEL, 1.0, 72477.97) == pytest.approx(1.8121, rel=1e-4)
 
 
 class TestRateClosedForm:
@@ -167,12 +221,6 @@ class TestDerivative:
             g = random_monotone_model(rng)
             for f in np.geomspace(1e4, 5e9, 12):
                 assert owclb.dsigma2_dfmax(g, 1.0, f) >= 0.0
-
-
-def test_atan_deficit_series_matches_direct():
-    for y in (1e-6, 1e-3, 0.05, 0.099, 0.3, 2.0):
-        direct = math.atan(y) - y / (1.0 + y * y)
-        assert _atan_deficit(y) == pytest.approx(direct, rel=1e-12)
 
 
 class TestNewton:
@@ -336,6 +384,22 @@ class TestWaterlevel:
         sol = owclb.waterlevel_solve(g, 1.0, 1.0, grid)
         np.testing.assert_allclose(sol.psd, 1.0 / 1e8, rtol=1e-9)
 
+    def test_small_budget_lifts_the_cheapest_cell(self):
+        # a bisection to a power tolerance gave up here; the exact level does not
+        g = owclb.MagSqPoleZeroGnr(gnr0=1e6, poles=(1e7,))
+        grid = uniform_grid(200e6, 64)
+        sol = owclb.waterlevel_solve(g, 1.0, 1e-9, grid)
+        assert sol.f_max == grid[0]
+        assert sol.island == ()
+        assert sol.iterations == 0
+        assert sol.water_level > 1.0 / float(g.evaluate(grid[0]))
+        assert sol.sigma2 == pytest.approx(1e-9, rel=1e-6)
+
+    def test_budget_lost_in_rounding_has_no_active_cell(self):
+        g = owclb.MagSqPoleZeroGnr(gnr0=1e6, poles=(1e7,))
+        with pytest.raises(RuntimeError, match="no active frequencies"):
+            owclb.waterlevel_solve(g, 1.0, 1e-30, uniform_grid(200e6, 64))
+
     def test_budget_must_be_positive(self, ref_model, gap):
         with pytest.raises(ValueError):
             owclb.waterlevel_solve(ref_model, gap, 0.0, uniform_grid(1e8, 16))
@@ -425,4 +489,4 @@ class TestRandomModelProperties:
             g = random_monotone_model(rng)
             f_max = 2.0 * min(g.poles)
             sig = owclb.sigma2_of_fmax(g, 1.0, f_max)
-            assert sig == pytest.approx(_oracles.quad_sigma2(g, 1.0, f_max), rel=1e-8)
+            assert sig == pytest.approx(_oracles.mp_sigma2(g, 1.0, f_max), rel=1e-8)
