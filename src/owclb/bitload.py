@@ -43,7 +43,7 @@ below the cap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -64,15 +64,12 @@ class SubcarrierGrid:
     K: int
     f_chip: float
     gnr_k: np.ndarray
-    delta_b: float = 0.0
+    delta_b: float = field(init=False)  # f_chip / K
 
     def __post_init__(self):
         if not (isinstance(self.K, int) and self.K >= 1):
             raise ValueError(f"K must be a positive integer, got {self.K!r}")
         _check_positive("f_chip", self.f_chip)
-        delta = self.delta_b if self.delta_b else self.f_chip / self.K
-        if abs(delta * self.K - self.f_chip) > 1e-9 * self.f_chip:
-            raise ValueError("delta_b * K must equal f_chip")
         gnr = np.asarray(self.gnr_k, dtype=float)
         if gnr.shape != (self.K,):
             raise ValueError(f"gnr_k must have length K={self.K}")
@@ -80,7 +77,7 @@ class SubcarrierGrid:
             raise ValueError("gnr_k entries must be positive and finite")
         gnr.flags.writeable = False
         object.__setattr__(self, "gnr_k", gnr)
-        object.__setattr__(self, "delta_b", float(delta))
+        object.__setattr__(self, "delta_b", float(self.f_chip / self.K))
 
     @property
     def f_k(self) -> np.ndarray:

@@ -156,22 +156,17 @@ def _load_reduced(args) -> linkchain.MagSqPoleZeroGnr:
     return linkchain.reduce_to_polezero(linkchain.load_chain(args.channel))
 
 
-def _flat_band_rate(g, gamma: float, budget: float, k: int, f_chip: float) -> float:
-    """Baseline: the budget spread uniformly over [0, first pole corner].
+def _flat_band_psd(g, grid: bitload.SubcarrierGrid, budgets: np.ndarray):
+    """Baseline: each budget spread uniformly over [0, first pole corner].
 
-    Evaluated on the same subcarrier grid as the optimizers; subcarriers
-    beyond the first pole carry nothing.
+    Returns the PSD per budget and the number of subcarriers it loads, at
+    least one; subcarriers beyond the first pole carry nothing.  The PSD
+    is budget / max(f_edge, delta_b), so that one subcarrier above a pole
+    below delta_b gets no more than the budget.
     """
-    if not g.poles:
-        f_edge = f_chip
-    else:
-        f_edge = min(g.poles)
-    delta = f_chip / k
-    f_k = delta * np.arange(1, k + 1)
-    n_flat = max(1, int(np.sum(f_k <= f_edge)))
-    psd = budget / f_edge
-    gnr = g.evaluate(f_k[:n_flat])
-    return delta * float(np.sum(np.log2(1.0 + psd * gnr / gamma)))
+    f_edge = min(g.poles) if g.poles else grid.f_chip
+    n_flat = max(1, int(np.sum(grid.f_k <= f_edge)))
+    return budgets / max(f_edge, grid.delta_b), n_flat
 
 
 def _require_newton_k(k: int) -> None:
@@ -181,6 +176,8 @@ def _require_newton_k(k: int) -> None:
 
 def cmd_gnr_eval(args) -> int:
     sweep = _parse_sweep(args.sweep) if args.sweep else Sweep("fmax", 1e3, 1e10, 481, True)
+    if sweep.variable != "fmax":
+        raise CliError(f"sweep variable must be 'fmax' for gnr-eval, got {sweep.variable!r}")
     chain = linkchain.load_chain(args.channel)
     freqs = sweep.values()
     gain = np.asarray(linkchain.chain_magsq(chain, freqs), dtype=float)
@@ -220,19 +217,18 @@ def cmd_rate_curve(args) -> int:
         raise CliError(f"sweep budgets must be > 0 V^2, got {sweep.start}")
     budgets = sweep.values()
     grid = bitload.SubcarrierGrid.from_model(g, args.k, args.fchip)
-    newton, flat = [], []
-    for i, budget in enumerate(budgets):
-        newton.append(waterfill.newton_fmax(g, gamma, budget, args.k, args.fchip).rate)
-        if i == 0:
-            # the sorted pass needs no monotone grid, but the sweep keeps the
-            # refusal hh_accelerated made here, so errors stay as they were
-            bitload.require_monotone_grid(grid)
-        flat.append(_flat_band_rate(g, gamma.gamma_linear, budget, args.k, args.fchip))
+    newton = [waterfill.newton_fmax(g, gamma, b, args.k, args.fchip).rate for b in budgets]
+    # the sorted pass needs no monotone grid, but the sweep keeps the refusal
+    # hh_accelerated made; a rising model has already failed Newton above
+    bitload.require_monotone_grid(grid)
     hh = bitload.hh_sorted_prefix(grid, gamma, budgets).rates
+    psd, n_flat = _flat_band_psd(g, grid, budgets)
+    snr = psd[:, None] * grid.gnr_k[:n_flat] / gamma.gamma_linear
+    flat = grid.delta_b * np.sum(np.log2(1.0 + snr), axis=1)
     linkchain._write_csv(
         args.out,
         ["sigma2_v2", "rate_newton_mbit_s", "rate_hh_mbit_s", "rate_flat_mbit_s"],
-        zip(budgets, (r / 1e6 for r in newton), hh / 1e6, (r / 1e6 for r in flat)),
+        zip(budgets, (r / 1e6 for r in newton), hh / 1e6, flat / 1e6),
     )
     if args.out:
         print(

@@ -11,7 +11,9 @@ one-dimensional search over f_max:
                        fixed Gauss-Legendre on octave panels
 * ``rate_closed_form`` throughput in bit/s, closed form in f_max
 * ``dsigma2_dfmax``    analytic derivative of the power w.r.t. f_max
-* ``newton_fmax``      grid-snapped Newton search for f_max given a budget
+* ``newton_fmax``      grid-snapped Newton search for f_max given a budget,
+                       one bracketed loop that takes bracket midpoints
+                       once Newton is unusable
 * ``waterlevel_solve`` exact water level for arbitrary (also
                        non-monotone) GNR shapes on a grid, with island
                        reporting
@@ -25,9 +27,10 @@ longer moves the snapped frequency across a subcarrier boundary while the
 accumulated discrete power stays within budget.  That mixes a grid
 quantity with a continuous one, so it is interpreted here as: iterate
 until the snapped index is pinned between a within-budget grid point and
-its over-budget successor (a one-cell feasibility bracket).  The exit
-contract is then exact: sigma2 <= budget, and loading one more grid step
-would exceed it.
+its over-budget successor (a one-cell feasibility bracket).  Every probe,
+Newton or midpoint, lies strictly inside the bracket, so the loop ends
+with the exact contract: sigma2 <= budget, and loading one more grid step
+would exceed it.  ``iterations`` counts Newton attempts only.
 
 All power budgets are signal variances in V^2.  If the hardware power
 draw is a nonlinear monotone function of the variance, invert it with
@@ -231,7 +234,7 @@ def _nearest_index(f: float, delta: float, k_max: int) -> int:
     return min(max(k, 1), k_max)
 
 
-# Newton steps before the search falls back to bisection over its bracket.
+# Newton attempts before every further round takes the bracket midpoint.
 _NEWTON_MAX_ITERS = 100
 
 
@@ -240,16 +243,20 @@ def newton_fmax(
 ) -> WaterfillSolution:
     """Find the grid-snapped f_max whose waterfilling PSD meets the budget.
 
-    Starts from f_chip, iterates Newton updates of the continuous power
-    curve, snaps each iterate to the nearest subcarrier k*Delta_B (ties
-    toward the lower index) and recomputes the discrete power sum
-    Delta_B * sum_k max(0, S(f_k)).  Snapped probes are kept strictly
-    inside the current feasible/infeasible index bracket, so the search
-    cannot cycle; divergence or an iteration-cap hit falls back to plain
-    bisection over the bracket.  A budget larger than the full-band power
-    saturates at f_chip (flagged on the returned solution).  The exit
-    contract always holds: sigma2 <= budget, and loading one more grid
-    step would exceed the budget.
+    One bracketed loop over the subcarrier index: ``lo`` is feasible (the
+    discrete power Delta_B * sum_k max(0, S(f_k)) is within budget; it is
+    0 at k = 1) and ``hi`` is not.  Each round probes one index strictly
+    between them and moves ``lo`` or ``hi`` to it.  The probe is a Newton
+    update of the continuous power curve from the last probe (starting at
+    f_chip), snapped to the nearest subcarrier k*Delta_B (ties toward the
+    lower index) and clamped into the bracket.  Once Newton is unusable (a
+    non-finite or non-positive derivative, a non-finite step, or
+    ``_NEWTON_MAX_ITERS`` attempts), every further round takes the bracket
+    midpoint.  ``iterations`` counts Newton attempts, a failed one
+    included, and not the midpoint rounds.  A budget larger than the
+    full-band power saturates at f_chip (flagged on the returned solution).
+    The loop ends with hi = lo + 1, so the exit contract holds: sigma2 <=
+    budget, and loading one more grid step would exceed the budget.
     """
     gamma = _gamma_value(gap)
     if not (isinstance(K, int) and K >= 2):
@@ -264,84 +271,46 @@ def newton_fmax(
     gnr_k = np.asarray(g.evaluate(f_k), dtype=float)
     w_k = gamma / gnr_k
 
-    cache: dict[int, float] = {}
-
     def power(ks: int) -> float:
-        if ks not in cache:
-            cache[ks] = delta * float(np.sum(np.maximum(0.0, w_k[ks - 1] - w_k[:ks])))
-        return cache[ks]
+        return delta * float(np.sum(np.maximum(0.0, w_k[ks - 1] - w_k[:ks])))
 
-    def build(ks: int, iters: int, saturated: bool = False) -> WaterfillSolution:
-        level = float(w_k[ks - 1])
-        psd = np.maximum(0.0, level - w_k)
-        psd[ks:] = 0.0
-        rate = delta * float(np.sum(np.log2(1.0 + psd[:ks] * gnr_k[:ks] / gamma)))
-        return WaterfillSolution(
-            f_max=float(f_k[ks - 1]),
-            water_level=level,
-            f_hz=f_k,
-            psd=psd,
-            gnr=gnr_k,
-            sigma2=power(ks),
-            rate=rate,
-            island=(),
-            saturated=saturated,
-            iterations=iters,
-        )
-
-    if power(K) <= sigma2_budget:
-        return build(K, 0, saturated=True)
-
-    def bisect_index(lo: int, hi: int) -> int:
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if power(mid) <= sigma2_budget:
-                lo = mid
-            else:
-                hi = mid
-        return lo
-
-    # The discrete power is non-decreasing in the grid index, so the target
-    # index is bracketed by lo (feasible; power(1) is identically 0) and hi
-    # (infeasible).  Newton proposals are snapped to the grid and clamped to
-    # probe strictly inside the bracket, so each iteration either converges
-    # or shrinks the bracket; no cycle can persist.
-    lo, hi = 1, K
-    f_cur = f_chip
-    sigma_cur = power(K)
-    iters = 0
+    lo, p_lo, hi = 1, 0.0, K
+    f_cur, p_cur = f_chip, power(K)
+    saturated = bool(p_cur <= sigma2_budget)
+    if saturated:
+        lo, p_lo = K, p_cur
+    iters, newton = 0, True
     while hi - lo > 1:
-        if iters >= _NEWTON_MAX_ITERS:
-            lo = bisect_index(lo, hi)
-            break
-        iters += 1
-        deriv = dsigma2_dfmax(g, gamma, f_cur)
-        if not math.isfinite(deriv) or deriv <= 0.0:
-            lo = bisect_index(lo, hi)
-            break
-        f_next = f_cur - (sigma_cur - sigma2_budget) / deriv
-        if not math.isfinite(f_next):
-            lo = bisect_index(lo, hi)
-            break
-        ks = _nearest_index(f_next, delta, K)
-        if ks <= lo:
-            ks = lo + 1
-        elif ks >= hi:
-            ks = hi - 1
-        p = power(ks)
-        if p <= sigma2_budget:
-            lo = ks
+        ks = (lo + hi) // 2
+        if newton and iters < _NEWTON_MAX_ITERS:
+            iters += 1
+            deriv = dsigma2_dfmax(g, gamma, f_cur)
+            usable = 0.0 < deriv < math.inf
+            f_next = f_cur - (p_cur - sigma2_budget) / deriv if usable else math.nan
+            newton = math.isfinite(f_next)
+            if newton:
+                ks = min(max(_nearest_index(f_next, delta, K), lo + 1), hi - 1)
+        p_cur = power(ks)
+        if p_cur <= sigma2_budget:
+            lo, p_lo = ks, p_cur
         else:
             hi = ks
         f_cur = ks * delta
-        sigma_cur = p
 
-    k_star = lo
-    while k_star > 1 and power(k_star) > sigma2_budget:
-        k_star -= 1
-    while k_star < K and power(k_star + 1) <= sigma2_budget:
-        k_star += 1
-    return build(k_star, iters)
+    level = float(w_k[lo - 1])
+    psd = np.maximum(0.0, level - w_k)
+    psd[lo:] = 0.0
+    return WaterfillSolution(
+        f_max=float(f_k[lo - 1]),
+        water_level=level,
+        f_hz=f_k,
+        psd=psd,
+        gnr=gnr_k,
+        sigma2=p_lo,
+        rate=delta * float(np.sum(np.log2(1.0 + psd[:lo] * gnr_k[:lo] / gamma))),
+        saturated=saturated,
+        iterations=iters,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -391,16 +360,9 @@ def waterlevel_solve(g_eval, gap, sigma2_budget: float, f_grid) -> WaterfillSolu
     last = int(np.nonzero(psd > 0.0)[0][-1])
     f_max = float(f[last])
 
-    islands: list[tuple[float, float]] = []
-    idx = 0
-    while idx < last:
-        if psd[idx] == 0.0:
-            start = idx
-            while idx < last and psd[idx] == 0.0:
-                idx += 1
-            islands.append((float(f[start]), float(f[idx - 1])))
-        else:
-            idx += 1
+    # runs of zero power below f_max: [start, stop) between the mask's edges
+    edges = np.flatnonzero(np.diff(np.concatenate(([0], psd[:last] == 0.0, [0]))))
+    islands = tuple((float(f[a]), float(f[b - 1])) for a, b in zip(edges[::2], edges[1::2]))
 
     rate = float(np.sum(widths * np.log2(1.0 + psd * gnr / gamma)))
     return WaterfillSolution(
@@ -411,7 +373,7 @@ def waterlevel_solve(g_eval, gap, sigma2_budget: float, f_grid) -> WaterfillSolu
         gnr=gnr,
         sigma2=float(np.sum(widths * psd)),
         rate=rate,
-        island=tuple(islands),
+        island=islands,
         saturated=False,
         iterations=0,
     )

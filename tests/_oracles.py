@@ -1,6 +1,7 @@
 """Independent numeric oracles: brute-force and multiprecision quadrature,
-finite differences, exhaustive enumeration and per-bit greedy loops.  These
-never call the closed-form or sorted paths they are used to check."""
+finite differences, exhaustive enumeration, per-bit greedy loops and the
+first Newton search with its bisection fallback.  These never call the
+closed-form, sorted or single-loop paths they are used to check."""
 
 import itertools
 import math
@@ -10,6 +11,7 @@ import numpy as np
 from scipy.integrate import quad
 
 import owclb
+from owclb import waterfill
 from owclb.bitload import require_monotone_grid
 from owclb.waterfill import _gamma_value
 
@@ -283,3 +285,115 @@ def hh_accelerated_loop(
         state, grid, gamma, sigma2_budget, state.flops, iterations, "hh_accelerated",
         owclb.GroupTable(tuple(levels)),
     )
+
+
+def newton_fmax_search(g, gap, sigma2_budget, K, f_chip):
+    """The Newton search as first written: Newton probes clamped into the
+    index bracket, a separate bisection on divergence or at the iteration
+    cap, a memo of discrete powers, and walks to the budget boundary after
+    the loop.  Reads ``waterfill._NEWTON_MAX_ITERS`` and calls
+    ``waterfill.dsigma2_dfmax`` at call time, so a test that patches either
+    sees the same search as ``newton_fmax``."""
+    gamma = _gamma_value(gap)
+    if not (isinstance(K, int) and K >= 2):
+        raise ValueError(f"K must be an integer >= 2, got {K!r}")
+    f_chip = waterfill._check_positive("f_chip", f_chip)
+    if not math.isfinite(sigma2_budget) or sigma2_budget <= 0.0:
+        raise ValueError(f"sigma2_budget must be > 0, got {sigma2_budget!r}")
+    waterfill._require_monotone(g, f_chip, "newton_fmax")
+
+    delta = f_chip / K
+    f_k = delta * np.arange(1, K + 1)
+    gnr_k = np.asarray(g.evaluate(f_k), dtype=float)
+    w_k = gamma / gnr_k
+
+    cache: dict[int, float] = {}
+
+    def power(ks: int) -> float:
+        if ks not in cache:
+            cache[ks] = delta * float(np.sum(np.maximum(0.0, w_k[ks - 1] - w_k[:ks])))
+        return cache[ks]
+
+    def build(ks: int, iters: int, saturated: bool = False):
+        level = float(w_k[ks - 1])
+        psd = np.maximum(0.0, level - w_k)
+        psd[ks:] = 0.0
+        rate = delta * float(np.sum(np.log2(1.0 + psd[:ks] * gnr_k[:ks] / gamma)))
+        return waterfill.WaterfillSolution(
+            f_max=float(f_k[ks - 1]),
+            water_level=level,
+            f_hz=f_k,
+            psd=psd,
+            gnr=gnr_k,
+            sigma2=power(ks),
+            rate=rate,
+            island=(),
+            saturated=saturated,
+            iterations=iters,
+        )
+
+    if power(K) <= sigma2_budget:
+        return build(K, 0, saturated=True)
+
+    def bisect_index(lo: int, hi: int) -> int:
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if power(mid) <= sigma2_budget:
+                lo = mid
+            else:
+                hi = mid
+        return lo
+
+    lo, hi = 1, K
+    f_cur = f_chip
+    sigma_cur = power(K)
+    iters = 0
+    while hi - lo > 1:
+        if iters >= waterfill._NEWTON_MAX_ITERS:
+            lo = bisect_index(lo, hi)
+            break
+        iters += 1
+        deriv = waterfill.dsigma2_dfmax(g, gamma, f_cur)
+        if not math.isfinite(deriv) or deriv <= 0.0:
+            lo = bisect_index(lo, hi)
+            break
+        f_next = f_cur - (sigma_cur - sigma2_budget) / deriv
+        if not math.isfinite(f_next):
+            lo = bisect_index(lo, hi)
+            break
+        ks = waterfill._nearest_index(f_next, delta, K)
+        if ks <= lo:
+            ks = lo + 1
+        elif ks >= hi:
+            ks = hi - 1
+        p = power(ks)
+        if p <= sigma2_budget:
+            lo = ks
+        else:
+            hi = ks
+        f_cur = ks * delta
+        sigma_cur = p
+
+    k_star = lo
+    while k_star > 1 and power(k_star) > sigma2_budget:
+        k_star -= 1
+    while k_star < K and power(k_star + 1) <= sigma2_budget:
+        k_star += 1
+    return build(k_star, iters)
+
+
+def island_scan(sol):
+    """Zero-power runs below f_max by a per-sample scan of ``sol.psd``,
+    each as (first, last) frequency of the run."""
+    last = int(np.nonzero(sol.psd > 0.0)[0][-1])
+    islands = []
+    idx = 0
+    while idx < last:
+        if sol.psd[idx] == 0.0:
+            start = idx
+            while idx < last and sol.psd[idx] == 0.0:
+                idx += 1
+            islands.append((float(sol.f_hz[start]), float(sol.f_hz[idx - 1])))
+        else:
+            idx += 1
+    return tuple(islands)

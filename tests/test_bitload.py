@@ -51,6 +51,12 @@ class TestGrid:
         with pytest.raises(ValueError):
             owclb.SubcarrierGrid(K=3, f_chip=4.0, gnr_k=np.ones(4))
 
+    def test_delta_b_is_derived_not_passed(self):
+        # delta_b is f_chip / K; a passed value could only disagree with f_k
+        with pytest.raises(TypeError):
+            owclb.SubcarrierGrid(K=4, f_chip=4.0, gnr_k=np.ones(4), delta_b=1.0000000001)
+        assert owclb.SubcarrierGrid(K=4, f_chip=4.0, gnr_k=np.ones(4)).delta_b == 1.0
+
 
 class TestMarginalPower:
     def test_first_bit(self):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import owclb
+from owclb import cli
 from owclb.cli import COMMANDS, main, read_table
 
 from conftest import build_reference_chain
@@ -85,6 +86,21 @@ class TestRateCurve:
         # optimized spectra beat the flat baseline once power is plentiful
         assert rows[-1, 1] > rows[-1, 3]
         assert rows[-1, 2] > rows[-1, 3]
+
+    @pytest.mark.parametrize(
+        "model",
+        [owclb.MagSqPoleZeroGnr(gnr0=1e9, poles=(1e3,)),
+         owclb.MagSqPoleZeroGnr(gnr0=1e9, zeros=(14.5e6,), poles=(2.3e6, 3.1e6, 3.5e6, 9.4e6))],
+        ids=["pole-1khz", "reference"],
+    )
+    def test_flat_baseline_stays_within_budget(self, model):
+        # at K=64 over 200 MHz both first poles lie below delta_b = 3.125 MHz,
+        # yet subcarrier 1 is loaded
+        grid = owclb.SubcarrierGrid.from_model(model, 64, 2e8)
+        budgets = np.geomspace(1e4, 1e9, 6)
+        psd, n_flat = cli._flat_band_psd(model, grid, budgets)
+        assert n_flat == 1
+        assert np.all(psd * grid.delta_b * n_flat <= budgets * (1.0 + 1e-15))
 
 
     def test_fmax_sweep_matches_golden_csv(self, channel_path, tmp_path):
@@ -415,8 +431,10 @@ class TestValidationAndDeterminism:
             (["rate-curve", "--gamma-db", "4000", "--sweep", "fmax:1e5:1e8:5"],
              "gamma_db must be <= 3000 dB, got 4000.0"),
             (["rate-curve", "--sweep", "power:0:1e9:5"], "sweep budgets must be > 0 V^2, got 0.0"),
+            (["gnr-eval", "--sweep", "power:1e4:1e9:3"],
+             "sweep variable must be 'fmax' for gnr-eval, got 'power'"),
         ],
-        ids=["gamma-db-overflow", "power-sweep-zero-budget"],
+        ids=["gamma-db-overflow", "power-sweep-zero-budget", "gnr-eval-power-sweep"],
     )
     def test_out_of_range_flag_is_flag_error(self, channel_path, capsys, argv, message):
         assert run_cli(*argv, "--channel", channel_path) == 2

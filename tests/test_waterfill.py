@@ -223,6 +223,36 @@ class TestDerivative:
                 assert owclb.dsigma2_dfmax(g, 1.0, f) >= 0.0
 
 
+SOLUTION_FIELDS = ("f_max", "water_level", "f_hz", "psd", "gnr", "sigma2", "rate",
+                   "island", "saturated", "iterations")
+
+
+def assert_same_solution(sol, ref):
+    for name in SOLUTION_FIELDS:
+        got, want = getattr(sol, name), getattr(ref, name)
+        if isinstance(want, np.ndarray):
+            assert got.tobytes() == want.tobytes(), name
+        else:
+            assert type(got) is type(want) and got == want, name
+
+
+def _newton_case(rng):
+    """A random monotone model, K, f_chip and budget: half the budgets
+    absolute in 1e-20..1e20, half relative to the full-band grid power."""
+    while True:
+        g = random_monotone_model(rng)
+        k = int(rng.choice([2, 3, 8, 64, 256, 1024]))
+        f_chip = float(10.0 ** rng.uniform(6.0, 9.5))
+        if owclb.is_monotone_decreasing(g, f_chip):
+            break
+    gamma = float(10.0 ** rng.uniform(0.0, 1.0))
+    if rng.random() < 0.5:
+        return g, gamma, float(10.0 ** rng.uniform(-20.0, 20.0)), k, f_chip
+    w = gamma / g.evaluate(uniform_grid(f_chip, k))
+    full = (f_chip / k) * float(np.sum(w[-1] - w))
+    return g, gamma, full * float(10.0 ** rng.uniform(-9.0, 0.3)), k, f_chip
+
+
 class TestNewton:
     def test_single_pole_budget_inverse(self):
         g = owclb.MagSqPoleZeroGnr(gnr0=1e9, poles=(10e6,))
@@ -317,6 +347,42 @@ class TestNewton:
         with pytest.raises(owclb.NonMonotoneGnrError):
             owclb.newton_fmax(bump_model, 1.0, 1e6, 64, 1e9)
 
+    @pytest.mark.parametrize("cap", [0, 1, 2, 3, None])
+    def test_matches_first_search(self, monkeypatch, cap):
+        # caps 0-3 hand the search to the bracket midpoints early
+        if cap is not None:
+            monkeypatch.setattr(owclb.waterfill, "_NEWTON_MAX_ITERS", cap)
+        rng = np.random.default_rng(2024 + (cap or 0))
+        for _ in range(80):
+            case = _newton_case(rng)
+            sol = owclb.newton_fmax(*case)
+            assert_same_solution(sol, _oracles.newton_fmax_search(*case))
+            if cap is not None:
+                assert sol.iterations <= cap
+
+    @pytest.mark.parametrize("bad", [math.nan, 0.0, -1.0, math.inf, 5e-324])
+    @pytest.mark.parametrize("fails_at", [1, 2, 4])
+    def test_unusable_derivative_hands_off_to_midpoints(self, monkeypatch, ref_model, gap,
+                                                        bad, fails_at):
+        # 5e-324 makes the Newton step overflow to a non-finite f_max
+        calls = []
+        exact = owclb.waterfill.dsigma2_dfmax
+
+        def flaky(g, gamma, f_max):
+            calls.append(f_max)
+            return bad if len(calls) >= fails_at else exact(g, gamma, f_max)
+
+        monkeypatch.setattr(owclb.waterfill, "dsigma2_dfmax", flaky)
+        for budget in (3e5, 1e7, 2e8):
+            for k in (64, 1024):
+                calls.clear()
+                sol = owclb.newton_fmax(ref_model, gap, budget, k, 200e6)
+                attempts = len(calls)
+                calls.clear()
+                ref = _oracles.newton_fmax_search(ref_model, gap, budget, k, 200e6)
+                assert_same_solution(sol, ref)
+                assert sol.iterations == attempts <= fails_at
+
     def test_invalid_budget(self, ref_model, gap):
         with pytest.raises(ValueError):
             owclb.newton_fmax(ref_model, gap, 0.0, 64, 200e6)
@@ -359,6 +425,22 @@ class TestWaterlevel:
         # both shores of the island carry power
         assert np.any(sol.psd[sol.f_hz < lo] > 0.0)
         assert np.any(sol.psd[sol.f_hz > hi] > 0.0)
+
+    def test_islands_match_scan(self):
+        # rough random GNR tables give many islands, at either end and one
+        # sample wide
+        rng = np.random.default_rng(11)
+        found = 0
+        for _ in range(300):
+            n = int(rng.integers(2, 40))
+            f = np.sort(rng.choice(np.arange(1, 4 * n + 1), n, replace=False)).astype(float)
+            table = dict(zip(f, 10.0 ** rng.uniform(-3.0, 3.0, n)))
+            w_span = float(np.sum(np.diff(f, prepend=0.0) / min(table.values())))
+            budget = w_span * float(10.0 ** rng.uniform(-4.0, 0.0))
+            sol = owclb.waterlevel_solve(lambda x: np.vectorize(table.get)(x), 1.0, budget, f)
+            assert sol.island == _oracles.island_scan(sol)
+            found += len(sol.island) > 1
+        assert found > 50
 
     def test_bump_model_large_budget_island_empty(self, bump_model):
         grid = uniform_grid(1e9, 4096)
