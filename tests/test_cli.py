@@ -576,13 +576,24 @@ GOLDEN_CASES = {
     "compare_ref_k1024_b1e8.csv": ["compare", *_REF, "--budget", "1e8", "--k", "1024"],
     "compare_ref_k1024_b1e14.csv": ["compare", *_REF, "--budget", "1e14", "--k", "1024"],
     "hh_accel_ref_k1024_b1e12.csv": ["optimize-hh", *_REF, "--budget", "1e12", "--k", "1024"],
+    # the fit-pipeline benchmark's orders on a noisy 300-row table
+    "fit_ref300_z1p4_s150.json": ["fit", "--zeros", "1", "--poles", "4", "--seed", "150"],
+    "fit_ref300_z0p4_s7.json": ["fit", "--zeros", "0", "--poles", "4", "--seed", "7"],
+}
+# Response tables the fit cases read; the default is fit_table.csv.
+# fit_table_ref300.csv is the reference chain's GNR at np.geomspace(1e5, 1e9,
+# 300) times 10**(n/10), n ~ normal(0, 0.1 dB) from np.random.default_rng(300).
+GOLDEN_TABLES = {
+    "fit_ref300_z1p4_s150.json": "fit_table_ref300.csv",
+    "fit_ref300_z0p4_s7.json": "fit_table_ref300.csv",
 }
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
 def test_matches_golden_output(channel_path, tmp_path, capsys, name):
     argv = list(GOLDEN_CASES[name])
-    channel = str(DATA / "fit_table.csv") if argv[0] == "fit" else channel_path
+    table = GOLDEN_TABLES.get(name, "fit_table.csv")
+    channel = str(DATA / table) if argv[0] == "fit" else channel_path
     argv[1:1] = ["--channel", channel]
     out = tmp_path / name
     if "." in name:
