@@ -287,10 +287,13 @@ def cmd_fit(args) -> int:
         multistarts=16,
         seed=args.seed,
     )
+    fits = {}
     if args.scan_orders:
-        for m, n, rms in fit.scan_orders(table, fcfg):
-            print(f"order M={m} N={n}: rms={rms:.4f} dB")
-    result = fit.fit_polezero(table, fcfg)
+        for m, n, res in fit._order_fits(table, fcfg):
+            print(f"order M={m} N={n}: rms={res.rms_db_error:.4f} dB")
+            fits[m, n] = res
+    # the scan's last row is the requested order; refit only if it was skipped
+    result = fits.get((args.zeros, args.poles)) or fit.fit_polezero(table, fcfg)
     if args.out:
         Path(args.out).write_text(
             json.dumps(fit.model_to_channel_dict(result.model), indent=2) + "\n"

@@ -69,6 +69,10 @@ def _freq_tuple(name: str, values) -> tuple[float, ...]:
 
 def _as_f(f):
     """Coerce a frequency argument to float or float ndarray, checking range."""
+    if isinstance(f, float):
+        if not (math.isfinite(f) and f >= 0.0):
+            raise ValueError("frequency must be finite and non-negative")
+        return float(f)
     arr = np.asarray(f, dtype=float)
     if not np.all(np.isfinite(arr)) or np.any(arr < 0.0):
         raise ValueError("frequency must be finite and non-negative")

@@ -1,7 +1,8 @@
 """Independent numeric oracles: brute-force and multiprecision quadrature,
 finite differences, exhaustive enumeration, per-bit greedy loops and the
-first Newton search with its bisection fallback.  These never call the
-closed-form, sorted or single-loop paths they are used to check."""
+first Newton search with its bisection fallback, and the per-start fit
+loop.  These never call the closed-form, sorted, single-loop or lockstep
+paths they are used to check."""
 
 import itertools
 import math
@@ -397,3 +398,67 @@ def island_scan(sol):
         else:
             idx += 1
     return tuple(islands)
+
+
+_FIT_Q10 = 10.0 / math.log(10.0)  # dB per natural-log unit
+
+
+def _serial_model_db(c: float, log_z: np.ndarray, log_p: np.ndarray, u: np.ndarray) -> np.ndarray:
+    y = np.full_like(u, c)
+    for l in log_z:
+        y += _FIT_Q10 * np.log1p(u / math.exp(2.0 * l))
+    for l in log_p:
+        y -= _FIT_Q10 * np.log1p(u / math.exp(2.0 * l))
+    return y
+
+
+def _serial_jacobian(log_z: np.ndarray, log_p: np.ndarray, u: np.ndarray) -> np.ndarray:
+    n = u.size
+    cols = [np.ones(n)]
+    for l in log_z:
+        w = math.exp(2.0 * l)
+        cols.append(-2.0 * _FIT_Q10 * u / (w + u))
+    for l in log_p:
+        w = math.exp(2.0 * l)
+        cols.append(2.0 * _FIT_Q10 * u / (w + u))
+    return np.column_stack(cols)
+
+
+def gauss_newton_serial(u, y_data, log_z0, log_p0, l_bounds, max_iters):
+    """The per-start damped Gauss-Newton loop the lockstep fit replaced:
+    one start at a time, (cost, offset, log zeros, log poles, residuals)."""
+    m = log_z0.size
+    log_z = log_z0.copy()
+    log_p = log_p0.copy()
+    # offset is linear in the residual: start it at its optimum
+    c = float(np.mean(y_data - _serial_model_db(0.0, log_z, log_p, u)))
+    r = _serial_model_db(c, log_z, log_p, u) - y_data
+    cost = float(r @ r)
+    lam = 1e-3
+    for _ in range(max_iters):
+        jac = _serial_jacobian(log_z, log_p, u)
+        a = jac.T @ jac
+        gvec = jac.T @ r
+        diag = np.diag(a).copy()
+        diag[diag <= 0.0] = 1.0
+        accepted = False
+        for _damp in range(25):
+            try:
+                step = np.linalg.solve(a + lam * np.diag(diag), -gvec)
+            except np.linalg.LinAlgError:
+                lam = min(lam * 10.0, 1e12)
+                continue
+            c_t = c + step[0]
+            log_z_t = np.clip(log_z + step[1 : 1 + m], *l_bounds)
+            log_p_t = np.clip(log_p + step[1 + m :], *l_bounds)
+            r_t = _serial_model_db(c_t, log_z_t, log_p_t, u) - y_data
+            cost_t = float(r_t @ r_t)
+            if math.isfinite(cost_t) and cost_t <= cost:
+                c, log_z, log_p, r, cost = c_t, log_z_t, log_p_t, r_t, cost_t
+                lam = max(lam / 10.0, 1e-14)
+                accepted = True
+                break
+            lam = min(lam * 10.0, 1e12)
+        if not accepted or float(np.max(np.abs(step))) < 1e-13:
+            break
+    return cost, c, log_z, log_p, r

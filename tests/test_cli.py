@@ -294,6 +294,34 @@ class TestFitCommand:
         printed = capsys.readouterr().out
         assert "order M=0 N=2" in printed
 
+    def test_scan_orders_fits_each_order_once(self, monkeypatch, capsys):
+        # the scan's (1, 2) row is the requested fit; it is not run again
+        calls = []
+        real = owclb.fit.fit_polezero
+        monkeypatch.setattr(
+            owclb.fit, "fit_polezero", lambda t, c: calls.append((c.n_zeros, c.n_poles)) or real(t, c)
+        )
+        argv = ["--zeros", "1", "--poles", "2", "--seed", "4", "--scan-orders"]
+        assert run_cli("fit", "--channel", str(DATA / "fit_table.csv"), *argv) == 0
+        assert calls == [(0, 1), (0, 2), (1, 1), (1, 2)]
+        assert capsys.readouterr().out.endswith("poles MHz [1.9995, 7.9977]\n")
+
+    def test_scan_orders_short_table_still_fails(self, tmp_path, capsys):
+        # 7 rows fit the orders that need at most 6; the requested (1, 3) needs 10
+        freqs = np.geomspace(1e4, 1e8, 7)
+        table_path = tmp_path / "short.csv"
+        owclb.write_response_table(
+            owclb.ResponseTable(frequencies=freqs, values=1.0 / (1.0 + (freqs / 1e6) ** 2)),
+            table_path,
+        )
+        argv = ["--zeros", "1", "--poles", "3", "--scan-orders"]
+        assert run_cli("fit", "--channel", str(table_path), *argv) == 1
+        out, err = capsys.readouterr()
+        assert [line.split(":")[0] for line in out.splitlines()] == [
+            "order M=0 N=1", "order M=0 N=2", "order M=1 N=1"
+        ]
+        assert err == "owclb: fit failed: need at least 10 rows inside f_range, found 7\n"
+
 
 class TestValidationAndDeterminism:
     def test_missing_channel_names_field(self, capsys):

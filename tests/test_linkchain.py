@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 from numpy.polynomial import polynomial as P
 
 import owclb
-from owclb.linkchain import SPEED_OF_LIGHT_M_S, chain_magsq
+from owclb.linkchain import SPEED_OF_LIGHT_M_S, _as_f, chain_magsq
 
 from _oracles import sampled_monotone
 
@@ -31,6 +31,16 @@ corner_freqs = st.floats(min_value=1e3, max_value=1e10)
 
 
 class TestComponentEval:
+    @pytest.mark.parametrize("f", [math.nan, math.inf, -math.inf, -1.0])
+    def test_bad_plain_float_frequency_rejected(self, f):
+        with pytest.raises(ValueError, match="frequency must be finite and non-negative"):
+            _as_f(f)
+
+    @pytest.mark.parametrize("f", [0.0, 3.5e6, np.float64(3.5e6)])
+    def test_scalar_frequency_comes_back_as_float(self, f):
+        got = _as_f(f)
+        assert type(got) is float and got == f
+
     def test_first_order_half_power_at_corner(self):
         c = owclb.FirstOrderLowPass(dc_gain=1.0, corner=5e6)
         assert owclb.eval_component_magsq(c, 5e6) == 0.5
