@@ -6,7 +6,8 @@ doubles with every bit, so the greedy grants the (subcarrier, bit)
 increments in the order of one stable sort by (cost, subcarrier) and stops
 at the first one whose running sum exceeds the budget (cf. Campello,
 "Practical bit loading for DMT", ICC 1999).  All three loaders are that one
-sort:
+sort, on the ``waterfill.SubcarrierGrid`` that ``newton_fmax`` also solves
+on, so a command samples its channel once:
 
 ``hh_sorted_prefix`` loads for a whole batch of budgets at once; the CLI
 uses it for the ``rate-curve`` power sweep.  ``hh_naive`` and
@@ -43,59 +44,18 @@ below the cap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .linkchain import ChannelFormatError, _check_positive, _read_csv, _write_csv
-from .waterfill import _gamma_value
+from .linkchain import ChannelFormatError, _read_csv, _write_csv
+from .waterfill import SubcarrierGrid, _gamma_value
 
 DEFAULT_BIT_CAP = 12
 
 _SETUP_FLOPS_PER_K = 1
 _LOAD_FLOPS = 6
 _BUDGET_CHECK_FLOPS = 2
-
-
-@dataclass(frozen=True, eq=False)
-class SubcarrierGrid:
-    """K subcarriers at f_k = k * delta_b, k = 1..K, with GNR samples."""
-
-    K: int
-    f_chip: float
-    gnr_k: np.ndarray
-    delta_b: float = field(init=False)  # f_chip / K
-
-    def __post_init__(self):
-        if not (isinstance(self.K, int) and self.K >= 1):
-            raise ValueError(f"K must be a positive integer, got {self.K!r}")
-        _check_positive("f_chip", self.f_chip)
-        gnr = np.asarray(self.gnr_k, dtype=float)
-        if gnr.shape != (self.K,):
-            raise ValueError(f"gnr_k must have length K={self.K}")
-        if np.any(~np.isfinite(gnr)) or np.any(gnr <= 0.0):
-            raise ValueError("gnr_k entries must be positive and finite")
-        gnr.flags.writeable = False
-        object.__setattr__(self, "gnr_k", gnr)
-        object.__setattr__(self, "delta_b", float(self.f_chip / self.K))
-
-    @property
-    def f_k(self) -> np.ndarray:
-        return self.delta_b * np.arange(1, self.K + 1)
-
-    @classmethod
-    def from_model(cls, g, K: int, f_chip: float) -> "SubcarrierGrid":
-        """Sample any frequency -> GNR callable on the subcarrier grid."""
-        delta = f_chip / K
-        freqs = delta * np.arange(1, K + 1)
-        gnr = np.asarray(g(freqs), dtype=float)
-        if gnr.shape != freqs.shape:
-            gnr = np.array([float(g(f)) for f in freqs])
-        return cls(K=K, f_chip=float(f_chip), gnr_k=gnr)
-
-    def is_monotone_nonincreasing(self) -> bool:
-        g = self.gnr_k
-        return bool(np.all(g[1:] <= g[:-1] * (1.0 + 1e-12)))
 
 
 @dataclass(frozen=True)
@@ -148,9 +108,9 @@ def marginal_power(grid: SubcarrierGrid, gap, k: int, b_current: int) -> float:
     return grid.delta_b * gamma * 2.0**b_current / float(grid.gnr_k[k - 1])
 
 
-def _grant_order(grid: SubcarrierGrid, gamma: float, bit_cap: int):
-    """Every finite (subcarrier, bit) increment in greedy order, and the
-    running sum of their costs.
+def _greedy(grid: SubcarrierGrid, gamma: float, budgets, bit_cap: int):
+    """Every finite (subcarrier, bit) increment in greedy order, and how
+    many of them each budget in the batch affords.
 
     Increments are numbered subcarrier-major, k * bit_cap + b for 0-based
     subcarrier k raised from b to b+1 bits.  Each costs
@@ -159,20 +119,22 @@ def _grant_order(grid: SubcarrierGrid, gamma: float, bit_cap: int):
     running sum exceeds the budget.  The costs take one multiply, one
     divide and then exact doublings, and ``np.cumsum`` adds in the greedy's
     order, so every partial sum is bit-identical to the greedy's running
-    total.  Costs that overflow to infinity are never granted.
+    total.  Costs that overflow to infinity are never granted, and a zero
+    budget loads nothing, even a zero-cost bit.
     """
+    budgets = np.atleast_1d(np.asarray(budgets, dtype=float))
+    bad = budgets[~(budgets >= 0.0)]  # NaN too; inf loads every carrier to the cap
+    if bad.size:
+        raise ValueError(f"sigma2_budget must be >= 0, got {float(bad[0])!r}")
     with np.errstate(over="ignore"):  # past the largest float is inf, as in scalar code
         marginal = grid.delta_b * gamma / grid.gnr_k
         costs = (marginal[:, None] * 2.0 ** np.arange(bit_cap)).ravel()
         order = np.argsort(costs, kind="stable")
         sorted_costs = costs[order]
         finite = int(np.count_nonzero(np.isfinite(sorted_costs)))
-        return order[:finite], np.cumsum(sorted_costs[:finite])
-
-
-def _check_budget(sigma2_budget: float) -> None:
-    if not sigma2_budget >= 0.0:  # NaN too; inf loads every carrier to the cap
-        raise ValueError(f"sigma2_budget must be >= 0, got {sigma2_budget!r}")
+        loaded = np.searchsorted(np.cumsum(sorted_costs[:finite]), budgets, side="right")
+    loaded[budgets == 0.0] = 0
+    return order[:finite], loaded
 
 
 def _table_search_flops(old_levels: np.ndarray, K: int, bit_cap: int) -> int:
@@ -198,16 +160,6 @@ def _table_search_flops(old_levels: np.ndarray, K: int, bit_cap: int) -> int:
         held += rounds - empty
         arrived = left
     return int(held - rounds + (rounds - 1 == K * bit_cap))
-
-
-def _granted(grid: SubcarrierGrid, gamma: float, sigma2_budget: float, bit_cap: int):
-    """The increments the greedy grants under one budget, in order, and
-    whether a finite one is left over for the rejecting round to see."""
-    grants, running = _grant_order(grid, gamma, bit_cap)
-    loads = 0
-    if sigma2_budget > 0.0:  # a zero budget loads nothing, even a zero-cost bit
-        loads = int(np.searchsorted(running, sigma2_budget, side="right"))
-    return grants[:loads], loads < grants.size
 
 
 def _plan(grid, gamma, sigma2_budget, bits, finite_left, search_flops, algorithm, table=None):
@@ -264,11 +216,11 @@ def hh_naive(
     plan at no cost.  Works on any grid.
     """
     gamma = _gamma_value(gap)
-    _check_budget(sigma2_budget)
-    granted, finite_left = _granted(grid, gamma, sigma2_budget, bit_cap)
-    bits = np.bincount(granted // bit_cap, minlength=grid.K)
-    search = (granted.size + 1) * (grid.K - 1)
-    return _plan(grid, gamma, sigma2_budget, bits, finite_left, search, "hh_naive")
+    grants, loaded = _greedy(grid, gamma, sigma2_budget, bit_cap)
+    loads = int(loaded[0])
+    bits = np.bincount(grants[:loads] // bit_cap, minlength=grid.K)
+    search = (loads + 1) * (grid.K - 1)
+    return _plan(grid, gamma, sigma2_budget, bits, loads < grants.size, search, "hh_naive")
 
 
 def require_monotone_grid(grid: SubcarrierGrid) -> None:
@@ -297,16 +249,17 @@ def hh_accelerated(
     reach the bit cap leave the candidate set.
     """
     gamma = _gamma_value(gap)
-    _check_budget(sigma2_budget)
+    grants, loaded = _greedy(grid, gamma, sigma2_budget, bit_cap)
+    loads = int(loaded[0])
     require_monotone_grid(grid)
-    granted, finite_left = _granted(grid, gamma, sigma2_budget, bit_cap)
-    carrier, old_level = np.divmod(granted, bit_cap)
+    carrier, old_level = np.divmod(grants[:loads], bit_cap)
     bits = np.bincount(carrier, minlength=grid.K)
     search = _table_search_flops(old_level, grid.K, bit_cap)
     heads = np.zeros(bit_cap + 1, dtype=np.int64)
     held, first = np.unique(bits, return_index=True)
     heads[held] = first + 1  # 1-based first carrier holding exactly b bits
     table = GroupTable(tuple(heads.tolist()))
+    finite_left = loads < grants.size
     return _plan(grid, gamma, sigma2_budget, bits, finite_left, search, "hh_accelerated", table)
 
 
@@ -343,12 +296,7 @@ def hh_sorted_prefix(
     """Greedy loading for every budget at once from one sort; equals
     ``hh_naive`` exactly, on any grid, monotone or not."""
     gamma = _gamma_value(gap)
-    budgets = np.atleast_1d(np.asarray(budgets, dtype=float))
-    if not np.all(budgets >= 0.0):
-        raise ValueError(f"sigma2_budget must be >= 0, got {budgets[~(budgets >= 0.0)][0]!r}")
-    grants, running = _grant_order(grid, gamma, bit_cap)
-    loaded = np.searchsorted(running, budgets, side="right")
-    loaded[budgets == 0.0] = 0  # a zero budget loads nothing, even a zero-cost bit
+    grants, loaded = _greedy(grid, gamma, budgets, bit_cap)
     return PrefixSweep(grid=grid, order=grants // bit_cap, loaded=loaded)
 
 

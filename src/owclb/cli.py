@@ -156,7 +156,7 @@ def _load_reduced(args) -> linkchain.MagSqPoleZeroGnr:
     return linkchain.reduce_to_polezero(linkchain.load_chain(args.channel))
 
 
-def _flat_band_psd(g, grid: bitload.SubcarrierGrid, budgets: np.ndarray):
+def _flat_band_psd(g, grid: waterfill.SubcarrierGrid, budgets: np.ndarray):
     """Baseline: each budget spread uniformly over [0, first pole corner].
 
     Returns the PSD per budget and the number of subcarriers it loads, at
@@ -216,8 +216,8 @@ def cmd_rate_curve(args) -> int:
     if sweep.start <= 0.0:
         raise CliError(f"sweep budgets must be > 0 V^2, got {sweep.start}")
     budgets = sweep.values()
-    grid = bitload.SubcarrierGrid.from_model(g, args.k, args.fchip)
-    newton = [waterfill.newton_fmax(g, gamma, b, args.k, args.fchip).rate for b in budgets]
+    grid = waterfill.SubcarrierGrid.from_model(g, args.k, args.fchip)
+    newton = [waterfill.newton_fmax(g, gamma, b, grid).rate for b in budgets]
     # the sorted pass needs no monotone grid, but the sweep keeps the refusal
     # hh_accelerated made; a rising model has already failed Newton above
     bitload.require_monotone_grid(grid)
@@ -244,7 +244,8 @@ def cmd_optimize_newton(args) -> int:
     _require_newton_k(args.k)
     g = _load_reduced(args)
     gamma = waterfill.ModulationGap.from_db(args.gamma_db)
-    sol = waterfill.newton_fmax(g, gamma, args.budget, args.k, args.fchip)
+    grid = waterfill.SubcarrierGrid.from_model(g, args.k, args.fchip)
+    sol = waterfill.newton_fmax(g, gamma, args.budget, grid)
     if args.out:
         waterfill.write_solution_csv(sol, args.out)
     print(
@@ -260,7 +261,7 @@ def cmd_optimize_hh(args) -> int:
         raise CliError("budget is required for optimize-hh")
     g = _load_reduced(args)
     gamma = waterfill.ModulationGap.from_db(args.gamma_db)
-    grid = bitload.SubcarrierGrid.from_model(g, args.k, args.fchip)
+    grid = waterfill.SubcarrierGrid.from_model(g, args.k, args.fchip)
     loader = bitload.hh_naive if args.naive else bitload.hh_accelerated
     plan = loader(grid, gamma, args.budget)
     if args.out:
@@ -313,7 +314,7 @@ def cmd_compare(args) -> int:
         raise CliError("budget is required for compare")
     g = _load_reduced(args)
     gamma = waterfill.ModulationGap.from_db(args.gamma_db)
-    grid = bitload.SubcarrierGrid.from_model(g, args.k, args.fchip)
+    grid = waterfill.SubcarrierGrid.from_model(g, args.k, args.fchip)
     naive = bitload.hh_naive(grid, gamma, args.budget)
     accel = bitload.hh_accelerated(grid, gamma, args.budget)
     report = bitload.flop_report(naive, accel)
@@ -369,7 +370,7 @@ def run(argv: list[str]) -> int:
     except (CliError, linkchain.ChannelFormatError) as exc:
         print(f"owclb: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, RuntimeError, OSError) as exc:
+    except (ValueError, RuntimeError, OSError, MemoryError) as exc:
         print(f"owclb: {args.command} failed: {exc}", file=sys.stderr)
         log.debug("failure detail", exc_info=True)
         return 1

@@ -31,7 +31,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .linkchain import MagSqPoleZeroGnr, ResponseTable
+from .linkchain import (
+    LinkChain,
+    MagSqPoleZeroGnr,
+    NoiseSpectrum,
+    RationalPoleZero,
+    ResponseTable,
+    chain_to_dict,
+)
 
 _Q10 = 10.0 / math.log(10.0)  # dB per natural-log unit
 _DAMP_TRIES = 25  # rejected damped trials in a row before a start stops
@@ -186,8 +193,8 @@ def fit_polezero(data: ResponseTable, cfg: FitConfig) -> FitResult:
     """Fit gnr0 and corner frequencies to the table rows inside f_range.
 
     Raises ValueError when fewer than 2*(M+N+1) rows fall in the window
-    and RuntimeError (carrying the best partial rms) when every start
-    fails to produce a finite solve.
+    and RuntimeError when every start ends with a non-finite cost, so
+    that no start has an rms to report.
     """
     lo, hi = cfg.f_range
     mask = (data.frequencies >= lo) & (data.frequencies <= hi)
@@ -264,16 +271,5 @@ def model_to_channel_dict(model: MagSqPoleZeroGnr) -> dict:
     sqrt(gnr0) over a unit white-noise floor, so it loads back through the
     normal chain reader.
     """
-    return {
-        "stages": [
-            {
-                "kind": "RationalPoleZero",
-                "params": {
-                    "dc_gain": math.sqrt(model.gnr0),
-                    "zeros": list(model.zeros),
-                    "poles": list(model.poles),
-                },
-            }
-        ],
-        "noise": {"floor": 1.0},
-    }
+    stage = RationalPoleZero(dc_gain=math.sqrt(model.gnr0), zeros=model.zeros, poles=model.poles)
+    return chain_to_dict(LinkChain((stage,), NoiseSpectrum(floor=1.0)))

@@ -28,7 +28,7 @@ import sys
 from dataclasses import MISSING, dataclass, fields
 from functools import lru_cache
 from pathlib import Path
-from typing import Union
+from typing import Union, get_args
 
 import numpy as np
 
@@ -538,18 +538,7 @@ def is_monotone_decreasing(g: MagSqPoleZeroGnr, f_hi: float) -> bool:
 # ---------------------------------------------------------------------------
 # channel-chain JSON interface
 
-_STAGE_KINDS: dict[str, type] = {
-    cls.__name__: cls
-    for cls in (
-        FlatGain,
-        FirstOrderLowPass,
-        RationalPoleZero,
-        LaserSecondOrder,
-        GaussianLowPass,
-        BeamSquintSinc,
-        Tabulated,
-    )
-}
+_STAGE_KINDS: dict[str, type] = {cls.__name__: cls for cls in get_args(ComponentResponse)}
 
 
 def _stage_params(stage: ComponentResponse) -> dict:

@@ -11,6 +11,9 @@ one-dimensional search over f_max:
                        fixed Gauss-Legendre on octave panels
 * ``rate_closed_form`` throughput in bit/s, closed form in f_max
 * ``dsigma2_dfmax``    analytic derivative of the power w.r.t. f_max
+* ``SubcarrierGrid``   the DCO-OFDM subcarriers f_k = k * Delta_B with the
+                       GNR sampled once on them; the Newton search and the
+                       bit loaders in ``bitload`` all run on it
 * ``newton_fmax``      grid-snapped Newton search for f_max given a budget,
                        one bracketed loop that takes bracket midpoints
                        once Newton is unusable
@@ -40,7 +43,7 @@ draw is a nonlinear monotone function of the variance, invert it with
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -226,6 +229,43 @@ def rate_closed_form(g: MagSqPoleZeroGnr, gap, f_max: float) -> float:
 # Newton search on the subcarrier grid
 
 
+@dataclass(frozen=True, eq=False)
+class SubcarrierGrid:
+    """K subcarriers at f_k = k * delta_b, k = 1..K, with GNR samples."""
+
+    K: int
+    f_chip: float
+    gnr_k: np.ndarray
+    delta_b: float = field(init=False)  # f_chip / K
+
+    def __post_init__(self):
+        if not (isinstance(self.K, int) and self.K >= 1):
+            raise ValueError(f"K must be a positive integer, got {self.K!r}")
+        _check_positive("f_chip", self.f_chip)
+        gnr = np.asarray(self.gnr_k, dtype=float)
+        if gnr.shape != (self.K,):
+            raise ValueError(f"gnr_k must have length K={self.K}")
+        if np.any(~np.isfinite(gnr)) or np.any(gnr <= 0.0):
+            raise ValueError("gnr_k entries must be positive and finite")
+        gnr.flags.writeable = False
+        object.__setattr__(self, "gnr_k", gnr)
+        object.__setattr__(self, "delta_b", float(self.f_chip / self.K))
+
+    @property
+    def f_k(self) -> np.ndarray:
+        return self.delta_b * np.arange(1, self.K + 1)
+
+    @classmethod
+    def from_model(cls, g, K: int, f_chip: float) -> "SubcarrierGrid":
+        """Sample a GNR function of an array of frequencies on the grid."""
+        delta = f_chip / K
+        return cls(K=K, f_chip=float(f_chip), gnr_k=g(delta * np.arange(1, K + 1)))
+
+    def is_monotone_nonincreasing(self) -> bool:
+        g = self.gnr_k
+        return bool(np.all(g[1:] <= g[:-1] * (1.0 + 1e-12)))
+
+
 def _nearest_index(f: float, delta: float, k_max: int) -> int:
     """Nearest grid index to f, ties broken toward the lower index."""
     kf = f / delta
@@ -239,9 +279,14 @@ _NEWTON_MAX_ITERS = 100
 
 
 def newton_fmax(
-    g: MagSqPoleZeroGnr, gap, sigma2_budget: float, K: int, f_chip: float
+    g: MagSqPoleZeroGnr, gap, sigma2_budget: float, grid: SubcarrierGrid
 ) -> WaterfillSolution:
     """Find the grid-snapped f_max whose waterfilling PSD meets the budget.
+
+    ``grid`` holds g sampled on the K subcarriers
+    (``SubcarrierGrid.from_model(g, K, f_chip)``); the discrete power is
+    summed over its samples, and g itself gives the monotonicity check and
+    the derivative.
 
     One bracketed loop over the subcarrier index: ``lo`` is feasible (the
     discrete power Delta_B * sum_k max(0, S(f_k)) is within budget; it is
@@ -259,16 +304,14 @@ def newton_fmax(
     budget, and loading one more grid step would exceed the budget.
     """
     gamma = _gamma_value(gap)
-    if not (isinstance(K, int) and K >= 2):
+    K, delta, f_chip = grid.K, grid.delta_b, grid.f_chip
+    if K < 2:
         raise ValueError(f"K must be an integer >= 2, got {K!r}")
-    f_chip = _check_positive("f_chip", f_chip)
     if not math.isfinite(sigma2_budget) or sigma2_budget <= 0.0:
         raise ValueError(f"sigma2_budget must be > 0, got {sigma2_budget!r}")
     _require_monotone(g, f_chip, "newton_fmax")
 
-    delta = f_chip / K
-    f_k = delta * np.arange(1, K + 1)
-    gnr_k = np.asarray(g.evaluate(f_k), dtype=float)
+    f_k, gnr_k = grid.f_k, grid.gnr_k
     w_k = gamma / gnr_k
 
     def power(ks: int) -> float:
@@ -320,11 +363,12 @@ def newton_fmax(
 def waterlevel_solve(g_eval, gap, sigma2_budget: float, f_grid) -> WaterfillSolution:
     """Solve the water level exactly so the allocated power meets the budget.
 
-    ``g_eval`` is any frequency -> linear-GNR function (a
-    ``MagSqPoleZeroGnr`` works directly); no monotonicity is assumed.  The
-    PSD on the grid is S = max(0, v - Gamma/GNR); power is accumulated
-    with left cell widths (f_i - f_{i-1}, first cell anchored at 0), which
-    matches the discrete sum used by ``newton_fmax`` on a uniform grid.
+    ``g_eval`` is any function from an array of frequencies to the array
+    of their linear GNRs (a ``MagSqPoleZeroGnr`` works directly); no
+    monotonicity is assumed.  The PSD on the grid is
+    S = max(0, v - Gamma/GNR); power is accumulated with left cell widths
+    (f_i - f_{i-1}, first cell anchored at 0), which matches the discrete
+    sum used by ``newton_fmax`` on a uniform grid.
     The level comes from the active set (Palomar & Fonollosa, IEEE TSP
     2005): with w = Gamma/GNR stably sorted, v_j = (budget + sum of
     width*w) / (sum of width) over the j cheapest cells, at the largest j
@@ -342,7 +386,7 @@ def waterlevel_solve(g_eval, gap, sigma2_budget: float, f_grid) -> WaterfillSolu
 
     gnr = np.asarray(g_eval(f), dtype=float)
     if gnr.shape != f.shape:
-        gnr = np.array([float(g_eval(x)) for x in f])
+        raise ValueError(f"g_eval must return one GNR per grid frequency, got shape {gnr.shape}")
     if np.any(~np.isfinite(gnr)) or np.any(gnr <= 0.0):
         raise ValueError("GNR must be positive and finite on the grid")
     w = gamma / gnr

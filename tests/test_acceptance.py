@@ -92,7 +92,9 @@ def test_criterion_3_newton_convergence():
             return delta * float(np.sum(np.maximum(0.0, w[ks - 1] - w[:ks])))
 
         for budget in np.geomspace(full * 1e-6, full * 0.99, 30):
-            sol = owclb.newton_fmax(REF_MODEL, GAP, float(budget), k, f_chip)
+            sol = owclb.newton_fmax(
+                REF_MODEL, GAP, float(budget), owclb.SubcarrierGrid.from_model(REF_MODEL, k, f_chip)
+            )
             assert sol.iterations <= 20
             assert sol.sigma2 <= budget
             ks = int(round(sol.f_max / delta))
@@ -115,7 +117,9 @@ def test_criterion_4_cross_validation_and_islands():
         for g in models:
             full_g = owclb.sigma2_of_fmax(g, GAP, f_chip)
             for frac in (1e-3, 0.3):
-                sol_n = owclb.newton_fmax(g, GAP, full_g * frac, k, f_chip)
+                sol_n = owclb.newton_fmax(
+                    g, GAP, full_g * frac, owclb.SubcarrierGrid.from_model(g, k, f_chip)
+                )
                 if sol_n.sigma2 <= 0.0:
                     continue
                 sol_w = owclb.waterlevel_solve(g, GAP, sol_n.sigma2, grid)

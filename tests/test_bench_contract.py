@@ -42,7 +42,7 @@ def test_monotone_check_keeps_cache_statistics():
 def test_results_carry_the_counters_traced(ref_model, gap):
     grid = owclb.SubcarrierGrid.from_model(ref_model, 64, 200e6)
     calls = {
-        "newton_fmax": lambda: owclb.waterfill.newton_fmax(ref_model, gap, 1e7, 64, 200e6),
+        "newton_fmax": lambda: owclb.waterfill.newton_fmax(ref_model, gap, 1e7, grid),
         "hh_naive": lambda: owclb.bitload.hh_naive(grid, gap, 1e7),
         "hh_accelerated": lambda: owclb.bitload.hh_accelerated(grid, gap, 1e7),
     }

@@ -45,6 +45,11 @@ class TestGrid:
         f_5 = 5 * 200e6 / 32
         assert grid.gnr_k[4] == pytest.approx(float(ref_model.evaluate(f_5)), rel=1e-15)
 
+    def test_from_model_refuses_scalar_function(self):
+        # the GNR function takes the array of subcarrier frequencies
+        with pytest.raises(ValueError, match="gnr_k must have length K=8"):
+            owclb.SubcarrierGrid.from_model(lambda f: 1e6, 8, 200e6)
+
     def test_invalid(self):
         with pytest.raises(ValueError):
             owclb.SubcarrierGrid(K=4, f_chip=4.0, gnr_k=np.array([1.0, -1.0, 1.0, 1.0]))
@@ -371,6 +376,16 @@ class TestSortedPrefix:
         assert sweep.bits(1).tolist() == [0] * 8  # below the first bit
         assert sweep.bits(2).tolist() == [5] * 8  # past every carrier's cap
         assert sweep.rates.tolist() == [0.0, 0.0, 40.0]
+
+    @pytest.mark.parametrize("loader", ["hh_naive", "hh_accelerated", "hh_sorted_prefix"])
+    def test_bad_budget_refused_as_plain_float_before_rising_grid(self, loader):
+        rising = owclb.SubcarrierGrid(K=3, f_chip=3.0, gnr_k=np.array([1.0, 2.0, 1.0]))
+        load = getattr(owclb, loader)
+        budget = np.array([1.0, -2.0]) if loader == "hh_sorted_prefix" else np.float64(-2.0)
+        with pytest.raises(ValueError, match=r"^sigma2_budget must be >= 0, got -2\.0$"):
+            load(rising, 1.0, budget)
+        with pytest.raises(ValueError, match="sigma2_budget must be >= 0, got nan"):
+            load(rising, 1.0, float("nan"))
 
     @pytest.mark.parametrize("loader", ["hh_naive", "hh_accelerated", "hh_sorted_prefix"])
     def test_nan_budget_rejected_inf_loads_to_cap(self, loader):

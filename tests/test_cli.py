@@ -128,6 +128,25 @@ class TestRateCurve:
         )
         assert out.read_bytes() == (DATA / "power_sweep_ref_k1024.csv").read_bytes()
 
+    def test_power_sweep_samples_the_model_once(self, channel_path, monkeypatch):
+        # Newton and the bit loaders share one grid, so every budget reuses its samples
+        sampled = []
+        evaluate = owclb.MagSqPoleZeroGnr.evaluate
+
+        def counted(model, f):
+            if np.ndim(f):
+                sampled.append(np.size(f))
+            return evaluate(model, f)
+
+        monkeypatch.setattr(owclb.MagSqPoleZeroGnr, "evaluate", counted)
+        monkeypatch.setattr(owclb.MagSqPoleZeroGnr, "__call__", counted)
+        rc = run_cli(
+            "rate-curve", "--channel", channel_path, "--sweep", "power:1e4:1e9:24:log",
+            "--k", "256", "--fchip", "2e8",
+        )
+        assert rc == 0
+        assert sampled == [256]
+
     def test_power_sweep_refuses_rising_channel(self, tmp_path, capsys):
         chain = owclb.LinkChain(
             stages=(owclb.RationalPoleZero(dc_gain=1.0, zeros=(10e6, 50e6), poles=(1e6, 100e6, 1e9)),),
@@ -364,6 +383,20 @@ class TestValidationAndDeterminism:
         assert rc == 1
         assert "fit" in capsys.readouterr().err
 
+    def test_gnr_underflowing_on_grid_fails_cleanly(self, tmp_path, capsys):
+        # 1e-280 / (2e5)^10 at f_chip underflows to 0; Newton once divided by it
+        chain = owclb.LinkChain(
+            stages=(owclb.RationalPoleZero(dc_gain=1e-140, poles=(1e3,) * 5),),
+            noise=owclb.NoiseSpectrum(floor=1.0),
+        )
+        path = tmp_path / "under.json"
+        owclb.save_chain(chain, path)
+        rc = run_cli("optimize-newton", "--channel", str(path), "--budget", "1e-300")
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "owclb: optimize-newton failed: gnr_k entries must be positive and finite\n"
+        )
+
     @pytest.mark.parametrize(
         "stage, noise, where",
         [
@@ -433,6 +466,29 @@ class TestValidationAndDeterminism:
     )
     def test_k_1_still_accepted_without_newton(self, channel_path, argv):
         assert run_cli(*argv, "--channel", channel_path, "--k", "1") == 0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["optimize-newton", "--budget", "1e6"],
+            ["optimize-hh", "--budget", "1e6"],
+            ["compare", "--budget", "1e6"],
+            ["rate-curve", "--sweep", "power:1e4:1e9:4:log"],
+        ],
+        ids=["optimize-newton", "optimize-hh", "compare", "power-sweep"],
+    )
+    def test_allocation_failure_exits_1_without_traceback(self, channel_path, capsys,
+                                                          monkeypatch, argv):
+        # an absurd --k fails to allocate its grid; the patch raises that error
+        # without allocating anything
+        def no_memory(cls, g, K, f_chip):
+            raise MemoryError("Unable to allocate 72.8 TiB for an array")
+
+        monkeypatch.setattr(owclb.SubcarrierGrid, "from_model", classmethod(no_memory))
+        assert run_cli(*argv, "--channel", channel_path, "--k", "64") == 1
+        err = capsys.readouterr().err
+        assert err == f"owclb: {argv[0]} failed: Unable to allocate 72.8 TiB for an array\n"
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize(
         "argv, message",

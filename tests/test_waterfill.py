@@ -14,6 +14,11 @@ def uniform_grid(f_chip: float, k: int) -> np.ndarray:
     return (f_chip / k) * np.arange(1, k + 1)
 
 
+def subcarriers(g, k, f_chip: float) -> owclb.SubcarrierGrid:
+    """g sampled on the k subcarriers that newton_fmax solves on."""
+    return owclb.SubcarrierGrid.from_model(g, k, f_chip)
+
+
 class TestPsdOpt:
     def test_zero_at_fmax(self, ref_model, gap):
         assert owclb.psd_opt(ref_model, gap, 30e6, 30e6) == 0.0
@@ -258,19 +263,19 @@ class TestNewton:
         g = owclb.MagSqPoleZeroGnr(gnr0=1e9, poles=(10e6,))
         gamma = 2.0
         budget = (2.0 / 3.0) * (gamma / 1e9) * 10e6
-        sol = owclb.newton_fmax(g, gamma, budget, 512, 200e6)
+        sol = owclb.newton_fmax(g, gamma, budget, subcarriers(g, 512, 200e6))
         delta = 200e6 / 512
         assert abs(sol.f_max - 10e6) <= delta
         assert sol.sigma2 <= budget
 
     def test_tiny_budget_snaps_to_first_subcarrier(self, ref_model, gap):
-        sol = owclb.newton_fmax(ref_model, gap, 1e-30, 64, 200e6)
+        sol = owclb.newton_fmax(ref_model, gap, 1e-30, subcarriers(ref_model, 64, 200e6))
         assert sol.f_max == 200e6 / 64
         assert sol.sigma2 == 0.0
         assert not sol.saturated
 
     def test_saturation_clamped_at_chip(self, ref_model, gap):
-        sol = owclb.newton_fmax(ref_model, gap, 1e30, 64, 200e6)
+        sol = owclb.newton_fmax(ref_model, gap, 1e30, subcarriers(ref_model, 64, 200e6))
         assert sol.saturated
         assert sol.f_max == 200e6
         assert sol.sigma2 <= 1e30
@@ -283,8 +288,9 @@ class TestNewton:
         def power(ks):
             return delta * float(np.sum(np.maximum(0.0, w[ks - 1] - w[:ks])))
 
+        grid = subcarriers(ref_model, k, f_chip)
         for budget in np.geomspace(1e2, 3e9, 15):
-            sol = owclb.newton_fmax(ref_model, gap, float(budget), k, f_chip)
+            sol = owclb.newton_fmax(ref_model, gap, float(budget), grid)
             ks = int(round(sol.f_max / delta))
             assert sol.sigma2 <= budget
             assert sol.sigma2 == pytest.approx(power(ks), rel=1e-12, abs=0.0)
@@ -293,12 +299,13 @@ class TestNewton:
 
     def test_iteration_count_stays_small(self, ref_model, gap):
         full = owclb.sigma2_of_fmax(ref_model, gap, 200e6)
+        grid = subcarriers(ref_model, 64, 200e6)
         for frac in np.geomspace(1e-6, 0.99, 25):
-            sol = owclb.newton_fmax(ref_model, gap, full * float(frac), 64, 200e6)
+            sol = owclb.newton_fmax(ref_model, gap, full * float(frac), grid)
             assert sol.iterations <= 20
 
     def test_kkt_conditions(self, ref_model, gap):
-        sol = owclb.newton_fmax(ref_model, gap, 1e7, 64, 200e6)
+        sol = owclb.newton_fmax(ref_model, gap, 1e7, subcarriers(ref_model, 64, 200e6))
         w = gap.gamma_linear / ref_model.evaluate(sol.f_hz)
         assert np.all(sol.psd >= 0.0)
         support = sol.psd > 0.0
@@ -309,16 +316,15 @@ class TestNewton:
         assert np.all(np.abs(slack) <= 1e-12 * sol.water_level**2)
 
     def test_sigma2_consistent_with_psd_samples(self, ref_model, gap):
-        sol = owclb.newton_fmax(ref_model, gap, 2e8, 64, 200e6)
+        sol = owclb.newton_fmax(ref_model, gap, 2e8, subcarriers(ref_model, 64, 200e6))
         delta = sol.f_hz[1] - sol.f_hz[0]
         assert sol.sigma2 == pytest.approx(delta * float(np.sum(sol.psd)), rel=1e-12)
 
     def test_rate_sweep_monotone_and_tracks_continuous_curve(self, ref_model, gap):
         full = owclb.sigma2_of_fmax(ref_model, gap, 200e6)
         budgets = np.geomspace(full * 1e-5, full * 0.9, 25)
-        rates = np.array(
-            [owclb.newton_fmax(ref_model, gap, float(b), 512, 200e6).rate for b in budgets]
-        )
+        grid = subcarriers(ref_model, 512, 200e6)
+        rates = np.array([owclb.newton_fmax(ref_model, gap, float(b), grid).rate for b in budgets])
         assert np.all(np.diff(rates) >= 0.0)
         # continuous counterpart: invert sigma2(f_max) = budget, then the
         # closed-form rate; the grid solution sits below it (right-endpoint
@@ -345,7 +351,7 @@ class TestNewton:
 
     def test_non_monotone_rejected(self, bump_model):
         with pytest.raises(owclb.NonMonotoneGnrError):
-            owclb.newton_fmax(bump_model, 1.0, 1e6, 64, 1e9)
+            owclb.newton_fmax(bump_model, 1.0, 1e6, subcarriers(bump_model, 64, 1e9))
 
     @pytest.mark.parametrize("cap", [0, 1, 2, 3, None])
     def test_matches_first_search(self, monkeypatch, cap):
@@ -355,7 +361,8 @@ class TestNewton:
         rng = np.random.default_rng(2024 + (cap or 0))
         for _ in range(80):
             case = _newton_case(rng)
-            sol = owclb.newton_fmax(*case)
+            g, gamma, budget, k, f_chip = case
+            sol = owclb.newton_fmax(g, gamma, budget, subcarriers(g, k, f_chip))
             assert_same_solution(sol, _oracles.newton_fmax_search(*case))
             if cap is not None:
                 assert sol.iterations <= cap
@@ -376,7 +383,7 @@ class TestNewton:
         for budget in (3e5, 1e7, 2e8):
             for k in (64, 1024):
                 calls.clear()
-                sol = owclb.newton_fmax(ref_model, gap, budget, k, 200e6)
+                sol = owclb.newton_fmax(ref_model, gap, budget, subcarriers(ref_model, k, 200e6))
                 attempts = len(calls)
                 calls.clear()
                 ref = _oracles.newton_fmax_search(ref_model, gap, budget, k, 200e6)
@@ -385,13 +392,13 @@ class TestNewton:
 
     def test_invalid_budget(self, ref_model, gap):
         with pytest.raises(ValueError):
-            owclb.newton_fmax(ref_model, gap, 0.0, 64, 200e6)
+            owclb.newton_fmax(ref_model, gap, 0.0, subcarriers(ref_model, 64, 200e6))
 
     def test_invalid_k(self, ref_model, gap):
+        with pytest.raises(ValueError, match="K must be an integer >= 2, got 1"):
+            owclb.newton_fmax(ref_model, gap, 1.0, subcarriers(ref_model, 1, 200e6))
         with pytest.raises(ValueError):
-            owclb.newton_fmax(ref_model, gap, 1.0, 1, 200e6)
-        with pytest.raises(ValueError):
-            owclb.newton_fmax(ref_model, gap, 1.0, 64.0, 200e6)
+            owclb.newton_fmax(ref_model, gap, 1.0, subcarriers(ref_model, 64.0, 200e6))
 
 
 class TestWaterlevel:
@@ -399,7 +406,7 @@ class TestWaterlevel:
         k, f_chip = 64, 200e6
         grid = uniform_grid(f_chip, k)
         for budget in (1e4, 1e6, 1e8):
-            sol_n = owclb.newton_fmax(ref_model, gap, budget, k, f_chip)
+            sol_n = owclb.newton_fmax(ref_model, gap, budget, subcarriers(ref_model, k, f_chip))
             if sol_n.sigma2 == 0.0:
                 continue
             sol_w = owclb.waterlevel_solve(ref_model, gap, sol_n.sigma2, grid)
@@ -441,6 +448,11 @@ class TestWaterlevel:
             assert sol.island == _oracles.island_scan(sol)
             found += len(sol.island) > 1
         assert found > 50
+
+    def test_refuses_scalar_function(self):
+        # the GNR function takes the array of grid frequencies
+        with pytest.raises(ValueError, match="one GNR per grid frequency, got shape"):
+            owclb.waterlevel_solve(lambda f: 1e6, 1.0, 1.0, uniform_grid(1e6, 8))
 
     def test_bump_model_large_budget_island_empty(self, bump_model):
         grid = uniform_grid(1e9, 4096)
@@ -543,7 +555,7 @@ class TestPowerMap:
 
 class TestSolutionCsv:
     def test_round_trip(self, ref_model, gap, tmp_path):
-        sol = owclb.newton_fmax(ref_model, gap, 3e7, 64, 200e6)
+        sol = owclb.newton_fmax(ref_model, gap, 3e7, subcarriers(ref_model, 64, 200e6))
         path = tmp_path / "sol.csv"
         owclb.write_solution_csv(sol, path)
         loaded = owclb.read_solution_csv(path)
