@@ -290,7 +290,7 @@ def cmd_fit(args) -> int:
     )
     fits = {}
     if args.scan_orders:
-        for m, n, res in fit._order_fits(table, fcfg):
+        for m, n, res in fit.scan_orders(table, fcfg):
             print(f"order M={m} N={n}: rms={res.rms_db_error:.4f} dB")
             fits[m, n] = res
     # the scan's last row is the requested order; refit only if it was skipped

@@ -246,9 +246,10 @@ def residual_scan(data: ResponseTable, model: MagSqPoleZeroGnr) -> np.ndarray:
     return 10.0 * np.log10(model.evaluate(data.frequencies)) - 10.0 * np.log10(data.values)
 
 
-def _order_fits(data: ResponseTable, cfg: FitConfig):
-    """(n_zeros, n_poles, FitResult) over the (M, N) grid up to the configured
-    order, the configured order last; orders with too few rows are skipped."""
+def scan_orders(data: ResponseTable, cfg: FitConfig):
+    """Refit over the (M, N) grid up to the configured order, the configured
+    order last; yields (n_zeros, n_poles, FitResult) for model-order
+    inspection and skips orders with too few rows."""
     for m in range(cfg.n_zeros + 1):
         for n in range(max(1, m), cfg.n_poles + 1):
             try:
@@ -256,12 +257,6 @@ def _order_fits(data: ResponseTable, cfg: FitConfig):
             except ValueError:
                 continue
             yield m, n, res
-
-
-def scan_orders(data: ResponseTable, cfg: FitConfig) -> list[tuple[int, int, float]]:
-    """Refit over the (M, N) grid up to the configured order; returns
-    (n_zeros, n_poles, rms_db) rows for model-order inspection."""
-    return [(m, n, res.rms_db_error) for m, n, res in _order_fits(data, cfg)]
 
 
 def model_to_channel_dict(model: MagSqPoleZeroGnr) -> dict:

@@ -12,14 +12,15 @@ one-dimensional search over f_max:
 * ``rate_closed_form`` throughput in bit/s, closed form in f_max
 * ``dsigma2_dfmax``    analytic derivative of the power w.r.t. f_max
 * ``SubcarrierGrid``   the DCO-OFDM subcarriers f_k = k * Delta_B with the
-                       GNR sampled once on them; the Newton search and the
-                       bit loaders in ``bitload`` all run on it
+                       GNR sampled once on them; the Newton search, the
+                       exact water level and the bit loaders in
+                       ``bitload`` all run on it
 * ``newton_fmax``      grid-snapped Newton search for f_max given a budget,
                        one bracketed loop that takes bracket midpoints
                        once Newton is unusable
 * ``waterlevel_solve`` exact water level for arbitrary (also
-                       non-monotone) GNR shapes on a grid, with island
-                       reporting
+                       non-monotone) GNR samples on the grid's equal
+                       Delta_B cells, with island reporting
 
 When the GNR is flat the f_max parameterization degenerates (S is zero
 for every f_max); ``waterlevel_solve`` is the designated path for flat or
@@ -116,9 +117,17 @@ def _require_monotone(g: MagSqPoleZeroGnr, f_hi: float, op: str) -> None:
         )
 
 
-def _inv_gnr(g: MagSqPoleZeroGnr, gamma: float, f):
-    """Gamma / GNR(f), the inverse-channel curve the water fills against."""
-    return gamma / g.evaluate(f)
+def _gnr_at_fmax(g: MagSqPoleZeroGnr, f_max: float):
+    """GNR(f_max), refused before anything divides by it if it is not > 0."""
+    gnr = g.evaluate(f_max)
+    if not gnr > 0.0:
+        raise ValueError(f"GNR at f_max={f_max:g} Hz is {float(gnr)!r}, not > 0 (underflow)")
+    return gnr
+
+
+def _inv_gnr(g: MagSqPoleZeroGnr, gamma: float, f_max: float):
+    """Gamma / GNR(f_max), the water level that f_max pins."""
+    return gamma / _gnr_at_fmax(g, f_max)
 
 
 def psd_opt(g: MagSqPoleZeroGnr, gap, f_max: float, f) -> float:
@@ -198,7 +207,7 @@ def dsigma2_dfmax(g: MagSqPoleZeroGnr, gap, f_max: float) -> float:
         bracket += 1.0 / (fp * fp + u)
     for fz in g.zeros:
         bracket -= 1.0 / (fz * fz + u)
-    return 2.0 * gamma * u * bracket / float(g.evaluate(f_max))
+    return 2.0 * gamma * u * bracket / float(_gnr_at_fmax(g, f_max))
 
 
 def rate_closed_form(g: MagSqPoleZeroGnr, gap, f_max: float) -> float:
@@ -266,6 +275,28 @@ class SubcarrierGrid:
         return bool(np.all(g[1:] <= g[:-1] * (1.0 + 1e-12)))
 
 
+def _check_budget(sigma2_budget: float) -> None:
+    if not math.isfinite(sigma2_budget) or sigma2_budget <= 0.0:
+        raise ValueError(f"sigma2_budget must be > 0, got {float(sigma2_budget)!r}")
+
+
+def _solution(
+    grid: SubcarrierGrid, gamma: float, level: float, psd, n: int, sigma2: float, **extra
+) -> WaterfillSolution:
+    """The solution whose PSD loads the first n subcarriers of the grid."""
+    f_k, gnr_k = grid.f_k, grid.gnr_k
+    return WaterfillSolution(
+        f_max=float(f_k[n - 1]),
+        water_level=level,
+        f_hz=f_k,
+        psd=psd,
+        gnr=gnr_k,
+        sigma2=sigma2,
+        rate=grid.delta_b * float(np.sum(np.log2(1.0 + psd[:n] * gnr_k[:n] / gamma))),
+        **extra,
+    )
+
+
 def _nearest_index(f: float, delta: float, k_max: int) -> int:
     """Nearest grid index to f, ties broken toward the lower index."""
     kf = f / delta
@@ -307,12 +338,10 @@ def newton_fmax(
     K, delta, f_chip = grid.K, grid.delta_b, grid.f_chip
     if K < 2:
         raise ValueError(f"K must be an integer >= 2, got {K!r}")
-    if not math.isfinite(sigma2_budget) or sigma2_budget <= 0.0:
-        raise ValueError(f"sigma2_budget must be > 0, got {sigma2_budget!r}")
+    _check_budget(sigma2_budget)
     _require_monotone(g, f_chip, "newton_fmax")
 
-    f_k, gnr_k = grid.f_k, grid.gnr_k
-    w_k = gamma / gnr_k
+    w_k = gamma / grid.gnr_k
 
     def power(ks: int) -> float:
         return delta * float(np.sum(np.maximum(0.0, w_k[ks - 1] - w_k[:ks])))
@@ -343,87 +372,48 @@ def newton_fmax(
     level = float(w_k[lo - 1])
     psd = np.maximum(0.0, level - w_k)
     psd[lo:] = 0.0
-    return WaterfillSolution(
-        f_max=float(f_k[lo - 1]),
-        water_level=level,
-        f_hz=f_k,
-        psd=psd,
-        gnr=gnr_k,
-        sigma2=p_lo,
-        rate=delta * float(np.sum(np.log2(1.0 + psd[:lo] * gnr_k[:lo] / gamma))),
-        saturated=saturated,
-        iterations=iters,
-    )
+    return _solution(grid, gamma, level, psd, lo, p_lo, saturated=saturated, iterations=iters)
 
 
 # ---------------------------------------------------------------------------
 # exact water level (general GNR shapes)
 
 
-def waterlevel_solve(g_eval, gap, sigma2_budget: float, f_grid) -> WaterfillSolution:
+def waterlevel_solve(grid: SubcarrierGrid, gap, sigma2_budget: float) -> WaterfillSolution:
     """Solve the water level exactly so the allocated power meets the budget.
 
-    ``g_eval`` is any function from an array of frequencies to the array
-    of their linear GNRs (a ``MagSqPoleZeroGnr`` works directly); no
-    monotonicity is assumed.  The PSD on the grid is
-    S = max(0, v - Gamma/GNR); power is accumulated with left cell widths
-    (f_i - f_{i-1}, first cell anchored at 0), which matches the discrete
-    sum used by ``newton_fmax`` on a uniform grid.
-    The level comes from the active set (Palomar & Fonollosa, IEEE TSP
-    2005): with w = Gamma/GNR stably sorted, v_j = (budget + sum of
-    width*w) / (sum of width) over the j cheapest cells, at the largest j
-    with v_j > w_(j).  Zero-power intervals below f_max are reported as
-    islands.
+    ``grid`` holds the GNR sampled on the K subcarriers; no monotonicity is
+    assumed.  The PSD is S_k = max(0, v - Gamma/GNR_k) on K equal cells of
+    width Delta_B, so power and rate are the same discrete sums
+    ``newton_fmax`` takes.  The level comes from the active set (Palomar &
+    Fonollosa, IEEE TSP 2005): with w = Gamma/GNR sorted,
+    v_j = (budget/Delta_B + w_(1) + ... + w_(j)) / j over the j cheapest
+    cells, at the largest j with v_j > w_(j).  Zero-power intervals below
+    f_max are reported as islands.
     """
     gamma = _gamma_value(gap)
-    if not math.isfinite(sigma2_budget) or sigma2_budget <= 0.0:
-        raise ValueError(f"sigma2_budget must be > 0, got {sigma2_budget!r}")
-    f = np.asarray(f_grid, dtype=float)
-    if f.ndim != 1 or f.size < 2:
-        raise ValueError("f_grid must be a 1-d array with at least 2 points")
-    if np.any(f <= 0.0) or np.any(np.diff(f) <= 0.0):
-        raise ValueError("f_grid must be positive and strictly increasing")
+    _check_budget(sigma2_budget)
+    delta = grid.delta_b
+    w = gamma / grid.gnr_k
 
-    gnr = np.asarray(g_eval(f), dtype=float)
-    if gnr.shape != f.shape:
-        raise ValueError(f"g_eval must return one GNR per grid frequency, got shape {gnr.shape}")
-    if np.any(~np.isfinite(gnr)) or np.any(gnr <= 0.0):
-        raise ValueError("GNR must be positive and finite on the grid")
-    w = gamma / gnr
-    widths = np.diff(f, prepend=0.0)
-
-    order = np.argsort(w, kind="stable")
-    w_sorted, cells = w[order], widths[order]
-    levels = (sigma2_budget + np.cumsum(cells * w_sorted)) / np.cumsum(cells)
-    lifted = np.nonzero(levels > w_sorted)[0]
+    w_sorted = np.sort(w)
+    levels = (sigma2_budget / delta + np.cumsum(w_sorted)) / np.arange(1, grid.K + 1)
+    lifted = np.flatnonzero(levels > w_sorted)
     if lifted.size == 0:
         raise RuntimeError("no active frequencies at the water level: budget too small")
     v = float(levels[lifted[-1]])
 
     psd = np.maximum(0.0, v - w)
-    last = int(np.nonzero(psd > 0.0)[0][-1])
-    f_max = float(f[last])
-
-    # runs of zero power below f_max: [start, stop) between the mask's edges
-    edges = np.flatnonzero(np.diff(np.concatenate(([0], psd[:last] == 0.0, [0]))))
-    islands = tuple((float(f[a]), float(f[b - 1])) for a, b in zip(edges[::2], edges[1::2]))
-
-    rate = float(np.sum(widths * np.log2(1.0 + psd * gnr / gamma)))
-    return WaterfillSolution(
-        f_max=f_max,
-        water_level=float(v),
-        f_hz=f,
-        psd=psd,
-        gnr=gnr,
-        sigma2=float(np.sum(widths * psd)),
-        rate=rate,
-        island=islands,
-        saturated=False,
-        iterations=0,
-    )
+    last = int(np.flatnonzero(psd)[-1])
+    # runs of zero power below f_max: [start, stop) between the mask's edges,
+    # reported as the frequencies of subcarriers start+1 and stop
+    edges = np.flatnonzero(np.diff(np.concatenate(([0], psd[:last] == 0.0, [0])))).tolist()
+    islands = tuple((delta * (a + 1), delta * b) for a, b in zip(edges[::2], edges[1::2]))
+    sigma2 = delta * float(np.sum(psd))
+    return _solution(grid, gamma, v, psd, last + 1, sigma2, island=islands)
 
 
-def sigma2_from_power(power_budget: float, power_map=None, *, hi_guess: float = 1.0) -> float:
+def sigma2_from_power(power_budget: float, power_map=None) -> float:
     """Invert a monotone power-draw map P_T = g(sigma2) to a variance budget.
 
     The identity map is the default (budgets already are variances).  Any
@@ -434,7 +424,7 @@ def sigma2_from_power(power_budget: float, power_map=None, *, hi_guess: float = 
         return float(power_budget)
     if power_budget <= 0.0:
         raise ValueError("power_budget must be > 0")
-    lo, hi = 0.0, float(hi_guess)
+    lo, hi = 0.0, 1.0
     for _ in range(200):
         if power_map(hi) >= power_budget:
             break

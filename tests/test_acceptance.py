@@ -109,31 +109,29 @@ def test_criterion_4_cross_validation_and_islands():
     with criterion(4, "Newton/water-level agreement plus island regimes with KKT"):
         # monotone channels: the two solvers must agree on the rate at the
         # same realized power (Newton stops within one grid step of the
-        # budget, so its achieved sigma2 is what the bisection must match)
+        # budget, so its achieved sigma2 is what the exact water level must match)
         rng = np.random.default_rng(99)
         k, f_chip = 64, 200e6
-        grid = (f_chip / k) * np.arange(1, k + 1)
         models = [REF_MODEL] + [random_monotone_model(rng) for _ in range(5)]
         for g in models:
             full_g = owclb.sigma2_of_fmax(g, GAP, f_chip)
+            grid = owclb.SubcarrierGrid.from_model(g, k, f_chip)
             for frac in (1e-3, 0.3):
-                sol_n = owclb.newton_fmax(
-                    g, GAP, full_g * frac, owclb.SubcarrierGrid.from_model(g, k, f_chip)
-                )
+                sol_n = owclb.newton_fmax(g, GAP, full_g * frac, grid)
                 if sol_n.sigma2 <= 0.0:
                     continue
-                sol_w = owclb.waterlevel_solve(g, GAP, sol_n.sigma2, grid)
+                sol_w = owclb.waterlevel_solve(grid, GAP, sol_n.sigma2)
                 assert sol_w.rate == pytest.approx(sol_n.rate, rel=1e-6)
 
-        fine = np.linspace(1e9 / 4096, 1e9, 4096)
-        w = 1.0 / BUMP_MODEL.evaluate(fine)
-        widths = np.diff(fine, prepend=0.0)
+        fine = owclb.SubcarrierGrid.from_model(BUMP_MODEL, 4096, 1e9)
+        w = 1.0 / fine.gnr_k
+        widths = fine.delta_b
 
         def power_at_level(v):
             return float(np.sum(widths * np.maximum(0.0, v - w)))
 
         # mid budget: the water level sits below the local inverse-GNR bump
-        mid = owclb.waterlevel_solve(BUMP_MODEL, 1.0, power_at_level(40.0), fine)
+        mid = owclb.waterlevel_solve(fine, 1.0, power_at_level(40.0))
         assert mid.island, "expected a forced zero-power island"
         lo, hi = mid.island[0]
         inside = (mid.f_hz >= lo) & (mid.f_hz <= hi)
@@ -151,7 +149,7 @@ def test_criterion_4_cross_validation_and_islands():
             )
 
         # large budget: the level tops the bump and the island vanishes
-        big = owclb.waterlevel_solve(BUMP_MODEL, 1.0, power_at_level(200.0), fine)
+        big = owclb.waterlevel_solve(fine, 1.0, power_at_level(200.0))
         assert big.island == ()
         assert np.all(big.psd[big.f_hz < big.f_max] > 0.0)
 

@@ -110,9 +110,8 @@ class TestFitEdgeCases:
     def test_scan_orders_prefers_true_order(self):
         true = owclb.MagSqPoleZeroGnr(gnr0=3.0, poles=(2e6, 70e6))
         table = synth_table(true, 1e4, 1e9, 120)
-        rows = owclb.scan_orders(
-            table, owclb.FitConfig(n_zeros=1, n_poles=3, f_range=(1e4, 1e9), seed=2, multistarts=8)
-        )
+        cfg = owclb.FitConfig(n_zeros=1, n_poles=3, f_range=(1e4, 1e9), seed=2, multistarts=8)
+        rows = [(m, n, res.rms_db_error) for m, n, res in owclb.scan_orders(table, cfg)]
         best = min(rows, key=lambda r: r[2])
         assert best[2] < 1e-5
         # the true order (0,2) must be essentially exact

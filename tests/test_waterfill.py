@@ -404,12 +404,12 @@ class TestNewton:
 class TestWaterlevel:
     def test_matches_newton_at_same_realized_power(self, ref_model, gap):
         k, f_chip = 64, 200e6
-        grid = uniform_grid(f_chip, k)
+        grid = subcarriers(ref_model, k, f_chip)
         for budget in (1e4, 1e6, 1e8):
-            sol_n = owclb.newton_fmax(ref_model, gap, budget, subcarriers(ref_model, k, f_chip))
+            sol_n = owclb.newton_fmax(ref_model, gap, budget, grid)
             if sol_n.sigma2 == 0.0:
                 continue
-            sol_w = owclb.waterlevel_solve(ref_model, gap, sol_n.sigma2, grid)
+            sol_w = owclb.waterlevel_solve(grid, gap, sol_n.sigma2)
             assert sol_w.rate == pytest.approx(sol_n.rate, rel=1e-6)
             # f_max bookkeeping may differ by one cell: the Newton solution
             # reports the snapped water-level frequency, where S is exactly 0
@@ -417,13 +417,13 @@ class TestWaterlevel:
             np.testing.assert_allclose(sol_w.psd, sol_n.psd, rtol=1e-6, atol=1e-9 * sol_n.water_level)
 
     def test_power_converges_to_budget(self, ref_model, gap):
-        grid = uniform_grid(200e6, 256)
-        sol = owclb.waterlevel_solve(ref_model, gap, 5e7, grid)
+        grid = subcarriers(ref_model, 256, 200e6)
+        sol = owclb.waterlevel_solve(grid, gap, 5e7)
         assert sol.sigma2 == pytest.approx(5e7, rel=1e-9)
 
     def test_bump_model_mid_budget_has_island(self, bump_model):
-        grid = uniform_grid(1e9, 4096)
-        sol = owclb.waterlevel_solve(bump_model, 1.0, 4.85e9, grid)
+        grid = subcarriers(bump_model, 4096, 1e9)
+        sol = owclb.waterlevel_solve(grid, 1.0, 4.85e9)
         assert sol.island
         lo, hi = sol.island[0]
         assert 0.0 < lo < hi < sol.f_max
@@ -440,29 +440,23 @@ class TestWaterlevel:
         found = 0
         for _ in range(300):
             n = int(rng.integers(2, 40))
-            f = np.sort(rng.choice(np.arange(1, 4 * n + 1), n, replace=False)).astype(float)
-            table = dict(zip(f, 10.0 ** rng.uniform(-3.0, 3.0, n)))
-            w_span = float(np.sum(np.diff(f, prepend=0.0) / min(table.values())))
+            grid = owclb.SubcarrierGrid(K=n, f_chip=float(n), gnr_k=10.0 ** rng.uniform(-3.0, 3.0, n))
+            w_span = grid.f_chip / float(np.min(grid.gnr_k))
             budget = w_span * float(10.0 ** rng.uniform(-4.0, 0.0))
-            sol = owclb.waterlevel_solve(lambda x: np.vectorize(table.get)(x), 1.0, budget, f)
+            sol = owclb.waterlevel_solve(grid, 1.0, budget)
             assert sol.island == _oracles.island_scan(sol)
             found += len(sol.island) > 1
         assert found > 50
 
-    def test_refuses_scalar_function(self):
-        # the GNR function takes the array of grid frequencies
-        with pytest.raises(ValueError, match="one GNR per grid frequency, got shape"):
-            owclb.waterlevel_solve(lambda f: 1e6, 1.0, 1.0, uniform_grid(1e6, 8))
-
     def test_bump_model_large_budget_island_empty(self, bump_model):
-        grid = uniform_grid(1e9, 4096)
-        sol = owclb.waterlevel_solve(bump_model, 1.0, 1.6e11, grid)
+        grid = subcarriers(bump_model, 4096, 1e9)
+        sol = owclb.waterlevel_solve(grid, 1.0, 1.6e11)
         assert sol.island == ()
         assert np.all(sol.psd[sol.f_hz < sol.f_max] > 0.0)
 
     def test_kkt_pointwise(self, bump_model):
-        grid = uniform_grid(1e9, 2048)
-        sol = owclb.waterlevel_solve(bump_model, 1.0, 4.85e9, grid)
+        grid = subcarriers(bump_model, 2048, 1e9)
+        sol = owclb.waterlevel_solve(grid, 1.0, 4.85e9)
         w = 1.0 / bump_model.evaluate(sol.f_hz)
         assert np.all(sol.psd >= 0.0)
         slack = sol.psd * (sol.water_level - w - sol.psd)
@@ -474,42 +468,61 @@ class TestWaterlevel:
 
     def test_flat_channel_uniform_spread(self):
         g = owclb.MagSqPoleZeroGnr(gnr0=1e6)
-        grid = uniform_grid(1e8, 100)
-        sol = owclb.waterlevel_solve(g, 1.0, 1.0, grid)
-        np.testing.assert_allclose(sol.psd, 1.0 / 1e8, rtol=1e-9)
+        for k in (100, 1):  # K = 1: the one cell takes the whole budget
+            sol = owclb.waterlevel_solve(subcarriers(g, k, 1e8), 1.0, 1.0)
+            np.testing.assert_allclose(sol.psd, 1.0 / 1e8, rtol=1e-9)
 
     def test_small_budget_lifts_the_cheapest_cell(self):
         # a bisection to a power tolerance gave up here; the exact level does not
         g = owclb.MagSqPoleZeroGnr(gnr0=1e6, poles=(1e7,))
-        grid = uniform_grid(200e6, 64)
-        sol = owclb.waterlevel_solve(g, 1.0, 1e-9, grid)
-        assert sol.f_max == grid[0]
+        grid = subcarriers(g, 64, 200e6)
+        sol = owclb.waterlevel_solve(grid, 1.0, 1e-9)
+        assert sol.f_max == grid.f_k[0]
         assert sol.island == ()
         assert sol.iterations == 0
-        assert sol.water_level > 1.0 / float(g.evaluate(grid[0]))
+        assert sol.water_level > 1.0 / float(g.evaluate(grid.f_k[0]))
         assert sol.sigma2 == pytest.approx(1e-9, rel=1e-6)
 
     def test_budget_lost_in_rounding_has_no_active_cell(self):
         g = owclb.MagSqPoleZeroGnr(gnr0=1e6, poles=(1e7,))
         with pytest.raises(RuntimeError, match="no active frequencies"):
-            owclb.waterlevel_solve(g, 1.0, 1e-30, uniform_grid(200e6, 64))
+            owclb.waterlevel_solve(subcarriers(g, 64, 200e6), 1.0, 1e-30)
 
     def test_budget_must_be_positive(self, ref_model, gap):
         with pytest.raises(ValueError):
-            owclb.waterlevel_solve(ref_model, gap, 0.0, uniform_grid(1e8, 16))
+            owclb.waterlevel_solve(subcarriers(ref_model, 16, 1e8), gap, 0.0)
         with pytest.raises(ValueError):
-            owclb.waterlevel_solve(ref_model, gap, -1.0, uniform_grid(1e8, 16))
+            owclb.waterlevel_solve(subcarriers(ref_model, 16, 1e8), gap, -1.0)
+
+    def test_budget_message_prints_a_plain_float(self, ref_model, gap):
+        grid = subcarriers(ref_model, 16, 1e8)
+        for solve in (
+            lambda b: owclb.waterlevel_solve(grid, gap, b),
+            lambda b: owclb.newton_fmax(ref_model, gap, b, grid),
+        ):
+            with pytest.raises(ValueError, match=r"^sigma2_budget must be > 0, got -1\.0$"):
+                solve(np.float64(-1.0))
 
     def test_accepts_plain_callable(self, gap):
-        grid = uniform_grid(1e8, 64)
-        sol = owclb.waterlevel_solve(lambda f: 1e9 / (1.0 + (f / 1e7) ** 2), gap, 1.0, grid)
+        grid = owclb.SubcarrierGrid.from_model(lambda f: 1e9 / (1.0 + (f / 1e7) ** 2), 64, 1e8)
+        sol = owclb.waterlevel_solve(grid, gap, 1.0)
         assert sol.sigma2 == pytest.approx(1.0, rel=1e-9)
 
-    def test_invalid_grid_rejected(self, ref_model, gap):
-        with pytest.raises(ValueError, match="increasing"):
-            owclb.waterlevel_solve(ref_model, gap, 1.0, np.array([2e6, 1e6]))
-        with pytest.raises(ValueError):
-            owclb.waterlevel_solve(ref_model, gap, 1.0, np.array([1e6]))
+    def test_non_reducible_chain_beats_greedy_loading_on_one_grid(self):
+        # a Gaussian fiber stage has no pole-zero form: sample it once and
+        # give the same grid and budget to the exact level and to the loader
+        chain = owclb.LinkChain(
+            stages=(
+                owclb.FirstOrderLowPass(dc_gain=1.0, corner=20e6),
+                owclb.GaussianLowPass(dc_gain=1.0, corner=80e6),
+            ),
+            noise=owclb.NoiseSpectrum(floor=1e-12),
+        )
+        grid = owclb.SubcarrierGrid.from_model(lambda f: owclb.gnr_eval(chain, f), 256, 200e6)
+        for budget in (1e-4, 1e-2, 1.0):
+            sol = owclb.waterlevel_solve(grid, 1.0, budget)
+            assert sol.sigma2 == pytest.approx(budget, rel=1e-9)
+            assert owclb.hh_naive(grid, 1.0, budget).rate <= sol.rate
 
     def test_resonant_laser_gets_leading_island(self):
         # a peaked laser lifts the GNR around its relaxation frequency; at a
@@ -523,18 +536,18 @@ class TestWaterlevel:
         def gnr_fn(f):
             return np.asarray(owclb.gnr_eval(chain, f))
 
-        grid = np.linspace(4e9 / 2048, 4e9, 2048)
-        w = 1.0 / gnr_fn(grid)
+        grid = owclb.SubcarrierGrid.from_model(gnr_fn, 2048, 4e9)
+        f = grid.f_k
+        w = 1.0 / grid.gnr_k
         level = 0.5 * float(w[0])
-        widths = np.diff(grid, prepend=0.0)
-        budget = float(np.sum(widths * np.maximum(0.0, level - w)))
-        sol = owclb.waterlevel_solve(gnr_fn, 1.0, budget, grid)
+        budget = grid.delta_b * float(np.sum(np.maximum(0.0, level - w)))
+        sol = owclb.waterlevel_solve(grid, 1.0, budget)
         assert sol.island, "low band should be forced to zero power"
         lead_lo, lead_hi = sol.island[0]
-        assert lead_lo == grid[0]
-        active = grid[sol.psd > 0.0]
+        assert lead_lo == f[0]
+        active = f[sol.psd > 0.0]
         # the resonance peak (just below f_R) carries power
-        f_peak = grid[np.argmax(gnr_fn(grid))]
+        f_peak = f[np.argmax(grid.gnr_k)]
         assert active[0] <= f_peak <= active[-1]
 
 
@@ -542,6 +555,18 @@ def test_gap_from_db_overflow_is_value_error():
     assert owclb.ModulationGap.from_db(3000.0).gamma_linear == 1e300
     with pytest.raises(ValueError, match="modulation gap of 4000.0 dB overflows a float"):
         owclb.ModulationGap.from_db(4000.0)
+
+
+def test_gnr_underflow_at_fmax_is_value_error():
+    # GNR(2e8) = 1e-280 / (1 + (2e5)^2)^5 lies below the smallest subnormal
+    g = owclb.MagSqPoleZeroGnr(gnr0=1e-280, poles=(1e3,) * 5)
+    for call in (
+        owclb.sigma2_of_fmax,
+        lambda g, gap, f_max: owclb.psd_opt(g, gap, f_max, 1e6),
+        owclb.dsigma2_dfmax,
+    ):
+        with pytest.raises(ValueError, match=r"^GNR at f_max=2e\+08 Hz is 0\.0, not > 0"):
+            call(g, 1.0, 2e8)
 
 
 class TestPowerMap:
@@ -569,7 +594,7 @@ class TestSolutionCsv:
         np.testing.assert_array_equal(loaded.gnr, sol.gnr)
 
     def test_island_round_trip(self, bump_model, tmp_path):
-        sol = owclb.waterlevel_solve(bump_model, 1.0, 4.85e9, uniform_grid(1e9, 512))
+        sol = owclb.waterlevel_solve(subcarriers(bump_model, 512, 1e9), 1.0, 4.85e9)
         path = tmp_path / "sol.csv"
         owclb.write_solution_csv(sol, path)
         loaded = owclb.read_solution_csv(path)
