@@ -181,11 +181,9 @@ def _plan(grid, gamma, sigma2_budget, bits, finite_left, search_flops, algorithm
         power[on] = np.where(
             np.isinf(numer), grid.delta_b * gamma / grid.gnr_k[on] * steps, numer / grid.gnr_k[on]
         )
+        total = float(np.cumsum(power)[-1])  # adds in the documented, ascending-k order
     bits.flags.writeable = False
     power.flags.writeable = False
-    total = 0.0
-    for p in power.tolist():  # documented order: ascending subcarrier index
-        total += p
     return BitLoadPlan(
         bits=bits,
         power_k=power,

@@ -27,7 +27,6 @@ import logging
 import math
 import os
 import sys
-from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 
@@ -81,21 +80,8 @@ class CliError(Exception):
     """Validation failure; the message names the offending field."""
 
 
-@dataclass(frozen=True)
-class Sweep:
-    variable: str
-    start: float
-    stop: float
-    points: int
-    log_spaced: bool
-
-    def values(self) -> np.ndarray:
-        if self.log_spaced:
-            return np.geomspace(self.start, self.stop, self.points)
-        return np.linspace(self.start, self.stop, self.points)
-
-
-def _parse_sweep(text: str) -> Sweep:
+def _parse_sweep(text: str) -> tuple[str, np.ndarray]:
+    """The sweep's variable and its points, linearly or log spaced."""
     parts = text.split(":")
     if len(parts) not in (4, 5):
         raise CliError(f"sweep must be VAR:FROM:TO:POINTS[:log], got {text!r}")
@@ -118,7 +104,8 @@ def _parse_sweep(text: str) -> Sweep:
         raise CliError("sweep log spacing needs a positive start")
     if points < 2:
         raise CliError(f"sweep points must be >= 2, got {points}")
-    return Sweep(var, start, stop, points, log_spaced)
+    spacing = np.geomspace if log_spaced else np.linspace
+    return var, spacing(start, stop, points)
 
 
 @lru_cache(maxsize=1)
@@ -156,6 +143,13 @@ def _load_reduced(args) -> linkchain.MagSqPoleZeroGnr:
     return linkchain.reduce_to_polezero(linkchain.load_chain(args.channel))
 
 
+def _load_grid(args):
+    """The reduced channel, the modulation gap, and the channel on the subcarrier grid."""
+    g = _load_reduced(args)
+    gamma = waterfill.ModulationGap.from_db(args.gamma_db)
+    return g, gamma, waterfill.SubcarrierGrid.from_model(g, args.k, args.fchip)
+
+
 def _flat_band_psd(g, grid: waterfill.SubcarrierGrid, budgets: np.ndarray):
     """Baseline: each budget spread uniformly over [0, first pole corner].
 
@@ -175,11 +169,10 @@ def _require_newton_k(k: int) -> None:
 
 
 def cmd_gnr_eval(args) -> int:
-    sweep = _parse_sweep(args.sweep) if args.sweep else Sweep("fmax", 1e3, 1e10, 481, True)
-    if sweep.variable != "fmax":
-        raise CliError(f"sweep variable must be 'fmax' for gnr-eval, got {sweep.variable!r}")
+    variable, freqs = _parse_sweep(args.sweep or "fmax:1e3:1e10:481:log")
+    if variable != "fmax":
+        raise CliError(f"sweep variable must be 'fmax' for gnr-eval, got {variable!r}")
     chain = linkchain.load_chain(args.channel)
-    freqs = sweep.values()
     gain = np.asarray(linkchain.chain_magsq(chain, freqs), dtype=float)
     noise = np.asarray(linkchain.eval_noise_psd(chain.noise, freqs), dtype=float)
     gnr = gain / noise
@@ -196,27 +189,25 @@ def cmd_gnr_eval(args) -> int:
 def cmd_rate_curve(args) -> int:
     if not args.sweep:
         raise CliError("sweep is required for rate-curve")
-    sweep = _parse_sweep(args.sweep)
-    g = _load_reduced(args)
-    gamma = waterfill.ModulationGap.from_db(args.gamma_db)
-
-    if sweep.variable == "fmax":
-        fmaxes = sweep.values()
-        rates = [waterfill.rate_closed_form(g, gamma, fm) for fm in fmaxes]
+    variable, points = _parse_sweep(args.sweep)
+    if variable == "fmax":
+        g = _load_reduced(args)
+        gamma = waterfill.ModulationGap.from_db(args.gamma_db)
+        rates = [waterfill.rate_closed_form(g, gamma, fm) for fm in points]
         linkchain._write_csv(
             args.out,
             ["f_max_hz", "rate_mbit_s"],
-            zip(fmaxes, [r / 1e6 for r in rates]),
+            zip(points, [r / 1e6 for r in rates]),
         )
         if args.out:
             print(f"rate-curve: {len(rates)} points, peak {max(rates) / 1e6:.3f} Mbit/s")
         return 0
 
     _require_newton_k(args.k)
-    if sweep.start <= 0.0:
-        raise CliError(f"sweep budgets must be > 0 V^2, got {sweep.start}")
-    budgets = sweep.values()
-    grid = waterfill.SubcarrierGrid.from_model(g, args.k, args.fchip)
+    budgets = points
+    if budgets[0] <= 0.0:
+        raise CliError(f"sweep budgets must be > 0 V^2, got {float(budgets[0])}")
+    g, gamma, grid = _load_grid(args)
     newton = [waterfill.newton_fmax(g, gamma, b, grid).rate for b in budgets]
     # the sorted pass needs no monotone grid, but the sweep keeps the refusal
     # hh_accelerated made; a rising model has already failed Newton above
@@ -242,9 +233,7 @@ def cmd_optimize_newton(args) -> int:
     if args.budget is None or args.budget <= 0.0:
         raise CliError("budget must be a positive V^2 value for optimize-newton")
     _require_newton_k(args.k)
-    g = _load_reduced(args)
-    gamma = waterfill.ModulationGap.from_db(args.gamma_db)
-    grid = waterfill.SubcarrierGrid.from_model(g, args.k, args.fchip)
+    g, gamma, grid = _load_grid(args)
     sol = waterfill.newton_fmax(g, gamma, args.budget, grid)
     if args.out:
         waterfill.write_solution_csv(sol, args.out)
@@ -259,9 +248,7 @@ def cmd_optimize_newton(args) -> int:
 def cmd_optimize_hh(args) -> int:
     if args.budget is None:
         raise CliError("budget is required for optimize-hh")
-    g = _load_reduced(args)
-    gamma = waterfill.ModulationGap.from_db(args.gamma_db)
-    grid = waterfill.SubcarrierGrid.from_model(g, args.k, args.fchip)
+    _, gamma, grid = _load_grid(args)
     loader = bitload.hh_naive if args.naive else bitload.hh_accelerated
     plan = loader(grid, gamma, args.budget)
     if args.out:
@@ -312,9 +299,7 @@ def cmd_fit(args) -> int:
 def cmd_compare(args) -> int:
     if args.budget is None:
         raise CliError("budget is required for compare")
-    g = _load_reduced(args)
-    gamma = waterfill.ModulationGap.from_db(args.gamma_db)
-    grid = waterfill.SubcarrierGrid.from_model(g, args.k, args.fchip)
+    _, gamma, grid = _load_grid(args)
     naive = bitload.hh_naive(grid, gamma, args.budget)
     accel = bitload.hh_accelerated(grid, gamma, args.budget)
     report = bitload.flop_report(naive, accel)

@@ -13,6 +13,11 @@ Chains built purely from flat, first-order and rational pole-zero stages
 reduce to a canonical M-zero / N-pole form (``MagSqPoleZeroGnr``); other
 stage kinds must go through the ``fit`` module instead.
 
+The channel classes check their fields from their declared types
+(``_Checked``), and the JSON reader parses a document by the same types,
+so a new stage kind is a frozen ``_Checked`` dataclass with typed fields
+and a ``magsq``, listed in ``ComponentResponse``.
+
 All algebra is carried out on magnitude-squared quantities; phase is never
 modeled.  Every type is immutable after construction and every operation
 is a pure function, so shared concurrent use is safe.
@@ -90,21 +95,40 @@ def _polezero(gain: float, zeros, poles, f):
     return out
 
 
+class _Checked:
+    """Base of the channel dataclasses: each field is checked from its declared type.
+
+    In declaration order, ``float`` must be a positive finite number,
+    ``float | None`` that or None, ``tuple[float, ...]`` an iterable of such
+    numbers (stored as a tuple) and ``int`` a positive integer (stored as
+    ``int``).  ``_from_params`` reads a channel document by the same types.
+    """
+
+    def __post_init__(self):
+        for fld in fields(self):
+            name, value = fld.name, getattr(self, fld.name)
+            if fld.type == "int":
+                if int(value) != value or value < 1:
+                    raise ValueError(f"{name} must be a positive integer, got {value!r}")
+                object.__setattr__(self, name, int(value))
+            elif fld.type.startswith("tuple"):
+                object.__setattr__(self, name, _freq_tuple(name, value))
+            elif value is not None or "None" not in fld.type:
+                _check_positive(name, value)
+
+
 @dataclass(frozen=True)
-class FlatGain:
+class FlatGain(_Checked):
     """Frequency-flat stage, e.g. line-of-sight propagation loss."""
 
     gain: float
-
-    def __post_init__(self):
-        _check_positive("gain", self.gain)
 
     def magsq(self, f):
         return self.gain**2 + 0.0 * _as_f(f)
 
 
 @dataclass(frozen=True)
-class FirstOrderLowPass:
+class FirstOrderLowPass(_Checked):
     """Single-pole low pass: |H(f)|^2 = dc_gain^2 / (1 + f^2/corner^2).
 
     Covers carrier-lifetime-limited LEDs, phosphor photoluminescence,
@@ -114,17 +138,13 @@ class FirstOrderLowPass:
     dc_gain: float
     corner: float
 
-    def __post_init__(self):
-        _check_positive("dc_gain", self.dc_gain)
-        _check_positive("corner", self.corner)
-
     def magsq(self, f):
         f = _as_f(f)
         return self.dc_gain**2 / (1.0 + (f / self.corner) ** 2)
 
 
 @dataclass(frozen=True)
-class RationalPoleZero:
+class RationalPoleZero(_Checked):
     """General stage with real corner zeros and poles.
 
     |H(f)|^2 = dc_gain^2 * prod(1 + f^2/fz^2) / prod(1 + f^2/fp^2).
@@ -136,17 +156,12 @@ class RationalPoleZero:
     zeros: tuple[float, ...] = ()
     poles: tuple[float, ...] = ()
 
-    def __post_init__(self):
-        _check_positive("dc_gain", self.dc_gain)
-        object.__setattr__(self, "zeros", _freq_tuple("zeros", self.zeros))
-        object.__setattr__(self, "poles", _freq_tuple("poles", self.poles))
-
     def magsq(self, f):
         return _polezero(self.dc_gain**2, self.zeros, self.poles, f)
 
 
 @dataclass(frozen=True)
-class LaserSecondOrder:
+class LaserSecondOrder(_Checked):
     """Directly modulated laser with relaxation-oscillation dynamics.
 
     |H(f)|^2 = dc_gain^2 * f_R^4 / ((f_R^2 - f^2)^2 + damping^2 f^2).
@@ -158,11 +173,6 @@ class LaserSecondOrder:
     dc_gain: float
     relaxation_freq: float
     damping: float
-
-    def __post_init__(self):
-        _check_positive("dc_gain", self.dc_gain)
-        _check_positive("relaxation_freq", self.relaxation_freq)
-        _check_positive("damping", self.damping)
 
     @property
     def has_resonant_peak(self) -> bool:
@@ -176,7 +186,7 @@ class LaserSecondOrder:
 
 
 @dataclass(frozen=True)
-class GaussianLowPass:
+class GaussianLowPass(_Checked):
     """Gaussian low pass, the usual plastic-optical-fiber model.
 
     |H(f)|^2 = dc_gain^2 * exp(-2 (f/corner)^2).
@@ -185,17 +195,13 @@ class GaussianLowPass:
     dc_gain: float
     corner: float
 
-    def __post_init__(self):
-        _check_positive("dc_gain", self.dc_gain)
-        _check_positive("corner", self.corner)
-
     def magsq(self, f):
         f = _as_f(f)
         return self.dc_gain**2 * np.exp(-2.0 * (f / self.corner) ** 2)
 
 
 @dataclass(frozen=True)
-class BeamSquintSinc:
+class BeamSquintSinc(_Checked):
     """Beam squint of an X-element steered array or reflective surface.
 
     spacing_delay is the per-element compensation delay in seconds (the
@@ -211,13 +217,6 @@ class BeamSquintSinc:
     element_gain: float
     elements: int
     spacing_delay: float
-
-    def __post_init__(self):
-        _check_positive("element_gain", self.element_gain)
-        if int(self.elements) != self.elements or self.elements < 1:
-            raise ValueError(f"elements must be a positive integer, got {self.elements!r}")
-        object.__setattr__(self, "elements", int(self.elements))
-        _check_positive("spacing_delay", self.spacing_delay)
 
     @property
     def dc_amplitude(self) -> float:
@@ -302,7 +301,7 @@ _REDUCIBLE_KINDS = (FlatGain, FirstOrderLowPass, RationalPoleZero)
 
 
 @dataclass(frozen=True)
-class NoiseSpectrum:
+class NoiseSpectrum(_Checked):
     """Receiver output noise PSD with one uplift zero and roll-off poles.
 
         S_N(f) = floor * (1 + f^2/uplift_zero^2)
@@ -321,13 +320,6 @@ class NoiseSpectrum:
     uplift_zero: float | None = None
     rolloff_poles: tuple[float, ...] = ()
     extra_zeros: tuple[float, ...] = ()
-
-    def __post_init__(self):
-        _check_positive("floor", self.floor)
-        if self.uplift_zero is not None:
-            _check_positive("uplift_zero", self.uplift_zero)
-        object.__setattr__(self, "rolloff_poles", _freq_tuple("rolloff_poles", self.rolloff_poles))
-        object.__setattr__(self, "extra_zeros", _freq_tuple("extra_zeros", self.extra_zeros))
 
     def psd(self, f):
         uplift = () if self.uplift_zero is None else (self.uplift_zero,)
@@ -349,7 +341,7 @@ class LinkChain:
 
 
 @dataclass(frozen=True)
-class MagSqPoleZeroGnr:
+class MagSqPoleZeroGnr(_Checked):
     """Canonical spectral GNR: gnr0 * prod(1+f^2/fz^2) / prod(1+f^2/fp^2).
 
     Corner lists are stored sorted ascending.  Instances are hashable and
@@ -361,9 +353,9 @@ class MagSqPoleZeroGnr:
     poles: tuple[float, ...] = ()
 
     def __post_init__(self):
-        _check_positive("gnr0", self.gnr0)
-        object.__setattr__(self, "zeros", tuple(sorted(_freq_tuple("zeros", self.zeros))))
-        object.__setattr__(self, "poles", tuple(sorted(_freq_tuple("poles", self.poles))))
+        super().__post_init__()
+        object.__setattr__(self, "zeros", tuple(sorted(self.zeros)))
+        object.__setattr__(self, "poles", tuple(sorted(self.poles)))
 
     def evaluate(self, f):
         return _polezero(self.gnr0, self.zeros, self.poles, f)
@@ -571,7 +563,8 @@ def _from_params(cls: type, obj, path: str):
 
     Every number in a channel document is a positive corner, gain, floor,
     delay or count; list-typed fields hold positive numbers.  Checks that
-    need more than the JSON value (integer counts) are left to the class.
+    need more than the JSON value (integer counts) are left to the class's
+    field rule, ``_Checked``.
     """
     params = _object(path, obj)
     known = {fld.name: fld for fld in fields(cls)}

@@ -117,17 +117,19 @@ def _require_monotone(g: MagSqPoleZeroGnr, f_hi: float, op: str) -> None:
         )
 
 
-def _gnr_at_fmax(g: MagSqPoleZeroGnr, f_max: float):
-    """GNR(f_max), refused before anything divides by it if it is not > 0."""
-    gnr = g.evaluate(f_max)
+def _gnr_at_fmax(g: MagSqPoleZeroGnr, gamma: float, f_max: float) -> tuple[float, float]:
+    """GNR(f_max) and the water level Gamma/GNR(f_max) it pins.
+
+    Refused before anything uses them unless the GNR is > 0 and the level
+    finite: a subnormal GNR passes the first test but overflows the level.
+    """
+    gnr = float(g.evaluate(f_max))
     if not gnr > 0.0:
-        raise ValueError(f"GNR at f_max={f_max:g} Hz is {float(gnr)!r}, not > 0 (underflow)")
-    return gnr
-
-
-def _inv_gnr(g: MagSqPoleZeroGnr, gamma: float, f_max: float):
-    """Gamma / GNR(f_max), the water level that f_max pins."""
-    return gamma / _gnr_at_fmax(g, f_max)
+        raise ValueError(f"GNR at f_max={f_max:g} Hz is {gnr!r}, not > 0 (underflow)")
+    level = gamma / gnr
+    if not math.isfinite(level):
+        raise ValueError(f"Gamma/GNR at f_max={f_max:g} Hz overflows: GNR is {gnr!r}")
+    return gnr, level
 
 
 def psd_opt(g: MagSqPoleZeroGnr, gap, f_max: float, f) -> float:
@@ -141,7 +143,7 @@ def psd_opt(g: MagSqPoleZeroGnr, gap, f_max: float, f) -> float:
     f_max = _check_positive("f_max", f_max)
     _require_monotone(g, f_max, "psd_opt")
     f_arr = np.asarray(f, dtype=float)
-    level = _inv_gnr(g, gamma, f_max)
+    _, level = _gnr_at_fmax(g, gamma, f_max)
     s = np.where(f_arr < f_max, np.maximum(0.0, level - gamma / g.evaluate(f_arr)), 0.0)
     return s if f_arr.ndim else float(s)
 
@@ -194,7 +196,7 @@ def sigma2_of_fmax(g: MagSqPoleZeroGnr, gap, f_max: float) -> float:
     for fp in g.poles:
         log_ratio -= np.log1p(dist / (fp * fp + f * f))
     integral = np.sum(half * _GL_WEIGHTS * -np.expm1(log_ratio))
-    return float(_inv_gnr(g, gamma, f_max) * integral)
+    return float(_gnr_at_fmax(g, gamma, f_max)[1] * integral)
 
 
 def dsigma2_dfmax(g: MagSqPoleZeroGnr, gap, f_max: float) -> float:
@@ -207,7 +209,7 @@ def dsigma2_dfmax(g: MagSqPoleZeroGnr, gap, f_max: float) -> float:
         bracket += 1.0 / (fp * fp + u)
     for fz in g.zeros:
         bracket -= 1.0 / (fz * fz + u)
-    return 2.0 * gamma * u * bracket / float(_gnr_at_fmax(g, f_max))
+    return 2.0 * gamma * u * bracket / _gnr_at_fmax(g, gamma, f_max)[0]
 
 
 def rate_closed_form(g: MagSqPoleZeroGnr, gap, f_max: float) -> float:
@@ -273,6 +275,19 @@ class SubcarrierGrid:
     def is_monotone_nonincreasing(self) -> bool:
         g = self.gnr_k
         return bool(np.all(g[1:] <= g[:-1] * (1.0 + 1e-12)))
+
+
+def _gamma_over_gnr(grid: SubcarrierGrid, gamma: float) -> np.ndarray:
+    """Gamma/GNR_k per subcarrier; the first one that overflows is refused."""
+    with np.errstate(over="ignore"):
+        w = gamma / grid.gnr_k
+    over = np.flatnonzero(np.isinf(w))
+    if over.size:
+        k = int(over[0]) + 1
+        raise ValueError(
+            f"Gamma/GNR at subcarrier k={k} overflows: GNR is {float(grid.gnr_k[k - 1])!r}"
+        )
+    return w
 
 
 def _check_budget(sigma2_budget: float) -> None:
@@ -341,7 +356,7 @@ def newton_fmax(
     _check_budget(sigma2_budget)
     _require_monotone(g, f_chip, "newton_fmax")
 
-    w_k = gamma / grid.gnr_k
+    w_k = _gamma_over_gnr(grid, gamma)
 
     def power(ks: int) -> float:
         return delta * float(np.sum(np.maximum(0.0, w_k[ks - 1] - w_k[:ks])))
@@ -394,7 +409,7 @@ def waterlevel_solve(grid: SubcarrierGrid, gap, sigma2_budget: float) -> Waterfi
     gamma = _gamma_value(gap)
     _check_budget(sigma2_budget)
     delta = grid.delta_b
-    w = gamma / grid.gnr_k
+    w = _gamma_over_gnr(grid, gamma)
 
     w_sorted = np.sort(w)
     levels = (sigma2_budget / delta + np.cumsum(w_sorted)) / np.arange(1, grid.K + 1)

@@ -398,6 +398,54 @@ class TestValidationAndDeterminism:
         )
 
     @pytest.mark.parametrize(
+        "argv",
+        [["optimize-newton", "--budget", "1"], ["rate-curve", "--sweep", "power:1e-3:1:4"]],
+        ids=["optimize-newton", "power-sweep"],
+    )
+    def test_gamma_over_gnr_overflow_exits_1_without_warning(self, tmp_path, argv):
+        # 1e-280 / (1 + (f/1e3)^2)^5 is subnormal from subcarrier 5 on, where 1/GNR overflows
+        path = tmp_path / "over.json"
+        path.write_text(json.dumps({
+            "stages": [
+                {"kind": "FlatGain", "params": {"gain": 1e-140}},
+                {"kind": "RationalPoleZero", "params": {"dc_gain": 1.0, "poles": [1e3] * 5}},
+            ],
+            "noise": {"floor": 1.0},
+        }))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(Path(owclb.__file__).parent.parent), os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "owclb.cli", *argv, "--channel", str(path),
+             "--k", "64", "--fchip", "1e7"],
+            env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode == 1
+        assert "Warning" not in proc.stderr
+        assert proc.stderr.startswith(
+            f"owclb: {argv[0]} failed: Gamma/GNR at subcarrier k=5 overflows: GNR is "
+        )
+
+    @pytest.mark.parametrize(
+        "sweep, message",
+        [
+            (["--sweep", "power:1e4:1e9:4:log", "--k", "1"],
+             "k must be >= 2 for the Newton search, got 1"),
+            (["--sweep", "power:0:1e9:4"], "sweep budgets must be > 0 V^2, got 0.0"),
+        ],
+        ids=["k", "budget"],
+    )
+    def test_power_sweep_checks_flags_before_the_channel(self, tmp_path, capsys, sweep, message):
+        # the channel is not reducible, which fails with exit 1 once it is read
+        chain = owclb.LinkChain(
+            stages=(owclb.GaussianLowPass(dc_gain=1.0, corner=1e9),),
+            noise=owclb.NoiseSpectrum(floor=1e-17),
+        )
+        path = tmp_path / "gauss.json"
+        owclb.save_chain(chain, path)
+        assert run_cli("rate-curve", "--channel", str(path), *sweep) == 2
+        assert capsys.readouterr().err == f"owclb: {message}\n"
+
+    @pytest.mark.parametrize(
         "stage, noise, where",
         [
             ({"kind": "FirstOrderLowPass", "params": {"dc_gain": 1.0, "cornr": 1e6}},

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -8,6 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 from numpy.polynomial import polynomial as P
 
 import owclb
+from owclb import linkchain
 from owclb.linkchain import SPEED_OF_LIGHT_M_S, _as_f, chain_magsq
 
 from _oracles import sampled_monotone
@@ -129,6 +131,71 @@ class TestComponentEval:
         for fp in poles:
             mirrored /= 1.0 + u / fp**2
         assert val == pytest.approx(mirrored, rel=1e-12)
+
+
+# One valid set of fields for each class the shared field rule checks.
+VALID_FIELDS = {
+    owclb.FlatGain: dict(gain=2.0),
+    owclb.FirstOrderLowPass: dict(dc_gain=1.0, corner=1e6),
+    owclb.RationalPoleZero: dict(dc_gain=1.0, zeros=(TX_ZERO,), poles=TX_POLES),
+    owclb.LaserSecondOrder: dict(dc_gain=1.0, relaxation_freq=2e9, damping=1e9),
+    owclb.GaussianLowPass: dict(dc_gain=1.0, corner=1e9),
+    owclb.BeamSquintSinc: dict(element_gain=1.0, elements=4, spacing_delay=1e-12),
+    owclb.NoiseSpectrum: dict(
+        floor=NOISE_FLOOR, uplift_zero=NOISE_UPLIFT, rolloff_poles=(RX_POLE,), extra_zeros=(RX_ZERO,)
+    ),
+    owclb.MagSqPoleZeroGnr: dict(gnr0=REF_GNR0, zeros=REF_ZEROS, poles=REF_POLES),
+}
+CLASS_FIELDS = [(cls, fld.name) for cls in VALID_FIELDS for fld in dataclasses.fields(cls)]
+
+
+class TestFieldRule:
+    @pytest.mark.parametrize("bad", [-1.0, math.nan], ids=["negative", "nan"])
+    @pytest.mark.parametrize(
+        "cls, name", CLASS_FIELDS, ids=[f"{cls.__name__}.{name}" for cls, name in CLASS_FIELDS]
+    )
+    def test_bad_value_is_refused_by_field_name(self, cls, name, bad):
+        kwargs = dict(VALID_FIELDS[cls])
+        kwargs[name] = (bad,) if isinstance(kwargs[name], tuple) else bad
+        with pytest.raises(ValueError) as info:
+            cls(**kwargs)
+        # int() refuses a NaN count with its own message before the rule runs
+        if not (name == "elements" and math.isnan(bad)):
+            assert str(info.value).startswith(name)
+
+    @pytest.mark.parametrize("bad", [0, -1, 2.5, 1e-320, "12"])
+    def test_elements_must_be_a_positive_integer(self, bad):
+        with pytest.raises(ValueError, match=r"^elements must be a positive integer, got "):
+            owclb.BeamSquintSinc(element_gain=1.0, elements=bad, spacing_delay=1e-12)
+
+    def test_whole_float_count_is_stored_as_int(self):
+        stage = owclb.BeamSquintSinc(element_gain=1.0, elements=4.0, spacing_delay=1e-12)
+        assert type(stage.elements) is int and stage.elements == 4
+
+    def test_only_the_model_sorts_its_corners(self):
+        stage = owclb.RationalPoleZero(dc_gain=1.0, zeros=[4e6, 1e6], poles=list(TX_POLES))
+        assert stage.zeros == (4e6, 1e6) and stage.poles == TX_POLES
+        noise = owclb.NoiseSpectrum(floor=1.0, rolloff_poles=[4e6, 1e6])
+        assert noise.rolloff_poles == (4e6, 1e6)
+        g = owclb.MagSqPoleZeroGnr(gnr0=1.0, zeros=[4e6, 1e6], poles=list(TX_POLES))
+        assert g.zeros == (1e6, 4e6) and g.poles == tuple(sorted(TX_POLES))
+
+    def test_new_kind_is_checked_and_read_from_its_field_types(self):
+        @dataclasses.dataclass(frozen=True)
+        class Notch(linkchain._Checked):
+            depth: "float"
+            width: "float | None" = None
+            corners: "tuple[float, ...]" = ()
+
+        assert Notch(depth=0.5).width is None
+        with pytest.raises(ValueError, match=r"^width must be a positive finite number"):
+            Notch(depth=0.5, width=-1.0)
+        with pytest.raises(ValueError, match=r"^corners entry must be a positive finite number"):
+            Notch(depth=0.5, corners=(0.0,))
+        read = linkchain._from_params(Notch, {"depth": 0.5, "corners": [3e6, 1e6]}, "stage")
+        assert read == Notch(depth=0.5, corners=(3e6, 1e6))
+        with pytest.raises(owclb.ChannelFormatError, match=r"^stage\.depth: missing"):
+            linkchain._from_params(Notch, {}, "stage")
 
 
 class TestNoise:

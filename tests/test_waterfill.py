@@ -569,6 +569,41 @@ def test_gnr_underflow_at_fmax_is_value_error():
             call(g, 1.0, 2e8)
 
 
+# GNR(1e7) = 1e-280 / (1 + 1e8)^5 = 1e-320 is subnormal: > 0, but 1/GNR overflows
+OVERFLOW_MODEL = owclb.MagSqPoleZeroGnr(gnr0=1e-280, poles=(1e3,) * 5)
+
+
+def test_gamma_over_gnr_overflow_at_fmax_is_value_error():
+    for call in (
+        owclb.sigma2_of_fmax,
+        lambda g, gap, f_max: owclb.psd_opt(g, gap, f_max, 1e6),
+        owclb.dsigma2_dfmax,
+    ):
+        with pytest.raises(
+            ValueError, match=r"^Gamma/GNR at f_max=1e\+07 Hz overflows: GNR is 1e-320$"
+        ):
+            call(OVERFLOW_MODEL, 1.0, 1e7)
+
+
+@pytest.mark.parametrize(
+    "solve",
+    [
+        lambda grid: owclb.newton_fmax(OVERFLOW_MODEL, 1.0, 1.0, grid),
+        lambda grid: owclb.waterlevel_solve(grid, 1.0, 1.0),
+    ],
+    ids=["newton_fmax", "waterlevel_solve"],
+)
+def test_gamma_over_gnr_overflow_on_grid_names_the_subcarrier(solve):
+    grid = subcarriers(OVERFLOW_MODEL, 64, 1e7)
+    k = int(np.argmax(grid.gnr_k < 1.0 / np.finfo(float).max)) + 1
+    with pytest.raises(ValueError) as info:
+        solve(grid)
+    gnr = float(grid.gnr_k[k - 1])
+    assert str(info.value) == f"Gamma/GNR at subcarrier k={k} overflows: GNR is {gnr!r}"
+    # the bit loaders never grant a bit whose cost overflows, and load nothing here
+    assert not owclb.hh_naive(grid, 1.0, 1.0).bits.any()
+
+
 class TestPowerMap:
     def test_identity_default(self):
         assert owclb.sigma2_from_power(3.5) == 3.5
