@@ -208,7 +208,7 @@ def cmd_rate_curve(args) -> int:
     if budgets[0] <= 0.0:
         raise CliError(f"sweep budgets must be > 0 V^2, got {float(budgets[0])}")
     g, gamma, grid = _load_grid(args)
-    newton = [waterfill.newton_fmax(g, gamma, b, grid).rate for b in budgets]
+    newton = waterfill.newton_sweep(g, gamma, budgets, grid)[1]
     # the sorted pass needs no monotone grid, but the sweep keeps the refusal
     # hh_accelerated made; a rising model has already failed Newton above
     bitload.require_monotone_grid(grid)
@@ -219,7 +219,7 @@ def cmd_rate_curve(args) -> int:
     linkchain._write_csv(
         args.out,
         ["sigma2_v2", "rate_newton_mbit_s", "rate_hh_mbit_s", "rate_flat_mbit_s"],
-        zip(budgets, (r / 1e6 for r in newton), hh / 1e6, flat / 1e6),
+        zip(budgets, newton / 1e6, hh / 1e6, flat / 1e6),
     )
     if args.out:
         print(

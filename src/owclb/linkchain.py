@@ -61,15 +61,30 @@ class ChannelFormatError(ValueError):
     """
 
 
+_TEXT = (str, bytes, bytearray)  # float() parses these; a number field refuses them
+
+
 def _check_positive(name: str, value: float) -> float:
-    value = float(value)
+    if type(value) is not float:  # a plain float, the hot case, needs neither step
+        if isinstance(value, _TEXT):
+            raise ValueError(f"{name} must be a positive finite number, got {value!r}")
+        value = float(value)
     if not math.isfinite(value) or value <= 0.0:
         raise ValueError(f"{name} must be a positive finite number, got {value!r}")
     return value
 
 
 def _freq_tuple(name: str, values) -> tuple[float, ...]:
+    if isinstance(values, _TEXT):
+        raise ValueError(f"{name} must be a sequence of positive finite numbers, got {values!r}")
     return tuple(_check_positive(f"{name} entry", v) for v in values)
+
+
+def _is_count(value) -> bool:
+    """A positive integer, or a number equal to one; text, nan and inf are not."""
+    if isinstance(value, _TEXT) or value != value or value in (math.inf, -math.inf):
+        return False
+    return int(value) == value and value >= 1
 
 
 def _as_f(f):
@@ -108,7 +123,7 @@ class _Checked:
         for fld in fields(self):
             name, value = fld.name, getattr(self, fld.name)
             if fld.type == "int":
-                if int(value) != value or value < 1:
+                if not _is_count(value):
                     raise ValueError(f"{name} must be a positive integer, got {value!r}")
                 object.__setattr__(self, name, int(value))
             elif fld.type.startswith("tuple"):

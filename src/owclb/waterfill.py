@@ -18,6 +18,11 @@ one-dimensional search over f_max:
 * ``newton_fmax``      grid-snapped Newton search for f_max given a budget,
                        one bracketed loop that takes bracket midpoints
                        once Newton is unusable
+* ``newton_sweep``     ``newton_fmax``'s f_max and rate for a batch of
+                       budgets, read off the grid's one discrete power
+                       curve; only a budget within rounding error of a
+                       flat stretch of it runs the search (the
+                       ``rate-curve`` power sweep)
 * ``waterlevel_solve`` exact water level for arbitrary (also
                        non-monotone) GNR samples on the grid's equal
                        Delta_B cells, with island reporting
@@ -307,9 +312,25 @@ def _solution(
         psd=psd,
         gnr=gnr_k,
         sigma2=sigma2,
-        rate=grid.delta_b * float(np.sum(np.log2(1.0 + psd[:n] * gnr_k[:n] / gamma))),
+        rate=_rate(grid, gamma, psd[:n]),
         **extra,
     )
+
+
+def _rate(grid: SubcarrierGrid, gamma: float, psd_head: np.ndarray) -> float:
+    """Delta_B * sum_k log2(1 + S_k GNR_k / Gamma) over the first len(psd_head) subcarriers."""
+    gnr_head = grid.gnr_k[: len(psd_head)]
+    return grid.delta_b * float(np.sum(np.log2(1.0 + psd_head * gnr_head / gamma)))
+
+
+def _loaded_psd(w: np.ndarray, n: int) -> np.ndarray:
+    """S_k = max(0, w_n - w_k) on subcarriers 1..n: f_max at subcarrier n, w = Gamma/GNR."""
+    return np.maximum(0.0, w[n - 1] - w[:n])
+
+
+def _power(w: np.ndarray, delta: float, n: int) -> float:
+    """The discrete power Delta_B * sum_k S_k of ``_loaded_psd(w, n)``."""
+    return delta * float(np.sum(_loaded_psd(w, n)))
 
 
 def _nearest_index(f: float, delta: float, k_max: int) -> int:
@@ -349,22 +370,33 @@ def newton_fmax(
     The loop ends with hi = lo + 1, so the exit contract holds: sigma2 <=
     budget, and loading one more grid step would exceed the budget.
     """
+    gamma, w_k = _newton_setup(g, gap, [sigma2_budget], grid)
+    lo, p_lo, iters = _newton_search(g, gamma, grid, w_k, sigma2_budget)
+    psd = np.zeros(grid.K)
+    psd[:lo] = _loaded_psd(w_k, lo)
+    level = float(w_k[lo - 1])
+    return _solution(grid, gamma, level, psd, lo, p_lo, saturated=lo == grid.K, iterations=iters)
+
+
+def _newton_setup(g: MagSqPoleZeroGnr, gap, budgets, grid: SubcarrierGrid):
+    """``newton_fmax``'s checks, each budget's included, then (Gamma, w_k = Gamma/GNR_k)."""
     gamma = _gamma_value(gap)
-    K, delta, f_chip = grid.K, grid.delta_b, grid.f_chip
-    if K < 2:
-        raise ValueError(f"K must be an integer >= 2, got {K!r}")
-    _check_budget(sigma2_budget)
-    _require_monotone(g, f_chip, "newton_fmax")
+    if grid.K < 2:
+        raise ValueError(f"K must be an integer >= 2, got {grid.K!r}")
+    for b in budgets:
+        _check_budget(b)
+    _require_monotone(g, grid.f_chip, "newton_fmax")
+    return gamma, _gamma_over_gnr(grid, gamma)
 
-    w_k = _gamma_over_gnr(grid, gamma)
 
-    def power(ks: int) -> float:
-        return delta * float(np.sum(np.maximum(0.0, w_k[ks - 1] - w_k[:ks])))
-
+def _newton_search(
+    g: MagSqPoleZeroGnr, gamma: float, grid: SubcarrierGrid, w_k: np.ndarray, budget: float
+) -> tuple[int, float, int]:
+    """``newton_fmax``'s bracketed loop: (lo, power(lo), Newton attempts)."""
+    K, delta = grid.K, grid.delta_b
     lo, p_lo, hi = 1, 0.0, K
-    f_cur, p_cur = f_chip, power(K)
-    saturated = bool(p_cur <= sigma2_budget)
-    if saturated:
+    f_cur, p_cur = grid.f_chip, _power(w_k, delta, K)
+    if p_cur <= budget:
         lo, p_lo = K, p_cur
     iters, newton = 0, True
     while hi - lo > 1:
@@ -373,21 +405,61 @@ def newton_fmax(
             iters += 1
             deriv = dsigma2_dfmax(g, gamma, f_cur)
             usable = 0.0 < deriv < math.inf
-            f_next = f_cur - (p_cur - sigma2_budget) / deriv if usable else math.nan
+            f_next = f_cur - (p_cur - budget) / deriv if usable else math.nan
             newton = math.isfinite(f_next)
             if newton:
                 ks = min(max(_nearest_index(f_next, delta, K), lo + 1), hi - 1)
-        p_cur = power(ks)
-        if p_cur <= sigma2_budget:
+        p_cur = _power(w_k, delta, ks)
+        if p_cur <= budget:
             lo, p_lo = ks, p_cur
         else:
             hi = ks
         f_cur = ks * delta
+    return lo, p_lo, iters
 
-    level = float(w_k[lo - 1])
-    psd = np.maximum(0.0, level - w_k)
-    psd[lo:] = 0.0
-    return _solution(grid, gamma, level, psd, lo, p_lo, saturated=saturated, iterations=iters)
+
+def newton_sweep(g: MagSqPoleZeroGnr, gap, budgets, grid: SubcarrierGrid):
+    """``newton_fmax`` for a batch of budgets on one grid, checked once.
+
+    Returns ``(n, rates)``: per budget, the number of loaded subcarriers
+    (f_max = n * Delta_B) and the rate, both equal to ``newton_fmax``'s.
+    The power curve power(n), f_max at subcarrier n, is the same for every
+    budget: a running sum of its increments Delta_B * n * (w_n+1 - w_n)
+    seeds n, and the exact ``_power`` that ``newton_fmax`` brackets with
+    settles it by single steps, on Newton's exit contract power(n) <=
+    budget < power(n + 1), or n = K when the full band fits (saturated).
+    That crossing is Newton's unless the budget lies within the rounding
+    error of a flat stretch of the curve (equal or jittering w_k), where
+    the curve may cross it again; such a budget runs Newton's own loop.
+    """
+    budgets = [float(b) for b in budgets]
+    gamma, w = _newton_setup(g, gap, budgets, grid)
+    K, delta = grid.K, grid.delta_b
+    p_full = _power(w, delta, K)
+    seed = delta * np.cumsum(np.arange(K) * np.maximum(0.0, np.diff(w, prepend=w[0])))
+    # The computed power stays within a factor rel and an offset slack of a
+    # nondecreasing curve: the error of summing K terms in any order, and the
+    # dips of w below its running max, each bound widened.  So a budget with
+    # p_lo * rel + slack <= b < p_hi / rel - slack has no other crossing.
+    rel = 1.0 + 3.0 * (K + 2) * 2.0**-52
+    slack = 3.0 * (2.0 * delta * K * float(np.max(np.maximum.accumulate(w) - w)) + 5e-324)
+    n = np.empty(len(budgets), dtype=int)
+    rates = np.empty(len(budgets))
+    for i, b in enumerate(budgets):
+        lo = K
+        if b < p_full:
+            lo = min(int(np.searchsorted(seed, b, "right")), K - 1)  # seed[0] = 0 < b
+            p_lo, p_hi = _power(w, delta, lo), _power(w, delta, lo + 1)
+            while p_hi <= b:
+                lo += 1
+                p_lo, p_hi = p_hi, _power(w, delta, lo + 1)
+            while p_lo > b:
+                lo -= 1
+                p_lo, p_hi = _power(w, delta, lo), p_lo
+            if not p_lo * rel + slack <= b < p_hi / rel - slack:
+                lo = _newton_search(g, gamma, grid, w, b)[0]
+        n[i], rates[i] = lo, _rate(grid, gamma, _loaded_psd(w, lo))
+    return n, rates
 
 
 # ---------------------------------------------------------------------------

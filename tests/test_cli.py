@@ -147,6 +147,29 @@ class TestRateCurve:
         assert rc == 0
         assert sampled == [256]
 
+    def test_power_sweep_reads_one_power_curve(self, channel_path, monkeypatch):
+        # every budget is read off the grid's power curve: no per-budget
+        # Newton search, and one monotone check for the whole sweep
+        counts = {"newton_fmax": 0, "is_monotone_decreasing": 0}
+
+        def counted(name):
+            inner = getattr(owclb.waterfill, name)
+
+            def wrapper(*args):
+                counts[name] += 1
+                return inner(*args)
+
+            monkeypatch.setattr(owclb.waterfill, name, wrapper)
+
+        counted("newton_fmax")
+        counted("is_monotone_decreasing")
+        rc = run_cli(
+            "rate-curve", "--channel", channel_path, "--sweep", "power:1e4:1e9:24:log",
+            "--k", "256", "--fchip", "2e8",
+        )
+        assert rc == 0
+        assert counts == {"newton_fmax": 0, "is_monotone_decreasing": 1}
+
     def test_power_sweep_refuses_rising_channel(self, tmp_path, capsys):
         chain = owclb.LinkChain(
             stages=(owclb.RationalPoleZero(dc_gain=1.0, zeros=(10e6, 50e6), poles=(1e6, 100e6, 1e9)),),

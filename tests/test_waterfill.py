@@ -401,6 +401,123 @@ class TestNewton:
             owclb.newton_fmax(ref_model, gap, 1.0, subcarriers(ref_model, 64.0, 200e6))
 
 
+def power_curve(grid, gamma):
+    """newton_fmax's exact discrete power with f_max at each subcarrier 1..K."""
+    w = gamma / grid.gnr_k
+    d = grid.delta_b
+    return np.array([d * float(np.sum(np.maximum(0.0, w[n - 1] - w[:n]))) for n in range(1, grid.K + 1)])
+
+
+def crossings(power, budget):
+    """How many n < K have power(n) <= budget < power(n + 1) (n 1-based)."""
+    return int(np.sum((power[:-1] <= budget) & (power[1:] > budget)))
+
+
+def sweep_budgets(rng, power, exact_count=48):
+    """Log-spread budgets up to 2x the full band, plus up to ``exact_count``
+    of the positive values power(n) and their two float neighbours."""
+    exact = np.unique(power[power > 0.0])
+    if exact.size > exact_count:
+        exact = rng.choice(exact, exact_count, replace=False)
+    budgets = [float(10.0 ** e) for e in rng.uniform(-30.0, 10.0, 8)]
+    if exact.size:
+        budgets += list(power[-1] * 10.0 ** rng.uniform(-9.0, math.log10(2.0), 24))
+    budgets += list(exact) + list(np.nextafter(exact, 0.0)) + list(np.nextafter(exact, np.inf))
+    return [float(b) for b in budgets if b > 0.0]
+
+
+class TestNewtonSweep:
+    @staticmethod
+    def assert_matches_newton(g, gamma, budgets, grid):
+        n, rates = owclb.newton_sweep(g, gamma, budgets, grid)
+        power = power_curve(grid, float(getattr(gamma, "gamma_linear", gamma)))
+        for b, lo, rate in zip(budgets, n.tolist(), rates.tolist()):
+            sol = owclb.newton_fmax(g, gamma, b, grid)
+            assert rate == sol.rate, b
+            assert lo * grid.delta_b == sol.f_max
+            # newton_fmax's exit contract under the exact power
+            assert power[lo - 1] <= b
+            assert lo == grid.K or power[lo] > b
+        return n
+
+    @pytest.mark.parametrize("k", [64, 1024])
+    def test_reference_model(self, ref_model, gap, k):
+        grid = subcarriers(ref_model, k, 200e6)
+        budgets = sweep_budgets(np.random.default_rng(k), power_curve(grid, gap.gamma_linear))
+        self.assert_matches_newton(ref_model, gap, budgets, grid)
+
+    def test_power_sweep_budgets_need_no_search(self, monkeypatch, ref_model, gap):
+        calls = []
+        search = owclb.waterfill._newton_search
+        monkeypatch.setattr(
+            owclb.waterfill, "_newton_search", lambda *a: calls.append(a) or search(*a)
+        )
+        grid = subcarriers(ref_model, 1024, 200e6)
+        n, _ = owclb.newton_sweep(ref_model, gap, np.geomspace(1e4, 1e9, 24), grid)
+        assert calls == []
+        assert np.all(np.diff(n) >= 0) and n[0] >= 1
+
+    def test_two_subcarriers(self, ref_model, gap):
+        grid = subcarriers(ref_model, 2, 200e6)
+        power = power_curve(grid, gap.gamma_linear)
+        budgets = [power[1] * f for f in (1e-9, 0.5, 1.0 - 1e-16, 1.0, 1.5)]
+        n = self.assert_matches_newton(ref_model, gap, budgets, grid)
+        assert n.tolist() == [1, 1, 1, 2, 2]
+
+    def test_saturation(self, ref_model, gap):
+        grid = subcarriers(ref_model, 64, 200e6)
+        full = float(power_curve(grid, gap.gamma_linear)[-1])
+        budgets = [full, float(np.nextafter(full, np.inf)), 2.0 * full, 1e30]
+        n = self.assert_matches_newton(ref_model, gap, budgets, grid)
+        assert n.tolist() == [64] * 4
+
+    @pytest.mark.parametrize(
+        "g, k, f_chip",
+        [
+            (owclb.MagSqPoleZeroGnr(gnr0=5e6, zeros=(1.2e7,), poles=(7e6, 6e7)), 256, 1.0),
+            (owclb.MagSqPoleZeroGnr(gnr0=1e6, zeros=(1.4e7,), poles=(2.3e6, 3.1e6, 3.5e6, 9.4e6)),
+             1024, 1.0),
+        ],
+        ids=["two-pole", "reference-corners"],
+    )
+    def test_plateaus_of_equal_w(self, monkeypatch, g, k, f_chip):
+        # corners far above f_chip: runs of equal Gamma/GNR_k, and an exact
+        # power that rises by less than its rounding error, so some budgets
+        # cross it more than once and only Newton's own path picks the crossing
+        grid = subcarriers(g, k, f_chip)
+        w = 2.0 / grid.gnr_k
+        assert np.sum(np.diff(w) == 0.0) > 100
+        power = power_curve(grid, 2.0)
+        budgets = sweep_budgets(np.random.default_rng(k), power, exact_count=k)
+        assert any(crossings(power, b) > 1 for b in budgets)
+        searched = []
+        search = owclb.waterfill._newton_search
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                owclb.waterfill, "_newton_search", lambda *a: searched.append(a) or search(*a)
+            )
+            owclb.newton_sweep(g, 2.0, budgets, grid)
+        assert 0 < len(searched) < len(budgets)
+        self.assert_matches_newton(g, 2.0, budgets, grid)
+
+    def test_random_models(self):
+        rng = np.random.default_rng(1407)
+        for _ in range(40):
+            g, gamma, _, k, f_chip = _newton_case(rng)
+            grid = subcarriers(g, k, f_chip)
+            budgets = sweep_budgets(rng, power_curve(grid, gamma))
+            self.assert_matches_newton(g, gamma, budgets, grid)
+
+    def test_refusals_are_newton_fmax_ones(self, ref_model, bump_model, gap):
+        grid = subcarriers(ref_model, 64, 200e6)
+        with pytest.raises(ValueError, match=r"^sigma2_budget must be > 0, got 0.0$"):
+            owclb.newton_sweep(ref_model, gap, [1.0, 0.0], grid)
+        with pytest.raises(ValueError, match=r"^K must be an integer >= 2, got 1$"):
+            owclb.newton_sweep(ref_model, gap, [1.0], subcarriers(ref_model, 1, 200e6))
+        with pytest.raises(owclb.NonMonotoneGnrError, match=r"^newton_fmax requires"):
+            owclb.newton_sweep(bump_model, 1.0, [1e6], subcarriers(bump_model, 64, 1e9))
+
+
 class TestWaterlevel:
     def test_matches_newton_at_same_realized_power(self, ref_model, gap):
         k, f_chip = 64, 200e6
@@ -590,8 +707,9 @@ def test_gamma_over_gnr_overflow_at_fmax_is_value_error():
     [
         lambda grid: owclb.newton_fmax(OVERFLOW_MODEL, 1.0, 1.0, grid),
         lambda grid: owclb.waterlevel_solve(grid, 1.0, 1.0),
+        lambda grid: owclb.newton_sweep(OVERFLOW_MODEL, 1.0, [1.0, 2.0], grid),
     ],
-    ids=["newton_fmax", "waterlevel_solve"],
+    ids=["newton_fmax", "waterlevel_solve", "newton_sweep"],
 )
 def test_gamma_over_gnr_overflow_on_grid_names_the_subcarrier(solve):
     grid = subcarriers(OVERFLOW_MODEL, 64, 1e7)
