@@ -37,11 +37,13 @@ from .linkchain import (
     NoiseSpectrum,
     RationalPoleZero,
     ResponseTable,
+    _is_integer,
     chain_to_dict,
 )
 
 _Q10 = 10.0 / math.log(10.0)  # dB per natural-log unit
 _DAMP_TRIES = 25  # rejected damped trials in a row before a start stops
+_MAX_ITERS = 200  # accepted steps before a start stops
 
 
 @dataclass(frozen=True)
@@ -51,11 +53,13 @@ class FitConfig:
     n_zeros: int
     n_poles: int
     f_range: tuple[float, float]
-    max_iters: int = 200
     multistarts: int = 16
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("n_zeros", "n_poles", "multistarts"):
+            if not _is_integer(value := getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n_zeros < 0:
             raise ValueError("n_zeros must be >= 0")
         if self.n_poles < 1:
@@ -66,8 +70,6 @@ class FitConfig:
         if not (0.0 < lo < hi) or not math.isfinite(hi):
             raise ValueError(f"f_range must be ascending positive, got {self.f_range!r}")
         object.__setattr__(self, "f_range", (lo, hi))
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
         if self.multistarts < 1:
             raise ValueError("multistarts must be >= 1")
 
@@ -213,7 +215,7 @@ def fit_polezero(data: ResponseTable, cfg: FitConfig) -> FitResult:
     rng = np.random.default_rng(cfg.seed)
     # row by row: the start's zeros, then its poles
     logs0 = rng.uniform(math.log(lo), math.log(hi), (cfg.multistarts, m + cfg.n_poles))
-    cost, cs, logs, rs = _lockstep_lm(u, y_data, logs0, m, l_bounds, cfg.max_iters)
+    cost, cs, logs, rs = _lockstep_lm(u, y_data, logs0, m, l_bounds, _MAX_ITERS)
     finite = np.flatnonzero(np.isfinite(cost))
     if not finite.size:
         raise RuntimeError("all fit starts diverged")

@@ -14,9 +14,12 @@ reduce to a canonical M-zero / N-pole form (``MagSqPoleZeroGnr``); other
 stage kinds must go through the ``fit`` module instead.
 
 The channel classes check their fields from their declared types
-(``_Checked``), and the JSON reader parses a document by the same types,
-so a new stage kind is a frozen ``_Checked`` dataclass with typed fields
-and a ``magsq``, listed in ``ComponentResponse``.
+(``_Checked``), and the JSON reader parses a document by the same types.
+One number rule, ``_fault``, serves both: a real number, not a bool, in
+(0, largest float], and for a count also whole; text, None, lists,
+``Decimal``, nan, inf and ints past the float range are refused.  A new
+stage kind is a frozen ``_Checked`` dataclass with typed fields and a
+``magsq``, listed in ``ComponentResponse``.
 
 All algebra is carried out on magnitude-squared quantities; phase is never
 modeled.  Every type is immutable after construction and every operation
@@ -30,6 +33,7 @@ import json
 import math
 import numbers
 import sys
+from collections.abc import Iterable
 from dataclasses import MISSING, dataclass, fields
 from functools import lru_cache
 from pathlib import Path
@@ -61,30 +65,46 @@ class ChannelFormatError(ValueError):
     """
 
 
-_TEXT = (str, bytes, bytearray)  # float() parses these; a number field refuses them
+_FLOAT_MAX = sys.float_info.max
 
 
-def _check_positive(name: str, value: float) -> float:
-    if type(value) is not float:  # a plain float, the hot case, needs neither step
-        if isinstance(value, _TEXT):
-            raise ValueError(f"{name} must be a positive finite number, got {value!r}")
+def _fault(value, count: bool = False) -> str | None:
+    """The end of the message refusing ``value`` as a positive finite number
+    (with ``count``, a positive integer: equal to its ``int``), or None.
+
+    A ``numbers.Real`` other than bool in (0, largest float] passes.
+    """
+    if (
+        isinstance(value, numbers.Real)
+        and not isinstance(value, bool)
+        and 0 < value <= _FLOAT_MAX
+        and not (count and value != int(value))
+    ):
+        return None
+    return f"must be a positive {'integer' if count else 'finite number'}, got {value!r}"
+
+
+def _is_integer(value) -> bool:  # what an index, size or order argument must be
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _check_positive(name: str, value, count: bool = False) -> float:
+    """``value`` as a float; a ValueError starting with ``name`` if ``_fault`` refuses it."""
+    if isinstance(value, float):  # the hot case; np.float64 is shown as a plain float
         value = float(value)
-    if not math.isfinite(value) or value <= 0.0:
-        raise ValueError(f"{name} must be a positive finite number, got {value!r}")
-    return value
+        if 0.0 < value <= _FLOAT_MAX and not count:
+            return value
+    fault = _fault(value, count)
+    if fault:
+        raise ValueError(f"{name} {fault}")
+    return float(value)
 
 
 def _freq_tuple(name: str, values) -> tuple[float, ...]:
-    if isinstance(values, _TEXT):
+    # text iterates into its characters, so it is refused whole
+    if isinstance(values, (str, bytes, bytearray)) or not isinstance(values, Iterable):
         raise ValueError(f"{name} must be a sequence of positive finite numbers, got {values!r}")
     return tuple(_check_positive(f"{name} entry", v) for v in values)
-
-
-def _is_count(value) -> bool:
-    """A positive integer, or a number equal to one; text, nan and inf are not."""
-    if isinstance(value, _TEXT) or value != value or value in (math.inf, -math.inf):
-        return False
-    return int(value) == value and value >= 1
 
 
 def _as_f(f):
@@ -113,18 +133,17 @@ def _polezero(gain: float, zeros, poles, f):
 class _Checked:
     """Base of the channel dataclasses: each field is checked from its declared type.
 
-    In declaration order, ``float`` must be a positive finite number,
-    ``float | None`` that or None, ``tuple[float, ...]`` an iterable of such
-    numbers (stored as a tuple) and ``int`` a positive integer (stored as
-    ``int``).  ``_from_params`` reads a channel document by the same types.
+    In declaration order, by ``_fault``: ``float`` must be a positive finite
+    number, ``float | None`` that or None, ``tuple[float, ...]`` an iterable
+    of such numbers (stored as a tuple) and ``int`` a positive integer
+    (stored as ``int``).  ``_from_params`` reads JSON by the same types.
     """
 
     def __post_init__(self):
         for fld in fields(self):
             name, value = fld.name, getattr(self, fld.name)
             if fld.type == "int":
-                if not _is_count(value):
-                    raise ValueError(f"{name} must be a positive integer, got {value!r}")
+                _check_positive(name, value, count=True)
                 object.__setattr__(self, name, int(value))
             elif fld.type.startswith("tuple"):
                 object.__setattr__(self, name, _freq_tuple(name, value))
@@ -270,11 +289,8 @@ class ResponseTable:
 
     @classmethod
     def from_rows(cls, rows) -> "ResponseTable":
-        rows = list(rows)
-        return cls(
-            frequencies=np.array([r[0] for r in rows], dtype=float),
-            values=np.array([r[1] for r in rows], dtype=float),
-        )
+        frequencies, values = np.array(rows, dtype=float).reshape(-1, 2).T
+        return cls(frequencies=frequencies, values=values)
 
     @property
     def rows(self) -> list[tuple[float, float]]:
@@ -548,7 +564,7 @@ def is_monotone_decreasing(g: MagSqPoleZeroGnr, f_hi: float) -> bool:
 _STAGE_KINDS: dict[str, type] = {cls.__name__: cls for cls in get_args(ComponentResponse)}
 
 
-def _stage_params(stage: ComponentResponse) -> dict:
+def _stage_params(stage) -> dict:
     if isinstance(stage, Tabulated):
         return {"rows": [[f, v] for f, v in stage.table.rows]}
     out = {}
@@ -558,28 +574,24 @@ def _stage_params(stage: ComponentResponse) -> dict:
     return out
 
 
-def _positive_number(path: str, value):
-    # the upper bound also keeps huge JSON integers from overflowing float()
-    if isinstance(value, bool) or not (
-        isinstance(value, numbers.Real) and 0.0 < value <= sys.float_info.max
-    ):
-        raise ChannelFormatError(f"{path}: must be a positive finite number, got {value!r}")
-    return value
-
-
 def _object(path: str, obj) -> dict:
     if not isinstance(obj, dict):
         raise ChannelFormatError(f"{path}: must be an object, got {obj!r}")
     return obj
 
 
+def _json_number(where: str, value, count: bool = False) -> None:
+    fault = _fault(value, count)
+    if fault:
+        raise ChannelFormatError(f"{where}: {fault}")
+
+
 def _from_params(cls: type, obj, path: str):
     """Build a stage or noise spectrum from its JSON params object.
 
-    Every number in a channel document is a positive corner, gain, floor,
-    delay or count; list-typed fields hold positive numbers.  Checks that
-    need more than the JSON value (integer counts) are left to the class's
-    field rule, ``_Checked``.
+    Checked here: an object, no unknown or missing key, a list for a
+    list-typed field; every number goes through ``_fault``, the classes'
+    own rule, and is reported at its JSON path.
     """
     params = _object(path, obj)
     known = {fld.name: fld for fld in fields(cls)}
@@ -589,7 +601,6 @@ def _from_params(cls: type, obj, path: str):
                 f"{path}.{key}: unknown parameter of {cls.__name__}; "
                 f"expected one of {sorted(known)}"
             )
-    kwargs = {}
     for name, fld in known.items():
         where = f"{path}.{name}"
         if name not in params:
@@ -597,18 +608,14 @@ def _from_params(cls: type, obj, path: str):
                 raise ChannelFormatError(f"{where}: missing")
             continue
         value = params[name]
-        if value is None and "None" in fld.type:
-            kwargs[name] = None
-        elif fld.type.startswith("tuple"):
+        if fld.type.startswith("tuple"):
             if not isinstance(value, (list, tuple)):
                 raise ChannelFormatError(f"{where}: must be a list of numbers, got {value!r}")
-            kwargs[name] = [_positive_number(f"{where}[{j}]", v) for j, v in enumerate(value)]
-        else:
-            kwargs[name] = _positive_number(where, value)
-    try:
-        return cls(**kwargs)
-    except ValueError as exc:
-        raise ChannelFormatError(f"{path}: {exc}") from exc
+            for j, v in enumerate(value):
+                _json_number(f"{where}[{j}]", v)
+        elif value is not None or "None" not in fld.type:
+            _json_number(where, value, count=fld.type == "int")
+    return cls(**params)  # the class's rule is the one just applied
 
 
 def _tabulated_from_params(obj, path: str) -> Tabulated:
@@ -622,8 +629,8 @@ def _tabulated_from_params(obj, path: str) -> Tabulated:
     for j, row in enumerate(rows):
         if not isinstance(row, (list, tuple)) or len(row) != 2:
             raise ChannelFormatError(f"{path}.rows[{j}]: must be a [frequency_hz, value] pair, got {row!r}")
-        _positive_number(f"{path}.rows[{j}][0]", row[0])
-        _positive_number(f"{path}.rows[{j}][1]", row[1])
+        _json_number(f"{path}.rows[{j}][0]", row[0])
+        _json_number(f"{path}.rows[{j}][1]", row[1])
     try:
         return Tabulated(table=ResponseTable.from_rows(rows))
     except ValueError as exc:
@@ -645,20 +652,13 @@ def _stage_from_dict(obj, path: str) -> ComponentResponse:
 
 
 def chain_to_dict(chain: LinkChain) -> dict:
-    noise = chain.noise
-    noise_obj: dict = {"floor": noise.floor}
-    if noise.uplift_zero is not None:
-        noise_obj["uplift_zero"] = noise.uplift_zero
-    if noise.rolloff_poles:
-        noise_obj["rolloff_poles"] = list(noise.rolloff_poles)
-    if noise.extra_zeros:
-        noise_obj["extra_zeros"] = list(noise.extra_zeros)
+    """The JSON document of a chain; the noise object omits unset optional fields."""
     return {
         "stages": [
             {"kind": type(stage).__name__, "params": _stage_params(stage)}
             for stage in chain.stages
         ],
-        "noise": noise_obj,
+        "noise": {k: v for k, v in _stage_params(chain.noise).items() if v not in (None, [])},
     }
 
 

@@ -56,6 +56,7 @@ import numpy as np
 from .linkchain import (
     MagSqPoleZeroGnr,
     _check_positive,
+    _is_integer,
     _read_csv,
     _write_csv,
     is_monotone_decreasing,
@@ -245,6 +246,13 @@ def rate_closed_form(g: MagSqPoleZeroGnr, gap, f_max: float) -> float:
 # Newton search on the subcarrier grid
 
 
+def _check_size(K: int, f_chip: float) -> float:
+    """Refuse a K that is not a positive integer; f_chip as a positive finite float."""
+    if not (_is_integer(K) and K >= 1):
+        raise ValueError(f"K must be a positive integer, got {K!r}")
+    return _check_positive("f_chip", f_chip)
+
+
 @dataclass(frozen=True, eq=False)
 class SubcarrierGrid:
     """K subcarriers at f_k = k * delta_b, k = 1..K, with GNR samples."""
@@ -255,9 +263,7 @@ class SubcarrierGrid:
     delta_b: float = field(init=False)  # f_chip / K
 
     def __post_init__(self):
-        if not (isinstance(self.K, int) and self.K >= 1):
-            raise ValueError(f"K must be a positive integer, got {self.K!r}")
-        _check_positive("f_chip", self.f_chip)
+        _check_size(self.K, self.f_chip)
         gnr = np.asarray(self.gnr_k, dtype=float)
         if gnr.shape != (self.K,):
             raise ValueError(f"gnr_k must have length K={self.K}")
@@ -274,8 +280,8 @@ class SubcarrierGrid:
     @classmethod
     def from_model(cls, g, K: int, f_chip: float) -> "SubcarrierGrid":
         """Sample a GNR function of an array of frequencies on the grid."""
-        delta = f_chip / K
-        return cls(K=K, f_chip=float(f_chip), gnr_k=g(delta * np.arange(1, K + 1)))
+        f_chip = _check_size(K, f_chip)
+        return cls(K=K, f_chip=f_chip, gnr_k=g(f_chip / K * np.arange(1, K + 1)))
 
     def is_monotone_nonincreasing(self) -> bool:
         g = self.gnr_k

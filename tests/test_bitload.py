@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -56,6 +57,21 @@ class TestGrid:
         with pytest.raises(ValueError):
             owclb.SubcarrierGrid(K=3, f_chip=4.0, gnr_k=np.ones(4))
 
+    @pytest.mark.parametrize("k", [True, 0, -1, 64.0, 1.5, "4"], ids=repr)
+    def test_k_must_be_a_positive_integer(self, k):
+        with pytest.raises(ValueError, match=rf"^K must be a positive integer, got {re.escape(repr(k))}$"):
+            owclb.SubcarrierGrid(K=k, f_chip=4.0, gnr_k=np.ones(4))
+        with pytest.raises(ValueError, match=rf"^K must be a positive integer, got {re.escape(repr(k))}$"):
+            owclb.SubcarrierGrid.from_model(lambda f: pytest.fail("sampled a bad grid"), k, 4.0)
+
+    @pytest.mark.parametrize("f_chip", ["x", -1.0, 0.0, math.nan, math.inf, None], ids=repr)
+    def test_from_model_checks_f_chip_before_sampling(self, f_chip):
+        message = rf"^f_chip must be a positive finite number, got {re.escape(repr(f_chip))}$"
+        with pytest.raises(ValueError, match=message):
+            owclb.SubcarrierGrid.from_model(lambda f: pytest.fail("sampled a bad grid"), 4, f_chip)
+        with pytest.raises(ValueError, match=message):
+            owclb.SubcarrierGrid(K=4, f_chip=f_chip, gnr_k=np.ones(4))
+
     def test_delta_b_is_derived_not_passed(self):
         # delta_b is f_chip / K; a passed value could only disagree with f_k
         with pytest.raises(TypeError):
@@ -85,6 +101,30 @@ class TestMarginalPower:
             owclb.marginal_power(grid, 1.0, 5, 0)
         with pytest.raises(ValueError):
             owclb.marginal_power(grid, 1.0, 1, -1)
+
+    @pytest.mark.parametrize("b", [1024, 1025, 10**6])
+    def test_overflowing_bit_costs_inf(self, b):
+        assert owclb.marginal_power(flat_grid(4), 1.0, 1, b) == math.inf
+
+    def test_last_finite_power_of_two(self):
+        assert owclb.marginal_power(flat_grid(4), 1.0, 1, 1023) == 2.0**1023
+        assert owclb.marginal_power(flat_grid(4), 1.0, np.int64(2), np.int64(3)) == 8.0
+
+    @pytest.mark.parametrize(
+        "k, b, message",
+        [
+            (1.5, 0, r"^k must be an integer in 1\.\.4, got 1\.5$"),
+            (True, 0, r"^k must be an integer in 1\.\.4, got True$"),
+            (2.0, 0, r"^k must be an integer in 1\.\.4, got 2\.0$"),
+            (1, 1.5, r"^b_current must be an integer >= 0, got 1\.5$"),
+            (1, True, r"^b_current must be an integer >= 0, got True$"),
+            (1, 3.0, r"^b_current must be an integer >= 0, got 3\.0$"),
+            (1, -1, r"^b_current must be an integer >= 0, got -1$"),
+        ],
+    )
+    def test_non_integer_arguments_are_refused(self, k, b, message):
+        with pytest.raises(ValueError, match=message):
+            owclb.marginal_power(flat_grid(4), 1.0, k, b)
 
 
 class TestNaive:

@@ -479,8 +479,11 @@ class TestValidationAndDeterminism:
              {"floor": 1e-17}, "stages[0].params.rows"),
             ({"kind": "FirstOrderLowPass", "params": {"dc_gain": 1.0, "corner": -1e6}},
              {"floor": 1e-17}, "stages[0].params.corner"),
+            ({"kind": "BeamSquintSinc",
+              "params": {"element_gain": 1.0, "elements": 2.5, "spacing_delay": 1e-12}},
+             {"floor": 1e-17}, "stages[0].params.elements"),
         ],
-        ids=["stage-param-key", "noise-key", "tabulated-rows", "negative-corner"],
+        ids=["stage-param-key", "noise-key", "tabulated-rows", "negative-corner", "fractional-count"],
     )
     def test_malformed_channel_names_json_path(self, tmp_path, capsys, stage, noise, where):
         path = tmp_path / "bad.json"

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -106,6 +108,23 @@ class TestFitEdgeCases:
             owclb.FitConfig(n_zeros=0, n_poles=0, f_range=(1e3, 1e9))
         with pytest.raises(ValueError):
             owclb.FitConfig(n_zeros=0, n_poles=1, f_range=(1e9, 1e3))
+
+    @pytest.mark.parametrize(
+        "name, value", [("n_zeros", 0.5), ("n_zeros", True), ("n_poles", 2.0), ("multistarts", 1.5),
+                        ("multistarts", False), ("n_poles", "3")],
+    )
+    def test_orders_and_starts_must_be_integers(self, name, value):
+        kwargs = {"n_zeros": 1, "n_poles": 3, "f_range": (1e3, 1e9), name: value}
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer, got {re.escape(repr(value))}$"):
+            owclb.FitConfig(**kwargs)
+
+    def test_numpy_integer_orders_are_accepted(self):
+        cfg = owclb.FitConfig(n_zeros=np.int64(1), n_poles=np.int64(3), f_range=(1e3, 1e9))
+        assert cfg.n_zeros == 1 and cfg.n_poles == 3
+
+    def test_iteration_cap_is_not_a_setting(self):
+        # a non-integer cap never equals the step counter and would switch itself off
+        assert "max_iters" not in {f.name for f in dataclasses.fields(owclb.FitConfig)}
 
     def test_scan_orders_prefers_true_order(self):
         true = owclb.MagSqPoleZeroGnr(gnr0=3.0, poles=(2e6, 70e6))

@@ -1,4 +1,5 @@
 import dataclasses
+import decimal
 import fractions
 import itertools
 import json
@@ -189,7 +190,10 @@ class TestFieldRule:
         g = owclb.MagSqPoleZeroGnr(gnr0=1.0, poles=[value, 1e6])
         assert g.poles == (float(value), 1e6) and all(type(p) is float for p in g.poles)
 
-    @pytest.mark.parametrize("bad", [0, -1, 2.5, 1e-320, "12", math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize(
+        "bad", [0, -1, 2.5, 1e-320, "12", math.inf, -math.inf, math.nan, True, None,
+         pytest.param(10**400, id="10**400")]
+    )
     def test_elements_must_be_a_positive_integer(self, bad):
         with pytest.raises(ValueError, match=r"^elements must be a positive integer, got "):
             owclb.BeamSquintSinc(element_gain=1.0, elements=bad, spacing_delay=1e-12)
@@ -222,6 +226,73 @@ class TestFieldRule:
         assert read == Notch(depth=0.5, corners=(3e6, 1e6))
         with pytest.raises(owclb.ChannelFormatError, match=r"^stage\.depth: missing"):
             linkchain._from_params(Notch, {}, "stage")
+
+
+# Stage kinds and the noise spectrum: the classes a channel document names.
+JSON_FIELDS = [(cls, name) for cls, name in CLASS_FIELDS if cls is not owclb.MagSqPoleZeroGnr]
+ODD_VALUES = [True, False, 10**400, -1, 0, 2.5, 4.0, math.nan, math.inf, None, "12", [1.0], {}]
+ODD_IDS = ["True", "False", "10**400", "-1", "0", "2.5", "4.0", "nan", "inf", "None", "'12'",
+           "[1.0]", "{}"]
+
+
+class TestOneNumberRule:
+    @pytest.mark.parametrize("value", ODD_VALUES, ids=ODD_IDS)
+    @pytest.mark.parametrize(
+        "cls, name", JSON_FIELDS, ids=[f"{cls.__name__}.{name}" for cls, name in JSON_FIELDS]
+    )
+    def test_constructor_and_json_reader_refuse_alike(self, cls, name, value):
+        listed = isinstance(VALID_FIELDS[cls][name], tuple)
+        kwargs = dict(VALID_FIELDS[cls], **{name: (value,) if listed else value})
+        params = {k: list(v) if isinstance(v, tuple) else v for k, v in kwargs.items()}
+        try:
+            cls(**kwargs)
+            built = None
+        except ValueError as exc:
+            built = str(exc)
+        try:
+            linkchain._from_params(cls, params, "p")
+            read = None
+        except owclb.ChannelFormatError as exc:
+            read = str(exc)
+        assert (built is None) == (read is None), (built, read)
+        if built is not None:
+            assert re.match(rf"{name}( entry)? must be ", built), built
+            assert read.startswith(f"p.{name}[0]: " if listed else f"p.{name}: "), read
+
+    @pytest.mark.parametrize(
+        "gain, shown",
+        [(decimal.Decimal("2"), "Decimal('2')"), (-1, "-1"), (np.float64(-1.0), "-1.0")],
+        ids=["decimal", "int", "np-float"],
+    )
+    def test_constructor_names_the_value_it_refuses(self, gain, shown):
+        with pytest.raises(ValueError) as info:
+            owclb.FlatGain(gain=gain)
+        assert str(info.value) == f"gain must be a positive finite number, got {shown}"
+
+    @pytest.mark.parametrize("bad", [None, 5, 1e6])
+    def test_non_iterable_list_field_is_refused_by_name(self, bad):
+        with pytest.raises(ValueError, match=r"^zeros must be a sequence of positive finite"):
+            owclb.RationalPoleZero(dc_gain=1.0, zeros=bad)
+
+    @pytest.mark.parametrize(
+        "params, message",
+        [
+            ({"element_gain": 1.0, "elements": 2.5, "spacing_delay": 1e-12},
+             "stages[0].params.elements: must be a positive integer, got 2.5"),
+            ({"element_gain": 1.0, "elements": 0, "spacing_delay": 1e-12},
+             "stages[0].params.elements: must be a positive integer, got 0"),
+            ({"element_gain": -1.0, "elements": 4, "spacing_delay": 1e-12},
+             "stages[0].params.element_gain: must be a positive finite number, got -1.0"),
+            ({"element_gain": 1.0, "elements": 4, "spacing_delay": True},
+             "stages[0].params.spacing_delay: must be a positive finite number, got True"),
+        ],
+        ids=["fraction-count", "zero-count", "negative-gain", "bool-delay"],
+    )
+    def test_json_number_is_reported_at_its_own_path(self, params, message):
+        doc = {"stages": [{"kind": "BeamSquintSinc", "params": params}], "noise": {"floor": 1.0}}
+        with pytest.raises(owclb.ChannelFormatError) as info:
+            owclb.chain_from_dict(doc)
+        assert str(info.value) == message
 
 
 class TestNoise:
