@@ -73,6 +73,7 @@ _RANGES = (
     ("budget", lambda v: v < 0.0, ">= 0 V^2"),
     ("zeros", lambda v: v < 0, ">= 0"),
     ("poles", lambda v: v < 1, ">= 1"),
+    ("seed", lambda v: v < 0, ">= 0"),
 )
 
 

@@ -57,7 +57,7 @@ class FitConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("n_zeros", "n_poles", "multistarts"):
+        for name in ("n_zeros", "n_poles", "multistarts", "seed"):
             if not _is_integer(value := getattr(self, name)):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n_zeros < 0:
@@ -72,6 +72,8 @@ class FitConfig:
         object.__setattr__(self, "f_range", (lo, hi))
         if self.multistarts < 1:
             raise ValueError("multistarts must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -33,7 +33,7 @@ import json
 import math
 import numbers
 import sys
-from collections.abc import Iterable
+from collections.abc import Iterable, Mapping, Set
 from dataclasses import MISSING, dataclass, fields
 from functools import lru_cache
 from pathlib import Path
@@ -101,8 +101,10 @@ def _check_positive(name: str, value, count: bool = False) -> float:
 
 
 def _freq_tuple(name: str, values) -> tuple[float, ...]:
-    # text iterates into its characters, so it is refused whole
-    if isinstance(values, (str, bytes, bytearray)) or not isinstance(values, Iterable):
+    # text iterates into its characters, and a mapping or a set into its keys
+    # in no order the caller wrote, so each is refused whole
+    not_a_list = isinstance(values, (str, bytes, bytearray, Mapping, Set))
+    if not_a_list or not isinstance(values, Iterable):
         raise ValueError(f"{name} must be a sequence of positive finite numbers, got {values!r}")
     return tuple(_check_positive(f"{name} entry", v) for v in values)
 

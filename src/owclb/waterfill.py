@@ -16,12 +16,12 @@ one-dimensional search over f_max:
                        exact water level and the bit loaders in
                        ``bitload`` all run on it
 * ``newton_fmax``      grid-snapped Newton search for f_max given a budget,
-                       one bracketed loop that takes bracket midpoints
-                       once Newton is unusable
+                       one bracketed loop over the grid's discrete power
+                       curve that takes bracket midpoints once Newton is
+                       unusable
 * ``newton_sweep``     ``newton_fmax``'s f_max and rate for a batch of
-                       budgets, read off the grid's one discrete power
-                       curve; only a budget within rounding error of a
-                       flat stretch of it runs the search (the
+                       budgets, one ``searchsorted`` on the same
+                       nondecreasing discrete power curve (the
                        ``rate-curve`` power sweep)
 * ``waterlevel_solve`` exact water level for arbitrary (also
                        non-monotone) GNR samples on the grid's equal
@@ -39,7 +39,10 @@ until the snapped index is pinned between a within-budget grid point and
 its over-budget successor (a one-cell feasibility bracket).  Every probe,
 Newton or midpoint, lies strictly inside the bracket, so the loop ends
 with the exact contract: sigma2 <= budget, and loading one more grid step
-would exceed it.  ``iterations`` counts Newton attempts only.
+would exceed it.  ``iterations`` counts Newton attempts only.  The power
+is read off one curve built per grid as a running sum of nonnegative
+increments, so it is nondecreasing in floating point and the contract has
+exactly one answer, the one ``newton_sweep`` finds by ``searchsorted``.
 
 All power budgets are signal variances in V^2.  If the hardware power
 draw is a nonlinear monotone function of the variance, invert it with
@@ -334,11 +337,6 @@ def _loaded_psd(w: np.ndarray, n: int) -> np.ndarray:
     return np.maximum(0.0, w[n - 1] - w[:n])
 
 
-def _power(w: np.ndarray, delta: float, n: int) -> float:
-    """The discrete power Delta_B * sum_k S_k of ``_loaded_psd(w, n)``."""
-    return delta * float(np.sum(_loaded_psd(w, n)))
-
-
 def _nearest_index(f: float, delta: float, k_max: int) -> int:
     """Nearest grid index to f, ties broken toward the lower index."""
     kf = f / delta
@@ -357,13 +355,13 @@ def newton_fmax(
     """Find the grid-snapped f_max whose waterfilling PSD meets the budget.
 
     ``grid`` holds g sampled on the K subcarriers
-    (``SubcarrierGrid.from_model(g, K, f_chip)``); the discrete power is
-    summed over its samples, and g itself gives the monotonicity check and
-    the derivative.
+    (``SubcarrierGrid.from_model(g, K, f_chip)``); the discrete power curve
+    is built from its samples (``_newton_setup``), and g itself gives the
+    monotonicity check and the derivative.
 
     One bracketed loop over the subcarrier index: ``lo`` is feasible (the
-    discrete power Delta_B * sum_k max(0, S(f_k)) is within budget; it is
-    0 at k = 1) and ``hi`` is not.  Each round probes one index strictly
+    curve's power(lo), with f_max at subcarrier lo, is within budget;
+    power(1) = 0) and ``hi`` is not.  Each round probes one index strictly
     between them and moves ``lo`` or ``hi`` to it.  The probe is a Newton
     update of the continuous power curve from the last probe (starting at
     f_chip), snapped to the nearest subcarrier k*Delta_B (ties toward the
@@ -373,37 +371,18 @@ def newton_fmax(
     midpoint.  ``iterations`` counts Newton attempts, a failed one
     included, and not the midpoint rounds.  A budget larger than the
     full-band power saturates at f_chip (flagged on the returned solution).
-    The loop ends with hi = lo + 1, so the exit contract holds: sigma2 <=
-    budget, and loading one more grid step would exceed the budget.
+    The loop ends with hi = lo + 1, so the exit contract holds on the
+    curve: sigma2 = power(lo) <= budget, and loading one more grid step
+    would exceed the budget.  sigma2 equals Delta_B * sum_k S_k up to
+    rounding when w_k = Gamma/GNR_k is nondecreasing, and bounds it from
+    above otherwise.
     """
-    gamma, w_k = _newton_setup(g, gap, [sigma2_budget], grid)
-    lo, p_lo, iters = _newton_search(g, gamma, grid, w_k, sigma2_budget)
-    psd = np.zeros(grid.K)
-    psd[:lo] = _loaded_psd(w_k, lo)
-    level = float(w_k[lo - 1])
-    return _solution(grid, gamma, level, psd, lo, p_lo, saturated=lo == grid.K, iterations=iters)
-
-
-def _newton_setup(g: MagSqPoleZeroGnr, gap, budgets, grid: SubcarrierGrid):
-    """``newton_fmax``'s checks, each budget's included, then (Gamma, w_k = Gamma/GNR_k)."""
-    gamma = _gamma_value(gap)
-    if grid.K < 2:
-        raise ValueError(f"K must be an integer >= 2, got {grid.K!r}")
-    for b in budgets:
-        _check_budget(b)
-    _require_monotone(g, grid.f_chip, "newton_fmax")
-    return gamma, _gamma_over_gnr(grid, gamma)
-
-
-def _newton_search(
-    g: MagSqPoleZeroGnr, gamma: float, grid: SubcarrierGrid, w_k: np.ndarray, budget: float
-) -> tuple[int, float, int]:
-    """``newton_fmax``'s bracketed loop: (lo, power(lo), Newton attempts)."""
+    gamma, w_k, power = _newton_setup(g, gap, [sigma2_budget], grid)
     K, delta = grid.K, grid.delta_b
-    lo, p_lo, hi = 1, 0.0, K
-    f_cur, p_cur = grid.f_chip, _power(w_k, delta, K)
-    if p_cur <= budget:
-        lo, p_lo = K, p_cur
+    lo, hi = 1, K
+    f_cur, p_cur = grid.f_chip, float(power[K - 1])
+    if p_cur <= sigma2_budget:
+        lo = K
     iters, newton = 0, True
     while hi - lo > 1:
         ks = (lo + hi) // 2
@@ -411,17 +390,41 @@ def _newton_search(
             iters += 1
             deriv = dsigma2_dfmax(g, gamma, f_cur)
             usable = 0.0 < deriv < math.inf
-            f_next = f_cur - (p_cur - budget) / deriv if usable else math.nan
+            f_next = f_cur - (p_cur - sigma2_budget) / deriv if usable else math.nan
             newton = math.isfinite(f_next)
             if newton:
                 ks = min(max(_nearest_index(f_next, delta, K), lo + 1), hi - 1)
-        p_cur = _power(w_k, delta, ks)
-        if p_cur <= budget:
-            lo, p_lo = ks, p_cur
+        p_cur = float(power[ks - 1])
+        if p_cur <= sigma2_budget:
+            lo = ks
         else:
             hi = ks
         f_cur = ks * delta
-    return lo, p_lo, iters
+    psd = np.zeros(K)
+    psd[:lo] = _loaded_psd(w_k, lo)
+    level, sigma2 = float(w_k[lo - 1]), float(power[lo - 1])
+    return _solution(grid, gamma, level, psd, lo, sigma2, saturated=lo == K, iterations=iters)
+
+
+def _newton_setup(g: MagSqPoleZeroGnr, gap, budgets, grid: SubcarrierGrid):
+    """``newton_fmax``'s checks, each budget's included, then (Gamma, w_k, power).
+
+    power[n-1] is the discrete power with f_max at subcarrier n:
+    power(1) = 0 and power(n+1) = power(n) + Delta_B * n * max(0, w_n+1 - w_n).
+    A running sum of nonnegative terms, it is nondecreasing in floating
+    point; a tail that overflows is +inf, above every finite budget.
+    """
+    gamma = _gamma_value(gap)
+    if grid.K < 2:
+        raise ValueError(f"K must be an integer >= 2, got {grid.K!r}")
+    for b in budgets:
+        _check_budget(b)
+    _require_monotone(g, grid.f_chip, "newton_fmax")
+    w = _gamma_over_gnr(grid, gamma)
+    with np.errstate(over="ignore"):
+        steps = grid.delta_b * np.arange(1, grid.K) * np.maximum(0.0, np.diff(w))
+        power = np.concatenate(([0.0], np.cumsum(steps)))
+    return gamma, w, power
 
 
 def newton_sweep(g: MagSqPoleZeroGnr, gap, budgets, grid: SubcarrierGrid):
@@ -429,42 +432,15 @@ def newton_sweep(g: MagSqPoleZeroGnr, gap, budgets, grid: SubcarrierGrid):
 
     Returns ``(n, rates)``: per budget, the number of loaded subcarriers
     (f_max = n * Delta_B) and the rate, both equal to ``newton_fmax``'s.
-    The power curve power(n), f_max at subcarrier n, is the same for every
-    budget: a running sum of its increments Delta_B * n * (w_n+1 - w_n)
-    seeds n, and the exact ``_power`` that ``newton_fmax`` brackets with
-    settles it by single steps, on Newton's exit contract power(n) <=
-    budget < power(n + 1), or n = K when the full band fits (saturated).
-    That crossing is Newton's unless the budget lies within the rounding
-    error of a flat stretch of the curve (equal or jittering w_k), where
-    the curve may cross it again; such a budget runs Newton's own loop.
+    Both read the same nondecreasing power curve, on which Newton's exit
+    contract power(n) <= budget < power(n + 1), or n = K when the full band
+    fits (saturated), has exactly one answer: the count of curve values
+    within budget.
     """
     budgets = [float(b) for b in budgets]
-    gamma, w = _newton_setup(g, gap, budgets, grid)
-    K, delta = grid.K, grid.delta_b
-    p_full = _power(w, delta, K)
-    seed = delta * np.cumsum(np.arange(K) * np.maximum(0.0, np.diff(w, prepend=w[0])))
-    # The computed power stays within a factor rel and an offset slack of a
-    # nondecreasing curve: the error of summing K terms in any order, and the
-    # dips of w below its running max, each bound widened.  So a budget with
-    # p_lo * rel + slack <= b < p_hi / rel - slack has no other crossing.
-    rel = 1.0 + 3.0 * (K + 2) * 2.0**-52
-    slack = 3.0 * (2.0 * delta * K * float(np.max(np.maximum.accumulate(w) - w)) + 5e-324)
-    n = np.empty(len(budgets), dtype=int)
-    rates = np.empty(len(budgets))
-    for i, b in enumerate(budgets):
-        lo = K
-        if b < p_full:
-            lo = min(int(np.searchsorted(seed, b, "right")), K - 1)  # seed[0] = 0 < b
-            p_lo, p_hi = _power(w, delta, lo), _power(w, delta, lo + 1)
-            while p_hi <= b:
-                lo += 1
-                p_lo, p_hi = p_hi, _power(w, delta, lo + 1)
-            while p_lo > b:
-                lo -= 1
-                p_lo, p_hi = _power(w, delta, lo), p_lo
-            if not p_lo * rel + slack <= b < p_hi / rel - slack:
-                lo = _newton_search(g, gamma, grid, w, b)[0]
-        n[i], rates[i] = lo, _rate(grid, gamma, _loaded_psd(w, lo))
+    gamma, w, power = _newton_setup(g, gap, budgets, grid)
+    n = np.searchsorted(power, budgets, "right")  # power[0] = 0 < b, so n >= 1
+    rates = np.array([_rate(grid, gamma, _loaded_psd(w, lo)) for lo in n.tolist()])
     return n, rates
 
 
@@ -477,9 +453,10 @@ def waterlevel_solve(grid: SubcarrierGrid, gap, sigma2_budget: float) -> Waterfi
 
     ``grid`` holds the GNR sampled on the K subcarriers; no monotonicity is
     assumed.  The PSD is S_k = max(0, v - Gamma/GNR_k) on K equal cells of
-    width Delta_B, so power and rate are the same discrete sums
-    ``newton_fmax`` takes.  The level comes from the active set (Palomar &
-    Fonollosa, IEEE TSP 2005): with w = Gamma/GNR sorted,
+    width Delta_B: the power is the direct sum Delta_B * sum_k S_k, which
+    ``newton_fmax``'s power curve equals up to rounding on a monotone grid,
+    and the rate is the same log2 sum.  The level comes from the active
+    set (Palomar & Fonollosa, IEEE TSP 2005): with w = Gamma/GNR sorted,
     v_j = (budget/Delta_B + w_(1) + ... + w_(j)) / j over the j cheapest
     cells, at the largest j with v_j > w_(j).  Zero-power intervals below
     f_max are reported as islands.

@@ -1,8 +1,9 @@
 """Independent numeric oracles: brute-force and multiprecision quadrature,
-finite differences, exhaustive enumeration, per-bit greedy loops and the
-first Newton search with its bisection fallback, and the per-start fit
-loop.  These never call the closed-form, sorted, single-loop or lockstep
-paths they are used to check."""
+finite differences, exhaustive enumeration, per-bit greedy loops, the
+first Newton search with its bisection fallback, the discrete power curve
+as an in-order scalar loop, and the per-start fit loop.  These never call
+the closed-form, sorted, single-loop or lockstep paths they are used to
+check."""
 
 import itertools
 import math
@@ -381,6 +382,21 @@ def newton_fmax_search(g, gap, sigma2_budget, K, f_chip):
     while k_star < K and power(k_star + 1) <= sigma2_budget:
         k_star += 1
     return build(k_star, iters)
+
+
+def power_curve_in_order(grid, gamma: float) -> list[float]:
+    """The discrete power with f_max at each subcarrier n = 1..K as one
+    scalar loop: power(1) = 0, then the increments
+    Delta_B * n * max(0, w_(n+1) - w_n), w = Gamma/GNR_k, added one at a
+    time in order.  The direct sums of the first search above take a fresh
+    O(n) sum per n instead."""
+    delta = grid.delta_b
+    w = [gamma / x for x in grid.gnr_k.tolist()]
+    power, total = [0.0], 0.0
+    for n in range(1, grid.K):
+        total += delta * n * max(0.0, w[n] - w[n - 1])
+        power.append(total)
+    return power
 
 
 def island_scan(sol):

@@ -187,6 +187,23 @@ class TestRateCurve:
             "2e+08 Hz; use waterlevel_solve for non-monotone channels\n"
         )
 
+    def test_power_sweep_overflowing_curve_is_silent(self, tmp_path, capsys):
+        # Gamma/GNR_k = 1e300 * (1 + (f/1e6)^2) is finite on every subcarrier,
+        # but the power curve overflows past the first few: no budget fits
+        path = tmp_path / "steep.json"
+        path.write_text(json.dumps({
+            "stages": [{"kind": "RationalPoleZero",
+                        "params": {"dc_gain": 1e-150, "zeros": [], "poles": [1e6]}}],
+            "noise": {"floor": 1.0},
+        }))
+        rc = run_cli(
+            "rate-curve", "--channel", str(path), "--sweep", "power:1e4:1e9:4:log",
+            "--k", "1024",
+        )
+        out, err = capsys.readouterr()
+        assert rc == 0 and err == ""
+        assert [line.split(",")[1] for line in out.splitlines()[1:]] == ["0.0"] * 4
+
 
 class TestOptimize:
     def test_newton_solution_round_trips(self, channel_path, tmp_path):
@@ -603,8 +620,9 @@ class TestValidationAndDeterminism:
         [(["--zeros", "-1"], "zeros must be >= 0, got -1"),
          (["--poles", "0"], "poles must be >= 1, got 0"),
          (["--zeros", "3", "--poles", "1"],
-          "poles must be >= zeros for a low-pass fit, got --zeros 3 --poles 1")],
-        ids=["zeros", "poles", "zeros-above-poles"],
+          "poles must be >= zeros for a low-pass fit, got --zeros 3 --poles 1"),
+         (["--seed", "-1"], "seed must be >= 0, got -1")],
+        ids=["zeros", "poles", "zeros-above-poles", "seed"],
     )
     def test_fit_order_is_flag_error(self, capsys, argv, message):
         assert run_cli("fit", "--channel", str(DATA / "fit_table.csv"), *argv) == 2

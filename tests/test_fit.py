@@ -108,10 +108,13 @@ class TestFitEdgeCases:
             owclb.FitConfig(n_zeros=0, n_poles=0, f_range=(1e3, 1e9))
         with pytest.raises(ValueError):
             owclb.FitConfig(n_zeros=0, n_poles=1, f_range=(1e9, 1e3))
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+            owclb.FitConfig(n_zeros=0, n_poles=1, f_range=(1e3, 1e9), seed=-1)
 
     @pytest.mark.parametrize(
         "name, value", [("n_zeros", 0.5), ("n_zeros", True), ("n_poles", 2.0), ("multistarts", 1.5),
-                        ("multistarts", False), ("n_poles", "3")],
+                        ("multistarts", False), ("n_poles", "3"), ("seed", 1.5), ("seed", True),
+                        ("seed", "7")],
     )
     def test_orders_and_starts_must_be_integers(self, name, value):
         kwargs = {"n_zeros": 1, "n_poles": 3, "f_range": (1e3, 1e9), name: value}

@@ -164,12 +164,17 @@ class TestFieldRule:
             cls(**kwargs)
         assert str(info.value).startswith(name)
 
-    @pytest.mark.parametrize("text", ["12", b"12", bytearray(b"12"), ""], ids=repr)
+    @pytest.mark.parametrize(
+        "text",
+        ["12", b"12", bytearray(b"12"), "", {1e6: "x"}, {}, {1e6, 2e6}, frozenset()],
+        ids=repr,
+    )
     @pytest.mark.parametrize(
         "cls, name", CLASS_FIELDS, ids=[f"{cls.__name__}.{name}" for cls, name in CLASS_FIELDS]
     )
     def test_text_is_refused_by_field_name(self, cls, name, text):
-        # float() parses "12", and a tuple field would iterate it into ("1", "2")
+        # float() parses "12", a tuple field would iterate it into ("1", "2"),
+        # and a dict or a set into its keys, a set in no stated order
         kwargs = dict(VALID_FIELDS[cls])
         kwargs[name] = text
         with pytest.raises(ValueError, match=rf"^{name} must be .*, got {re.escape(repr(text))}$"):

@@ -232,13 +232,20 @@ SOLUTION_FIELDS = ("f_max", "water_level", "f_hz", "psd", "gnr", "sigma2", "rate
                    "island", "saturated", "iterations")
 
 
-def assert_same_solution(sol, ref):
+def assert_matches_first_search(sol, ref, grid, gamma):
+    """Every field bit-equal to the first search's, but sigma2: that is the
+    in-order power curve at f_max, bit for bit, and within rounding of the
+    first search's direct sum."""
     for name in SOLUTION_FIELDS:
         got, want = getattr(sol, name), getattr(ref, name)
         if isinstance(want, np.ndarray):
             assert got.tobytes() == want.tobytes(), name
-        else:
+        elif name != "sigma2":
             assert type(got) is type(want) and got == want, name
+    n = int(np.searchsorted(grid.f_k, sol.f_max)) + 1
+    curve = _oracles.power_curve_in_order(grid, gamma)
+    assert type(sol.sigma2) is float and sol.sigma2 == curve[n - 1]
+    assert abs(sol.sigma2 - ref.sigma2) <= 4e-15 * ref.sigma2
 
 
 def _newton_case(rng):
@@ -362,8 +369,9 @@ class TestNewton:
         for _ in range(80):
             case = _newton_case(rng)
             g, gamma, budget, k, f_chip = case
-            sol = owclb.newton_fmax(g, gamma, budget, subcarriers(g, k, f_chip))
-            assert_same_solution(sol, _oracles.newton_fmax_search(*case))
+            grid = subcarriers(g, k, f_chip)
+            sol = owclb.newton_fmax(g, gamma, budget, grid)
+            assert_matches_first_search(sol, _oracles.newton_fmax_search(*case), grid, gamma)
             if cap is not None:
                 assert sol.iterations <= cap
 
@@ -383,11 +391,12 @@ class TestNewton:
         for budget in (3e5, 1e7, 2e8):
             for k in (64, 1024):
                 calls.clear()
-                sol = owclb.newton_fmax(ref_model, gap, budget, subcarriers(ref_model, k, 200e6))
+                grid = subcarriers(ref_model, k, 200e6)
+                sol = owclb.newton_fmax(ref_model, gap, budget, grid)
                 attempts = len(calls)
                 calls.clear()
                 ref = _oracles.newton_fmax_search(ref_model, gap, budget, k, 200e6)
-                assert_same_solution(sol, ref)
+                assert_matches_first_search(sol, ref, grid, gap.gamma_linear)
                 assert sol.iterations == attempts <= fails_at
 
     def test_invalid_budget(self, ref_model, gap):
@@ -402,7 +411,8 @@ class TestNewton:
 
 
 def power_curve(grid, gamma):
-    """newton_fmax's exact discrete power with f_max at each subcarrier 1..K."""
+    """The direct sums Delta_B * sum_k max(0, w_n - w_k), w = Gamma/GNR_k,
+    with f_max at each subcarrier n = 1..K, one fresh sum per n."""
     w = gamma / grid.gnr_k
     d = grid.delta_b
     return np.array([d * float(np.sum(np.maximum(0.0, w[n - 1] - w[:n]))) for n in range(1, grid.K + 1)])
@@ -430,14 +440,16 @@ class TestNewtonSweep:
     @staticmethod
     def assert_matches_newton(g, gamma, budgets, grid):
         n, rates = owclb.newton_sweep(g, gamma, budgets, grid)
-        power = power_curve(grid, float(getattr(gamma, "gamma_linear", gamma)))
+        gamma_linear = float(getattr(gamma, "gamma_linear", gamma))
+        curve = np.array(_oracles.power_curve_in_order(grid, gamma_linear))
+        assert np.all(np.diff(curve) >= 0.0)
         for b, lo, rate in zip(budgets, n.tolist(), rates.tolist()):
             sol = owclb.newton_fmax(g, gamma, b, grid)
             assert rate == sol.rate, b
             assert lo * grid.delta_b == sol.f_max
-            # newton_fmax's exit contract under the exact power
-            assert power[lo - 1] <= b
-            assert lo == grid.K or power[lo] > b
+            # newton_fmax's exit contract on the power curve
+            assert curve[lo - 1] <= b
+            assert lo == grid.K or curve[lo] > b
         return n
 
     @pytest.mark.parametrize("k", [64, 1024])
@@ -445,17 +457,6 @@ class TestNewtonSweep:
         grid = subcarriers(ref_model, k, 200e6)
         budgets = sweep_budgets(np.random.default_rng(k), power_curve(grid, gap.gamma_linear))
         self.assert_matches_newton(ref_model, gap, budgets, grid)
-
-    def test_power_sweep_budgets_need_no_search(self, monkeypatch, ref_model, gap):
-        calls = []
-        search = owclb.waterfill._newton_search
-        monkeypatch.setattr(
-            owclb.waterfill, "_newton_search", lambda *a: calls.append(a) or search(*a)
-        )
-        grid = subcarriers(ref_model, 1024, 200e6)
-        n, _ = owclb.newton_sweep(ref_model, gap, np.geomspace(1e4, 1e9, 24), grid)
-        assert calls == []
-        assert np.all(np.diff(n) >= 0) and n[0] >= 1
 
     def test_two_subcarriers(self, ref_model, gap):
         grid = subcarriers(ref_model, 2, 200e6)
@@ -480,24 +481,20 @@ class TestNewtonSweep:
         ],
         ids=["two-pole", "reference-corners"],
     )
-    def test_plateaus_of_equal_w(self, monkeypatch, g, k, f_chip):
-        # corners far above f_chip: runs of equal Gamma/GNR_k, and an exact
-        # power that rises by less than its rounding error, so some budgets
-        # cross it more than once and only Newton's own path picks the crossing
+    def test_plateaus_of_equal_w(self, g, k, f_chip):
+        # corners far above f_chip: runs of equal Gamma/GNR_k, and direct
+        # sums that rise by less than their rounding error, so some budgets
+        # cross them more than once; the curve crosses each budget once
         grid = subcarriers(g, k, f_chip)
         w = 2.0 / grid.gnr_k
         assert np.sum(np.diff(w) == 0.0) > 100
         power = power_curve(grid, 2.0)
         budgets = sweep_budgets(np.random.default_rng(k), power, exact_count=k)
         assert any(crossings(power, b) > 1 for b in budgets)
-        searched = []
-        search = owclb.waterfill._newton_search
-        with monkeypatch.context() as patch:
-            patch.setattr(
-                owclb.waterfill, "_newton_search", lambda *a: searched.append(a) or search(*a)
-            )
-            owclb.newton_sweep(g, 2.0, budgets, grid)
-        assert 0 < len(searched) < len(budgets)
+        # the triangle inequality: the curve bounds the direct sums from
+        # above, up to the rounding of two sums of K nonnegative terms
+        curve = np.array(_oracles.power_curve_in_order(grid, 2.0))
+        assert np.all(curve >= power * (1.0 - 2.0 * (k + 4) * 2.0**-52))
         self.assert_matches_newton(g, 2.0, budgets, grid)
 
     def test_random_models(self):
@@ -720,6 +717,20 @@ def test_gamma_over_gnr_overflow_on_grid_names_the_subcarrier(solve):
     assert str(info.value) == f"Gamma/GNR at subcarrier k={k} overflows: GNR is {gnr!r}"
     # the bit loaders never grant a bit whose cost overflows, and load nothing here
     assert not owclb.hh_naive(grid, 1.0, 1.0).bits.any()
+
+
+def test_power_curve_overflow_is_above_every_budget():
+    # Gamma/GNR_k = 1e300 * (1 + (f/1e6)^2) is finite on every subcarrier,
+    # but the power curve overflows to +inf past the first few; no warning
+    g = owclb.MagSqPoleZeroGnr(gnr0=1e-300, poles=(1e6,))
+    grid = subcarriers(g, 1024, 200e6)
+    budgets = np.geomspace(1e4, 1e9, 4).tolist()
+    for b in budgets:
+        sol = owclb.newton_fmax(g, 1.0, b, grid)
+        assert sol.f_max == grid.delta_b and sol.sigma2 == 0.0 and sol.rate == 0.0
+    n, rates = owclb.newton_sweep(g, 1.0, budgets, grid)
+    assert n.tolist() == [1] * 4 and rates.tolist() == [0.0] * 4
+    assert np.isinf(owclb.waterfill._newton_setup(g, 1.0, budgets, grid)[2][-1])
 
 
 class TestPowerMap:
