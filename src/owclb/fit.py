@@ -22,6 +22,11 @@ per-start arithmetic is the same as such a loop's (stacked matmul and
 solve, corner weights through math.exp, the offset's mean row by row), so
 every start ends on the same bytes; ``tests/_oracles.gauss_newton_serial``
 is that loop.
+
+Layout: elementwise work runs corner-major, on (starts, M+N, rows) arrays,
+so every ufunc's inner loop walks a contiguous row of the table.  The
+Jacobian itself stays (rows, 1+M+N) per start, C order, because the bits
+of the BLAS products J^T J and J^T r depend on the layout they are handed.
 """
 
 from __future__ import annotations
@@ -93,14 +98,12 @@ def _weights(logs: np.ndarray) -> np.ndarray:
 def _model_db(c: np.ndarray, w: np.ndarray, m: int, u: np.ndarray) -> np.ndarray:
     """Model in dB, one row per start: offset c, plus the M zero terms, minus
     the pole terms, for corner weights w (S, M+N) with the zeros first."""
-    y = np.empty((c.size, u.size))
-    y[:] = c[:, None]
-    for j in range(w.shape[1]):
-        term = _Q10 * np.log1p(u / w[:, j, None])
-        if j < m:
-            y += term
-        else:
-            y -= term
+    terms = u / w[:, :, None]
+    np.log1p(terms, out=terms)
+    terms *= _Q10
+    y = (np.add if m else np.subtract)(c[:, None], terms[:, 0])
+    for j in range(1, w.shape[1]):
+        (np.add if j < m else np.subtract)(y, terms[:, j], out=y)
     return y
 
 
@@ -109,32 +112,39 @@ def _row_dots(r: np.ndarray) -> np.ndarray:
     return (r[:, None, :] @ r[:, :, None])[:, 0, 0]
 
 
-def _normal_equations(w: np.ndarray, m: int, u: np.ndarray, r: np.ndarray):
-    """J^T J, J^T r and the damping diagonal per start, J = d(model)/d(c, log corners)."""
-    jac = np.empty((w.shape[0], u.size, w.shape[1] + 1))
+def _normal_equations(w: np.ndarray, m: int, u: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """The damped system's parts per start, J = d(model)/d(c, log corners)
+    with P = 1+M+N columns: one (S, P, P+2) array holding J^T J, then
+    -J^T r, then the damping diagonal (J^T J's, 1.0 where it is <= 0)."""
+    s, k = w.shape
+    # corner column j is +-2*Q10*u/(w_j + u); the sum w_j + u is formed
+    # corner-major, a (S, M+N, rows) temporary (~190 KB at S=16, 300 rows),
+    # and negated for the zeros, then the divide writes through into J
+    cols = np.add(w[:, :, None], u)
+    cols[:, :m] *= -1.0
+    jac = np.empty((s, u.size, k + 1))
     jac[:, :, 0] = 1.0
-    corners = jac[:, :, 1:]  # filled in place: (S, rows, M+N) temporaries raise peak memory
-    np.add(w[:, None, :], u[:, None], out=corners)
-    np.divide((2.0 * _Q10 * u)[:, None], corners, out=corners)
-    corners[:, :, :m] *= -1.0
+    np.divide(2.0 * _Q10 * u, cols, out=jac[:, :, 1:].transpose(0, 2, 1))
     jt = jac.transpose(0, 2, 1)
-    a = jt @ jac
-    g = (jt @ r[:, :, None])[:, :, 0]
-    diag = np.diagonal(a, axis1=1, axis2=2).copy()
-    diag[diag <= 0.0] = 1.0
-    return a, g, diag
+    out = np.empty((s, k + 1, k + 3))
+    out[:, :, : k + 1] = jt @ jac
+    np.negative(jt @ r[:, :, None], out=out[:, :, k + 1 : k + 2])
+    diag = out[:, :, k + 2]
+    diag[:] = np.diagonal(out, axis1=1, axis2=2)
+    np.copyto(diag, 1.0, where=diag <= 0.0)
+    return out
 
 
-def _damped_steps(lhs: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Solve lhs @ step = -g per start.  A singular system's step is NaN,
-    so its trial cost is not finite and the trial counts as rejected."""
-    rhs = -g[..., None]
+def _damped_steps(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve lhs @ step = rhs per start, rhs (S, P, 1).  A singular system's
+    step is NaN, so its trial cost is not finite and the trial counts as
+    rejected."""
     try:
         return np.linalg.solve(lhs, rhs)[..., 0]
     except np.linalg.LinAlgError:
         pass
-    step = np.full(g.shape, np.nan)
-    for i in range(g.shape[0]):
+    step = np.full(rhs.shape[:2], np.nan)
+    for i in range(rhs.shape[0]):
         try:
             step[i] = np.linalg.solve(lhs[i], rhs[i])[:, 0]
         except np.linalg.LinAlgError:
@@ -151,45 +161,59 @@ def _lockstep_lm(u, y_data, logs0, m, l_bounds, max_iters):
     step below 1e-13, or after max_iters accepted steps.  Returns per
     start the cost, the offset, the log corners and the residuals.
     """
-    s = logs0.shape[0]
+    s, p = logs0.shape[0], logs0.shape[1] + 1
+    lo, hi = l_bounds
     w = _weights(logs0)
     # offset is linear in the residual: start it at its optimum
     y0 = y_data - _model_db(np.zeros(s), w, m, u)
     x = np.column_stack([[np.mean(row) for row in y0], logs0])
     r = _model_db(x[:, 0], w, m, u) - y_data
     cost = _row_dots(r)
-    a, g, diag = _normal_equations(w, m, u, r)
-    lam = np.full(s, 1e-3)
-    tries = np.zeros(s, dtype=int)
-    iters = np.zeros(s, dtype=int)
-    live = np.arange(s)
+    eqs = _normal_equations(w, m, u, r)
+    # x, r, cost and eqs hold the live starts' rows, in the order of
+    # `live`.  Damping factor, rejections in a row and accepted steps are
+    # Python numbers per start: at a few live starts, a numpy call per
+    # update would cost more than the update.
+    live = list(range(s))
+    lam, tries, iters = [1e-3] * s, [0] * s, [0] * s
     out_cost, out_x, out_r = np.empty(s), np.empty_like(x), np.empty_like(r)
-    on_diag = np.arange(x.shape[1])
-    while live.size:
-        damping = np.zeros_like(a)
-        damping[:, on_diag, on_diag] = diag
-        step = _damped_steps(a + lam[:, None, None] * damping, g)
+    while live:
+        lhs = eqs[:, :, :p].copy()
+        damping = np.array([lam[i] for i in live])[:, None] * eqs[:, :, p + 1]
+        lhs.reshape(len(live), -1)[:, :: p + 1] += damping  # onto the diagonal
+        step = _damped_steps(lhs, eqs[:, :, p : p + 1])
         x_t = x + step
-        x_t[:, 1:] = np.clip(x_t[:, 1:], *l_bounds)
-        w_t = _weights(x_t[:, 1:])
+        logs_t = x_t[:, 1:]
+        np.maximum(logs_t, lo, out=logs_t)
+        np.minimum(logs_t, hi, out=logs_t)
+        w_t = _weights(logs_t)
         r_t = _model_db(x_t[:, 0], w_t, m, u) - y_data
         cost_t = _row_dots(r_t)
-        ok = np.isfinite(cost_t) & (cost_t <= cost)
-        x[ok], r[ok], cost[ok] = x_t[ok], r_t[ok], cost_t[ok]
-        lam = np.where(ok, np.maximum(lam / 10.0, 1e-14), np.minimum(lam * 10.0, 1e12))
-        tries = np.where(ok, 0, tries + 1)
-        iters += ok
-        small = np.max(np.abs(step), axis=1) < 1e-13
-        done = (tries == _DAMP_TRIES) | (ok & (small | (iters == max_iters)))
-        moved = ok & ~done
-        if moved.any():
-            a[moved], g[moved], diag[moved] = _normal_equations(w_t[moved], m, u, r[moved])
-        if done.any():
-            out_cost[live[done]], out_x[live[done]], out_r[live[done]] = cost[done], x[done], r[done]
-            keep = ~done
-            live, x, r, cost, a, g, diag, lam, tries, iters = (
-                v[keep] for v in (live, x, r, cost, a, g, diag, lam, tries, iters)
-            )
+        ok, moved, done = [], [], []
+        trials = zip(live, cost_t.tolist(), cost.tolist(), step.tolist())
+        for k, (i, c_t, c, st) in enumerate(trials):
+            ok.append(math.isfinite(c_t) and c_t <= c)
+            if ok[k]:
+                lam[i], tries[i], iters[i] = max(lam[i] / 10.0, 1e-14), 0, iters[i] + 1
+                stop = iters[i] == max_iters or max(map(abs, st)) < 1e-13
+                (done if stop else moved).append(k)
+            else:
+                lam[i], tries[i] = min(lam[i] * 10.0, 1e12), tries[i] + 1
+                if tries[i] == _DAMP_TRIES:
+                    done.append(k)
+        if any(ok):
+            mask = np.array(ok)
+            np.copyto(x, x_t, where=mask[:, None])
+            np.copyto(r, r_t, where=mask[:, None])
+            np.copyto(cost, cost_t, where=mask)
+        if moved:
+            eqs[moved] = _normal_equations(w_t[moved], m, u, r[moved])
+        if done:
+            ids = [live[k] for k in done]
+            out_cost[ids], out_x[ids], out_r[ids] = cost[done], x[done], r[done]
+            keep = [k for k in range(len(live)) if k not in done]
+            live = [live[k] for k in keep]
+            x, r, cost, eqs = x[keep], r[keep], cost[keep], eqs[keep]
     return out_cost, out_x[:, 0], out_x[:, 1:], out_r
 
 

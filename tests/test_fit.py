@@ -358,3 +358,50 @@ class TestLockstepMatchesSerial:
         assert poison.hits > 0
         assert np.all(np.isfinite(cost))
         assert cost[3] != clean[0][3]
+
+
+# ---------------------------------------------------------------------------
+# the lockstep kernels, start by start, against the serial loop's pieces
+
+_KERNEL_CASES = [(s, m, rows) for s in (1, 2, 16) for m in (0, 1, 3) for rows in (40, 300)]
+
+
+class TestKernelsMatchSerial:
+    @pytest.mark.parametrize("s,m,rows", _KERNEL_CASES)
+    def test_model_db_rows(self, s, m, rows):
+        rng = np.random.default_rng(2000 + 100 * s + 10 * m + rows)
+        u, _, logs = _noisy_problem(rng, m, 4, rows, s)
+        c = rng.uniform(-50.0, 150.0, s)
+        got = fit._model_db(c, fit._weights(logs), m, u)
+        assert got.shape == (s, rows)
+        for i in range(s):
+            want = _oracles._serial_model_db(float(c[i]), logs[i, :m], logs[i, m:], u)
+            assert got[i].tobytes() == want.tobytes(), f"start {i}"
+
+    @pytest.mark.parametrize("s,m,rows", _KERNEL_CASES)
+    def test_normal_equations_per_start(self, s, m, rows):
+        rng = np.random.default_rng(3000 + 100 * s + 10 * m + rows)
+        u, _, logs = _noisy_problem(rng, m, 4, rows, s)
+        r = rng.normal(0.0, 3.0, (s, rows))
+        p = m + 5
+        eqs = fit._normal_equations(fit._weights(logs), m, u, r)
+        assert eqs.shape == (s, p, p + 2)
+        for i in range(s):
+            jac = _oracles._serial_jacobian(logs[i, :m], logs[i, m:], u)
+            a, g = jac.T @ jac, jac.T @ r[i]
+            assert eqs[i, :, :p].tobytes() == a.tobytes(), f"start {i}: J^T J"
+            assert (-eqs[i, :, p]).tobytes() == g.tobytes(), f"start {i}: J^T r"
+            diag = np.diag(a).copy()
+            diag[diag <= 0.0] = 1.0
+            assert eqs[i, :, p + 1].tobytes() == diag.tobytes(), f"start {i}: damping"
+
+    @pytest.mark.parametrize("m", (0, 1, 3))
+    def test_copies_of_one_start_agree(self, m):
+        rng = np.random.default_rng(4000 + m)
+        u, y_data, logs0 = _noisy_problem(rng, m, 4, 300, 1)
+        alone = fit._lockstep_lm(u, y_data, logs0, m, _L_BOUNDS, 200)
+        copies = fit._lockstep_lm(u, y_data, np.repeat(logs0, 16, axis=0), m, _L_BOUNDS, 200)
+        for got, want in zip(copies, alone):
+            assert got.shape[0] == 16
+            for row in got:
+                assert np.asarray(row).tobytes() == np.asarray(want[0]).tobytes()
