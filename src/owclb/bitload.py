@@ -28,18 +28,17 @@ Power bookkeeping uses the closed form
 rather than accumulated increments.  ``BitLoadPlan.total_power`` is the
 plain left-to-right sum of these per-subcarrier terms in subcarrier order.
 
-FLOP counting convention (used by both searches and by ``flop_report``),
-computed from the grant order rather than counted in a loop: every
-floating-point add, multiply, divide, comparison and
-exponentiation-by-squaring step counts as one FLOP; table lookups and
-index bookkeeping are free.  Concretely: marginal-power setup costs
-K + 1 (one multiply for Delta_B*Gamma, one divide per subcarrier); each
-search round costs (candidates - 1) comparisons, plus 2 for the budget
-check (one add, one compare) when a finite candidate is left; each
-accepted bit costs 6 (marginal doubling, closed-form power refresh,
-running-total add).  L grants take L + 1 rounds, the last one rejecting.
-The scan has K candidates per round, the table one per populated level
-below the cap.
+FLOP counting convention (used by both searches), computed from the grant
+order rather than counted in a loop: every floating-point add, multiply,
+divide, comparison and exponentiation-by-squaring step counts as one
+FLOP; table lookups and index bookkeeping are free.  Concretely:
+marginal-power setup costs K + 1 (one multiply for Delta_B*Gamma, one
+divide per subcarrier); each search round costs (candidates - 1)
+comparisons, plus 2 for the budget check (one add, one compare) when a
+finite candidate is left; each accepted bit costs 6 (marginal doubling,
+closed-form power refresh, running-total add).  L grants take L + 1
+rounds, the last one rejecting.  The scan has K candidates per round, the
+table one per populated level below the cap.
 """
 
 from __future__ import annotations
@@ -60,22 +59,6 @@ _LOAD_FLOPS = 6
 _BUDGET_CHECK_FLOPS = 2
 
 
-@dataclass(frozen=True)
-class GroupTable:
-    """Dense lookup table: levels[b] is the lowest-index subcarrier
-    (1-based) carrying exactly b bits, or 0 when no subcarrier does.
-    Level 0 tracks the first still-unloaded subcarrier."""
-
-    levels: tuple[int, ...]
-
-    @property
-    def bit_cap(self) -> int:
-        return len(self.levels) - 1
-
-    def lookup(self, b: int) -> int:
-        return self.levels[b]
-
-
 @dataclass(frozen=True, eq=False)
 class BitLoadPlan:
     """Result of one bit-loading run.
@@ -83,7 +66,10 @@ class BitLoadPlan:
     ``bits`` and ``power_k`` are indexed 0..K-1 for subcarriers 1..K.
     ``rate`` is delta_b * sum(bits) in bit/s.  ``iterations`` counts
     search rounds including the final rejecting one; ``flops`` follows the
-    convention documented in the module docstring.
+    convention documented in the module docstring.  ``hh_accelerated``
+    sets ``group_table[b]`` to the lowest-index subcarrier (1-based)
+    carrying exactly b bits, or 0 when none does; level 0 heads the still
+    unloaded subcarriers.
     """
 
     bits: np.ndarray
@@ -96,13 +82,13 @@ class BitLoadPlan:
     grid: SubcarrierGrid
     gamma: float
     sigma2_budget: float
-    group_table: GroupTable | None = None
+    group_table: tuple[int, ...] | None = None
 
 
 def marginal_power(grid: SubcarrierGrid, gap, k: int, b_current: int) -> float:
     """Power needed to raise subcarrier k (1-based) from b to b+1 bits:
-    Delta_B * Gamma * 2^b / GNR(f_k); inf once 2^b overflows, as the
-    greedy prices such a bit."""
+    (Delta_B * Gamma / GNR(f_k)) * 2^b, priced as the greedy prices it;
+    inf where that overflows, a bit the greedy never grants."""
     gamma = _gamma_value(gap)
     if not (_is_integer(k) and 1 <= k <= grid.K):
         raise ValueError(f"k must be an integer in 1..{grid.K}, got {k!r}")
@@ -110,7 +96,7 @@ def marginal_power(grid: SubcarrierGrid, gap, k: int, b_current: int) -> float:
         raise ValueError(f"b_current must be an integer >= 0, got {b_current!r}")
     if b_current >= sys.float_info.max_exp:
         return math.inf
-    return grid.delta_b * gamma * 2.0**b_current / float(grid.gnr_k[k - 1])
+    return grid.delta_b * gamma / float(grid.gnr_k[k - 1]) * 2.0**b_current
 
 
 def _greedy(grid: SubcarrierGrid, gamma: float, budgets, bit_cap: int):
@@ -261,7 +247,7 @@ def hh_accelerated(
     heads = np.zeros(bit_cap + 1, dtype=np.int64)
     held, first = np.unique(bits, return_index=True)
     heads[held] = first + 1  # 1-based first carrier holding exactly b bits
-    table = GroupTable(tuple(heads.tolist()))
+    table = tuple(heads.tolist())
     finite_left = loads < grants.size
     return _plan(grid, gamma, sigma2_budget, bits, finite_left, search, "hh_accelerated", table)
 
@@ -301,56 +287,6 @@ def hh_sorted_prefix(
     gamma = _gamma_value(gap)
     grants, loaded = _greedy(grid, gamma, budgets, bit_cap)
     return PrefixSweep(grid=grid, order=grants // bit_cap, loaded=loaded)
-
-
-@dataclass(frozen=True)
-class FlopComparison:
-    """Instrumented-cost comparison of two plans from identical inputs.
-
-    ``populated_levels`` counts the populated lookup-table entries of the
-    accelerated plan at termination (the paper-symbol clash with the table
-    itself is avoided on purpose).  See the module docstring for the
-    counting convention.
-    """
-
-    flops_a: int
-    flops_b: int
-    algorithm_a: str
-    algorithm_b: str
-    iterations: int
-    flops_saved: int
-    savings_per_iteration: float
-    populated_levels: int | None
-
-
-def flop_report(plan_a: BitLoadPlan, plan_b: BitLoadPlan) -> FlopComparison:
-    """Compare instrumented FLOPs of two plans built from identical inputs."""
-    ga, gb = plan_a.grid, plan_b.grid
-    same = (
-        ga.K == gb.K
-        and ga.f_chip == gb.f_chip
-        and np.array_equal(ga.gnr_k, gb.gnr_k)
-        and plan_a.gamma == plan_b.gamma
-        and plan_a.sigma2_budget == plan_b.sigma2_budget
-    )
-    if not same:
-        raise ValueError("plans were not produced on identical inputs")
-    if not np.array_equal(plan_a.bits, plan_b.bits):
-        raise ValueError("plans disagree on the allocation; inputs cannot match")
-    table = plan_a.group_table or plan_b.group_table
-    populated = sum(1 for v in table.levels if v != 0) if table is not None else None
-    iterations = plan_a.iterations
-    saved = plan_a.flops - plan_b.flops
-    return FlopComparison(
-        flops_a=plan_a.flops,
-        flops_b=plan_b.flops,
-        algorithm_a=plan_a.algorithm,
-        algorithm_b=plan_b.algorithm,
-        iterations=iterations,
-        flops_saved=saved,
-        savings_per_iteration=saved / iterations if iterations else 0.0,
-        populated_levels=populated,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -303,16 +303,10 @@ def cmd_compare(args) -> int:
     _, gamma, grid = _load_grid(args)
     naive = bitload.hh_naive(grid, gamma, args.budget)
     accel = bitload.hh_accelerated(grid, gamma, args.budget)
-    report = bitload.flop_report(naive, accel)
-    row = (
-        args.k,
-        report.iterations,
-        report.flops_a,
-        report.flops_b,
-        report.flops_saved,
-        report.savings_per_iteration,
-        report.populated_levels or 0,
-    )
+    saved = naive.flops - accel.flops
+    per_iteration = saved / naive.iterations if naive.iterations else 0.0
+    populated = sum(1 for head in accel.group_table if head != 0)
+    row = (args.k, naive.iterations, naive.flops, accel.flops, saved, per_iteration, populated)
     linkchain._write_csv(
         args.out,
         [
@@ -329,8 +323,8 @@ def cmd_compare(args) -> int:
     )
     if args.out:
         print(
-            f"compare: K={args.k}, naive={report.flops_a} accel={report.flops_b} FLOPs, "
-            f"saved {report.flops_saved} ({report.savings_per_iteration:.1f}/iteration)"
+            f"compare: K={args.k}, naive={naive.flops} accel={accel.flops} FLOPs, "
+            f"saved {saved} ({per_iteration:.1f}/iteration)"
         )
     return 0
 

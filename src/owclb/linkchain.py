@@ -109,26 +109,40 @@ def _freq_tuple(name: str, values) -> tuple[float, ...]:
     return tuple(_check_positive(f"{name} entry", v) for v in values)
 
 
+_F_LIMIT = math.sqrt(_FLOAT_MAX)  # the largest frequency whose square is a finite float
+_F_FAULT = f"frequency must be finite and non-negative, at most {_F_LIMIT:.6g} Hz"
+
+
 def _as_f(f):
     """Coerce a frequency argument to float or float ndarray, checking range."""
     if isinstance(f, float):
-        if not (math.isfinite(f) and f >= 0.0):
-            raise ValueError("frequency must be finite and non-negative")
+        if not 0.0 <= f <= _F_LIMIT:  # nan fails too
+            raise ValueError(_F_FAULT)
         return float(f)
     arr = np.asarray(f, dtype=float)
-    if not np.all(np.isfinite(arr)) or np.any(arr < 0.0):
-        raise ValueError("frequency must be finite and non-negative")
+    if not np.all((arr >= 0.0) & (arr <= _F_LIMIT)):
+        raise ValueError(_F_FAULT)
     return arr if arr.ndim else float(arr)
 
 
+def _square(x: float) -> float:
+    """x**2, or +inf where that passes the largest float (** raises there)."""
+    try:
+        return x**2
+    except OverflowError:
+        return math.inf
+
+
 def _polezero(gain: float, zeros, poles, f):
-    """gain * prod(1 + f^2/fz^2) / prod(1 + f^2/fp^2), zeros first, in list order."""
+    """gain * prod(1 + f^2/fz^2) / prod(1 + f^2/fp^2), zeros first, in list order.
+
+    A corner whose square overflows gives a factor of exactly 1."""
     u = np.square(_as_f(f))
     out = gain + 0.0 * u
     for fz in zeros:
-        out = out * (1.0 + u / fz**2)
+        out = out * (1.0 + u / _square(fz))
     for fp in poles:
-        out = out / (1.0 + u / fp**2)
+        out = out / (1.0 + u / _square(fp))
     return out
 
 

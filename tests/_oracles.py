@@ -239,7 +239,7 @@ def hh_accelerated_loop(
     _check_budget(sigma2_budget)
     require_monotone_grid(grid)
     if sigma2_budget == 0.0:
-        empty = owclb.GroupTable(tuple([1] + [0] * bit_cap))  # level 0 heads the grid
+        empty = tuple([1] + [0] * bit_cap)  # level 0 heads the grid
         return _loop_plan(None, grid, gamma, 0.0, 0, 0, "hh_accelerated", empty)
 
     state = _LoadState(grid, gamma)
@@ -285,7 +285,7 @@ def hh_accelerated_loop(
             on_load(best_k, state.bits)
     return _loop_plan(
         state, grid, gamma, sigma2_budget, state.flops, iterations, "hh_accelerated",
-        owclb.GroupTable(tuple(levels)),
+        tuple(levels),
     )
 
 

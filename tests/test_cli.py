@@ -295,6 +295,61 @@ class TestCompare:
         np.testing.assert_array_equal(plans[0]["bits"], plans[1]["bits"])
         np.testing.assert_array_equal(plans[0]["power_v2"], plans[1]["power_v2"])
 
+    def test_zero_budget(self, channel_path, tmp_path):
+        out = tmp_path / "cmp.csv"
+        assert run_cli("compare", "--channel", channel_path, "--budget", "0", "--out", str(out)) == 0
+        header, rows = read_table(out)
+        row = dict(zip(header, rows[0]))
+        assert row["iterations"] == 0.0
+        assert row["naive_flops"] == row["accel_flops"] and row["flops_saved"] == 0.0
+        assert row["savings_per_iteration"] == 0.0
+        assert row["populated_levels"] == 1.0  # level 0 heads every carrier
+
+
+class TestHugeFrequencies:
+    @pytest.mark.parametrize("argv", [
+        ["optimize-newton", "--budget", "1e-3"],
+        ["optimize-hh", "--budget", "1e-3"],
+        ["compare", "--budget", "1e-3"],
+        ["rate-curve", "--sweep", "power:1e-6:1e-2:4:log"],
+        ["gnr-eval"],
+    ], ids=lambda a: a[0])
+    def test_corner_whose_square_overflows(self, tmp_path, capsys, argv):
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps({
+            "stages": [{"kind": "RationalPoleZero",
+                        "params": {"dc_gain": 1.0, "zeros": [], "poles": [1e6, 1e200]}}],
+            "noise": {"floor": 1e-17},
+        }))
+        near = tmp_path / "near.json"
+        near.write_text(path.read_text().replace(", 1e200", ""))
+        outputs = []
+        for channel in (path, near):
+            assert run_cli(*argv, "--channel", str(channel)) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0].err == ""
+        assert outputs[0].out == outputs[1].out  # the far pole is a factor of 1
+
+    @pytest.mark.parametrize("argv", [
+        ["gnr-eval", "--sweep", "fmax:1e150:1e200:3:log"],
+        ["optimize-hh", "--budget", "1", "--fchip", "1e160"],
+    ], ids=lambda a: a[0])
+    def test_frequency_whose_square_overflows_refused(self, capsys, argv):
+        rc = run_cli(argv[0], "--channel", str(DATA / "fit_ref.json"), *argv[1:])
+        assert rc == 1
+        out, err = capsys.readouterr()
+        assert "nan" not in out
+        assert err == (
+            f"owclb: {argv[0]} failed: "
+            "frequency must be finite and non-negative, at most 1.34078e+154 Hz\n"
+        )
+
+    def test_fmax_rate_curve_needs_no_square(self, capsys):
+        argv = ["--channel", str(DATA / "fit_ref.json"), "--sweep", "fmax:1e150:1e200:3:log"]
+        assert run_cli("rate-curve", *argv) == 0
+        out, err = capsys.readouterr()
+        assert err == "" and "nan" not in out and out.count("\n") == 4
+
 
 class TestFitCommand:
     def test_fit_writes_loadable_fragment(self, tmp_path):
@@ -790,3 +845,7 @@ def test_cli_import_loads_no_scipy():
     )
     assert proc.stdout == "[]\n"
 
+
+def test_every_public_name_resolves():
+    missing = [name for name in owclb.__all__ if not hasattr(owclb, name)]
+    assert missing == []

@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -36,10 +37,23 @@ corner_freqs = st.floats(min_value=1e3, max_value=1e10)
 
 
 class TestComponentEval:
-    @pytest.mark.parametrize("f", [math.nan, math.inf, -math.inf, -1.0])
+    @pytest.mark.parametrize("f", [math.nan, math.inf, -math.inf, -1.0, 1.35e154, 1e200])
     def test_bad_plain_float_frequency_rejected(self, f):
         with pytest.raises(ValueError, match="frequency must be finite and non-negative"):
             _as_f(f)
+
+    def test_largest_frequency_squares_finite(self):
+        f = math.sqrt(sys.float_info.max)
+        assert _as_f(f) == f
+        assert math.isfinite(float(np.square(f)))
+
+    @pytest.mark.parametrize("kind", ["zeros", "poles"])
+    def test_corner_whose_square_overflows_is_a_unit_factor(self, kind):
+        f = np.geomspace(1e3, 1e150, 50)
+        plain = owclb.RationalPoleZero(dc_gain=3.0, poles=(1e6,))
+        huge = dataclasses.replace(plain, **{kind: getattr(plain, kind) + (1e200,)})
+        got = owclb.eval_component_magsq(huge, f)
+        assert got.tobytes() == owclb.eval_component_magsq(plain, f).tobytes()
 
     @pytest.mark.parametrize("f", [0.0, 3.5e6, np.float64(3.5e6)])
     def test_scalar_frequency_comes_back_as_float(self, f):
