@@ -5,16 +5,19 @@ subcarrier's next bit costs Delta_B * Gamma * 2^b / GNR(f_k), which
 doubles with every bit, so the greedy grants the (subcarrier, bit)
 increments in the order of one stable sort by (cost, subcarrier) and stops
 at the first one whose running sum exceeds the budget (cf. Campello,
-"Practical bit loading for DMT", ICC 1999).  All three loaders are that one
-sort, on the ``waterfill.SubcarrierGrid`` that ``newton_fmax`` also solves
-on, so a command samples its channel once:
+"Practical bit loading for DMT", ICC 1999).  All three loaders run on the
+``waterfill.SubcarrierGrid`` that ``newton_fmax`` also solves on, so a
+command samples its channel once:
 
-``hh_sorted_prefix`` loads for a whole batch of budgets at once; the CLI
-uses it for the ``rate-curve`` power sweep.  ``hh_naive`` and
-``hh_accelerated`` load for one budget and report the FLOPs and search
-rounds of the two Hughes-Hartogs searches the paper compares: a scan of
-all K subcarriers per round, and a search of a lookup table of block
-heads, one per populated bit level.  The table search is exact only on
+``hh_sorted_prefix`` gives the total bits the greedy grants for each of a
+whole batch of budgets; the CLI uses it for the ``rate-curve`` power sweep.
+A count needs only the sorted cost values and their running sums, not
+which subcarrier each bit goes to, so it sorts the values alone.
+``hh_naive`` and ``hh_accelerated`` take the stable sort's grant order to
+load for one budget, and report the FLOPs and search rounds of the two
+Hughes-Hartogs searches the paper compares: a scan of all K subcarriers
+per round, and a search of a lookup table of block heads, one per
+populated bit level.  The table search is exact only on
 monotone channels, where subcarriers carrying equal bit counts form
 contiguous blocks, so ``hh_accelerated`` refuses a grid whose GNR rises.
 Both give the same bits on any grid they accept.  The CLI uses
@@ -99,32 +102,50 @@ def marginal_power(grid: SubcarrierGrid, gap, k: int, b_current: int) -> float:
     return grid.delta_b * gamma / float(grid.gnr_k[k - 1]) * 2.0**b_current
 
 
-def _greedy(grid: SubcarrierGrid, gamma: float, budgets, bit_cap: int):
-    """Every finite (subcarrier, bit) increment in greedy order, and how
-    many of them each budget in the batch affords.
+def _costs(grid: SubcarrierGrid, gamma: float, budgets, bit_cap: int):
+    """The checked budgets and every (subcarrier, bit) increment's cost.
 
     Increments are numbered subcarrier-major, k * bit_cap + b for 0-based
-    subcarrier k raised from b to b+1 bits.  Each costs
-    (delta_b*gamma/gnr_k) * 2^b, so the greedy grants them in the order of
-    a stable sort by (cost, subcarrier) and stops at the first one whose
-    running sum exceeds the budget.  The costs take one multiply, one
-    divide and then exact doublings, and ``np.cumsum`` adds in the greedy's
-    order, so every partial sum is bit-identical to the greedy's running
-    total.  Costs that overflow to infinity are never granted, and a zero
-    budget loads nothing, even a zero-cost bit.
+    subcarrier k raised from b to b+1 bits, and each costs
+    (delta_b*gamma/gnr_k) * 2^b: one multiply, one divide and then exact
+    doublings.  A cost past the largest float is inf, as in scalar code.
     """
     budgets = np.atleast_1d(np.asarray(budgets, dtype=float))
     bad = budgets[~(budgets >= 0.0)]  # NaN too; inf loads every carrier to the cap
     if bad.size:
         raise ValueError(f"sigma2_budget must be >= 0, got {float(bad[0])!r}")
-    with np.errstate(over="ignore"):  # past the largest float is inf, as in scalar code
+    with np.errstate(over="ignore"):
         marginal = grid.delta_b * gamma / grid.gnr_k
-        costs = (marginal[:, None] * 2.0 ** np.arange(bit_cap)).ravel()
-        order = np.argsort(costs, kind="stable")
-        sorted_costs = costs[order]
-        finite = int(np.count_nonzero(np.isfinite(sorted_costs)))
+        return budgets, (marginal[:, None] * 2.0 ** np.arange(bit_cap)).ravel()
+
+
+def _affordable(sorted_costs: np.ndarray, budgets: np.ndarray):
+    """How many of the ascending costs are finite, and how many of them
+    each budget affords, taken in order.
+
+    ``np.cumsum`` adds in the greedy's order, so every partial sum is
+    bit-identical to the greedy's running total.  Costs that overflow to
+    infinity are never granted, and a zero budget loads nothing, even a
+    zero-cost bit.
+    """
+    finite = int(sorted_costs.searchsorted(np.inf))  # no cost is NaN
+    with np.errstate(over="ignore"):
         loaded = np.searchsorted(np.cumsum(sorted_costs[:finite]), budgets, side="right")
     loaded[budgets == 0.0] = 0
+    return finite, loaded
+
+
+def _greedy(grid: SubcarrierGrid, gamma: float, budgets, bit_cap: int):
+    """Every finite increment (numbered as in ``_costs``) in greedy order,
+    and how many of them each budget in the batch affords.
+
+    The greedy grants the increments in the order of a stable sort by
+    (cost, subcarrier) and stops at the first one whose running sum
+    exceeds the budget.
+    """
+    budgets, costs = _costs(grid, gamma, budgets, bit_cap)
+    order = np.argsort(costs, kind="stable")
+    finite, loaded = _affordable(costs[order], budgets)
     return order[:finite], loaded
 
 
@@ -252,41 +273,22 @@ def hh_accelerated(
     return _plan(grid, gamma, sigma2_budget, bits, finite_left, search, "hh_accelerated", table)
 
 
-@dataclass(frozen=True, eq=False)
-class PrefixSweep:
-    """Greedy loading for a batch of budgets, from one sorted increment list.
-
-    ``order`` holds the 0-based subcarrier of every affordable (subcarrier,
-    bit) increment in the order the greedy grants them; ``loaded[i]`` is
-    how many of them fit the i-th budget.
-    """
-
-    grid: SubcarrierGrid
-    order: np.ndarray
-    loaded: np.ndarray
-
-    @property
-    def rates(self) -> np.ndarray:
-        """delta_b * total bits per budget, in bit/s."""
-        return self.grid.delta_b * self.loaded.astype(float)
-
-    def bits(self, i: int) -> np.ndarray:
-        """Bits per subcarrier granted under the i-th budget."""
-        return np.bincount(self.order[: self.loaded[i]], minlength=self.grid.K)
-
-
 def hh_sorted_prefix(
     grid: SubcarrierGrid,
     gap,
     budgets,
     *,
     bit_cap: int = DEFAULT_BIT_CAP,
-) -> PrefixSweep:
-    """Greedy loading for every budget at once from one sort; equals
-    ``hh_naive`` exactly, on any grid, monotone or not."""
-    gamma = _gamma_value(gap)
-    grants, loaded = _greedy(grid, gamma, budgets, bit_cap)
-    return PrefixSweep(grid=grid, order=grants // bit_cap, loaded=loaded)
+) -> np.ndarray:
+    """Total bits the greedy grants for each budget in a batch, on any grid,
+    monotone or not; each equals ``hh_naive``'s bit count for that budget.
+
+    The count needs the ascending cost values, not the grant order, so one
+    plain sort of the costs serves every budget: equal costs are
+    indistinguishable, and their running sums match the greedy's bit for bit.
+    """
+    budgets, costs = _costs(grid, _gamma_value(gap), budgets, bit_cap)
+    return _affordable(np.sort(costs), budgets)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import logging
 import math
 import os
 import sys
@@ -33,8 +32,6 @@ from pathlib import Path
 import numpy as np
 
 from . import bitload, fit, linkchain, waterfill
-
-log = logging.getLogger("owclb")
 
 _BUDGET_FLAGS = ("channel", "out", "gamma_db", "budget", "k", "fchip")
 COMMANDS = {
@@ -174,14 +171,18 @@ def cmd_gnr_eval(args) -> int:
     if variable != "fmax":
         raise CliError(f"sweep variable must be 'fmax' for gnr-eval, got {variable!r}")
     chain = linkchain.load_chain(args.channel)
-    gain = np.asarray(linkchain.chain_magsq(chain, freqs), dtype=float)
-    noise = np.asarray(linkchain.eval_noise_psd(chain.noise, freqs), dtype=float)
-    gnr = gain / noise
-    linkchain._write_csv(
-        args.out,
-        ["f_hz", "gain_magsq", "noise_psd_v2_per_hz", "gnr_linear"],
-        zip(freqs, gain, noise, gnr),
-    )
+    header = ["f_hz", "gain_magsq", "noise_psd_v2_per_hz", "gnr_linear"]
+    # past the float range a column is inf or nan: refused below, not warned
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        gain = np.asarray(linkchain.chain_magsq(chain, freqs), dtype=float)
+        noise = np.asarray(linkchain.eval_noise_psd(chain.noise, freqs), dtype=float)
+        gnr = gain / noise
+    for name, column in zip(header[1:], (gain, noise, gnr)):
+        bad = np.flatnonzero(~np.isfinite(column))
+        if bad.size:
+            i = int(bad[0])
+            raise ValueError(f"{name} is {float(column[i])!r} at f={freqs[i]:g} Hz")
+    linkchain._write_csv(args.out, header, zip(freqs, gain, noise, gnr))
     if args.out:
         print(f"gnr-eval: {freqs.size} points, GNR(f_min)={gnr[0]:.6g} linear")
     return 0
@@ -213,7 +214,7 @@ def cmd_rate_curve(args) -> int:
     # the sorted pass needs no monotone grid, but the sweep keeps the refusal
     # hh_accelerated made; a rising model has already failed Newton above
     bitload.require_monotone_grid(grid)
-    hh = bitload.hh_sorted_prefix(grid, gamma, budgets).rates
+    hh = grid.delta_b * bitload.hh_sorted_prefix(grid, gamma, budgets).astype(float)
     psd, n_flat = _flat_band_psd(g, grid, budgets)
     snr = psd[:, None] * grid.gnr_k[:n_flat] / gamma.gamma_linear
     flat = grid.delta_b * np.sum(np.log2(1.0 + snr), axis=1)
@@ -340,8 +341,11 @@ _HANDLERS = {
 
 
 def run(argv: list[str]) -> int:
-    level = os.environ.get("OWCLB_LOG", "warning").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING))
+    level = os.environ.get("OWCLB_LOG")
+    if level:
+        import logging
+
+        logging.basicConfig(level=getattr(logging, level.upper(), logging.WARNING))
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
@@ -352,7 +356,9 @@ def run(argv: list[str]) -> int:
         return 2
     except (ValueError, RuntimeError, OSError, MemoryError) as exc:
         print(f"owclb: {args.command} failed: {exc}", file=sys.stderr)
-        log.debug("failure detail", exc_info=True)
+        import logging  # only here and under OWCLB_LOG: a plain run never loads it
+
+        logging.getLogger("owclb").debug("failure detail", exc_info=True)
         return 1
 
 

@@ -22,8 +22,10 @@ stage kind is a frozen ``_Checked`` dataclass with typed fields and a
 ``magsq``, listed in ``ComponentResponse``.
 
 All algebra is carried out on magnitude-squared quantities; phase is never
-modeled.  Every type is immutable after construction and every operation
-is a pure function, so shared concurrent use is safe.
+modeled.  A gain or corner whose square passes the largest float squares to
++inf (``_square``), never to an ``OverflowError``.  Every type is immutable
+after construction and every operation is a pure function, so shared
+concurrent use is safe.
 """
 
 from __future__ import annotations
@@ -74,7 +76,10 @@ def _fault(value, count: bool = False) -> str | None:
 
     A ``numbers.Real`` other than bool in (0, largest float] passes.
     """
-    if (
+    if type(value) is float:  # what JSON gives; subclasses take the general test
+        if 0.0 < value <= _FLOAT_MAX and not (count and value != int(value)):
+            return None
+    elif (
         isinstance(value, numbers.Real)
         and not isinstance(value, bool)
         and 0 < value <= _FLOAT_MAX
@@ -102,11 +107,15 @@ def _check_positive(name: str, value, count: bool = False) -> float:
 
 def _freq_tuple(name: str, values) -> tuple[float, ...]:
     # text iterates into its characters, and a mapping or a set into its keys
-    # in no order the caller wrote, so each is refused whole
-    not_a_list = isinstance(values, (str, bytes, bytearray, Mapping, Set))
-    if not_a_list or not isinstance(values, Iterable):
+    # in no order the caller wrote, so each is refused whole; a plain list or
+    # tuple, what JSON and the library give, needs neither test
+    if type(values) not in (list, tuple) and (
+        isinstance(values, (str, bytes, bytearray, Mapping, Set))
+        or not isinstance(values, Iterable)
+    ):
         raise ValueError(f"{name} must be a sequence of positive finite numbers, got {values!r}")
-    return tuple(_check_positive(f"{name} entry", v) for v in values)
+    entry = f"{name} entry"
+    return tuple([_check_positive(entry, v) for v in values])
 
 
 _F_LIMIT = math.sqrt(_FLOAT_MAX)  # the largest frequency whose square is a finite float
@@ -125,10 +134,11 @@ def _as_f(f):
     return arr if arr.ndim else float(arr)
 
 
-def _square(x: float) -> float:
-    """x**2, or +inf where that passes the largest float (** raises there)."""
+def _square(x) -> float:
+    """x**2 as a float, or +inf where that passes the largest float (``**``
+    on a float, or the conversion of an int's exact square, raises there)."""
     try:
-        return x**2
+        return float(x**2)
     except OverflowError:
         return math.inf
 
@@ -174,7 +184,7 @@ class FlatGain(_Checked):
     gain: float
 
     def magsq(self, f):
-        return self.gain**2 + 0.0 * _as_f(f)
+        return _square(self.gain) + 0.0 * _as_f(f)
 
 
 @dataclass(frozen=True)
@@ -190,7 +200,7 @@ class FirstOrderLowPass(_Checked):
 
     def magsq(self, f):
         f = _as_f(f)
-        return self.dc_gain**2 / (1.0 + (f / self.corner) ** 2)
+        return _square(self.dc_gain) / (1.0 + (f / self.corner) ** 2)
 
 
 @dataclass(frozen=True)
@@ -207,7 +217,7 @@ class RationalPoleZero(_Checked):
     poles: tuple[float, ...] = ()
 
     def magsq(self, f):
-        return _polezero(self.dc_gain**2, self.zeros, self.poles, f)
+        return _polezero(_square(self.dc_gain), self.zeros, self.poles, f)
 
 
 @dataclass(frozen=True)
@@ -231,8 +241,8 @@ class LaserSecondOrder(_Checked):
     def magsq(self, f):
         f = _as_f(f)
         u = np.square(f)
-        fr2 = self.relaxation_freq**2
-        return self.dc_gain**2 * fr2**2 / ((fr2 - u) ** 2 + self.damping**2 * u)
+        fr2 = _square(self.relaxation_freq)
+        return _square(self.dc_gain) * _square(fr2) / ((fr2 - u) ** 2 + _square(self.damping) * u)
 
 
 @dataclass(frozen=True)
@@ -247,7 +257,7 @@ class GaussianLowPass(_Checked):
 
     def magsq(self, f):
         f = _as_f(f)
-        return self.dc_gain**2 * np.exp(-2.0 * (f / self.corner) ** 2)
+        return _square(self.dc_gain) * np.exp(-2.0 * (f / self.corner) ** 2)
 
 
 @dataclass(frozen=True)
@@ -275,7 +285,7 @@ class BeamSquintSinc(_Checked):
     def magsq(self, f):
         f = _as_f(f)
         # np.sinc(x) = sin(pi x)/(pi x), so pass f*X*tau directly.
-        return self.dc_amplitude**2 * np.sinc(f * self.elements * self.spacing_delay) ** 2
+        return _square(self.dc_amplitude) * np.sinc(f * self.elements * self.spacing_delay) ** 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -481,12 +491,12 @@ def reduce_to_polezero(chain: LinkChain) -> MagSqPoleZeroGnr:
                 "not reducible; use the fit module to approximate it"
             )
         if isinstance(stage, FlatGain):
-            gnr0 *= stage.gain**2
+            gnr0 *= _square(stage.gain)
         elif isinstance(stage, FirstOrderLowPass):
-            gnr0 *= stage.dc_gain**2
+            gnr0 *= _square(stage.dc_gain)
             poles.append(stage.corner)
         else:
-            gnr0 *= stage.dc_gain**2
+            gnr0 *= _square(stage.dc_gain)
             zeros.extend(stage.zeros)
             poles.extend(stage.poles)
     noise = chain.noise

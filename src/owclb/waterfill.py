@@ -312,7 +312,8 @@ def _check_budget(sigma2_budget: float) -> None:
 def _solution(
     grid: SubcarrierGrid, gamma: float, level: float, psd, n: int, sigma2: float, **extra
 ) -> WaterfillSolution:
-    """The solution whose PSD loads the first n subcarriers of the grid."""
+    """The solution whose PSD loads the first n subcarriers of the grid; its
+    rate is Delta_B * sum_k log2(1 + S_k GNR_k / Gamma) over them."""
     f_k, gnr_k = grid.f_k, grid.gnr_k
     return WaterfillSolution(
         f_max=float(f_k[n - 1]),
@@ -321,20 +322,9 @@ def _solution(
         psd=psd,
         gnr=gnr_k,
         sigma2=sigma2,
-        rate=_rate(grid, gamma, psd[:n]),
+        rate=grid.delta_b * float(np.sum(np.log2(1.0 + psd[:n] * gnr_k[:n] / gamma))),
         **extra,
     )
-
-
-def _rate(grid: SubcarrierGrid, gamma: float, psd_head: np.ndarray) -> float:
-    """Delta_B * sum_k log2(1 + S_k GNR_k / Gamma) over the first len(psd_head) subcarriers."""
-    gnr_head = grid.gnr_k[: len(psd_head)]
-    return grid.delta_b * float(np.sum(np.log2(1.0 + psd_head * gnr_head / gamma)))
-
-
-def _loaded_psd(w: np.ndarray, n: int) -> np.ndarray:
-    """S_k = max(0, w_n - w_k) on subcarriers 1..n: f_max at subcarrier n, w = Gamma/GNR."""
-    return np.maximum(0.0, w[n - 1] - w[:n])
 
 
 def _nearest_index(f: float, delta: float, k_max: int) -> int:
@@ -401,7 +391,7 @@ def newton_fmax(
             hi = ks
         f_cur = ks * delta
     psd = np.zeros(K)
-    psd[:lo] = _loaded_psd(w_k, lo)
+    psd[:lo] = np.maximum(0.0, w_k[lo - 1] - w_k[:lo])  # S_k = max(0, w_n - w_k)
     level, sigma2 = float(w_k[lo - 1]), float(power[lo - 1])
     return _solution(grid, gamma, level, psd, lo, sigma2, saturated=lo == K, iterations=iters)
 
@@ -427,6 +417,25 @@ def _newton_setup(g: MagSqPoleZeroGnr, gap, budgets, grid: SubcarrierGrid):
     return gamma, w, power
 
 
+# The most terms one elementwise pass of newton_sweep holds, unless a single
+# budget loads more: 8192 doubles keep each temporary at 64 KiB, in cache,
+# and the memory a sweep takes O(K) for any number of budgets.
+_SWEEP_PASS = 8192
+
+
+def _passes(counts: list[int]):
+    """(start, stop) of runs of consecutive counts summing to at most
+    ``_SWEEP_PASS``; a count above it runs alone."""
+    start = 0
+    while start < len(counts):
+        stop, size = start + 1, counts[start]
+        while stop < len(counts) and size + counts[stop] <= _SWEEP_PASS:
+            size += counts[stop]
+            stop += 1
+        yield start, stop
+        start = stop
+
+
 def newton_sweep(g: MagSqPoleZeroGnr, gap, budgets, grid: SubcarrierGrid):
     """``newton_fmax`` for a batch of budgets on one grid, checked once.
 
@@ -435,13 +444,31 @@ def newton_sweep(g: MagSqPoleZeroGnr, gap, budgets, grid: SubcarrierGrid):
     Both read the same nondecreasing power curve, on which Newton's exit
     contract power(n) <= budget < power(n + 1), or n = K when the full band
     fits (saturated), has exactly one answer: the count of curve values
-    within budget.
+    within budget.  The rates come from one elementwise pass over the
+    loaded subcarriers of consecutive budgets (``_passes``), in
+    ``_solution``'s operation order, and one sum per budget over its own
+    contiguous terms, the same pairwise sum as ``_solution``'s ``np.sum``.
     """
     budgets = [float(b) for b in budgets]
     gamma, w, power = _newton_setup(g, gap, budgets, grid)
     n = np.searchsorted(power, budgets, "right")  # power[0] = 0 < b, so n >= 1
-    rates = np.array([_rate(grid, gamma, _loaded_psd(w, lo)) for lo in n.tolist()])
-    return n, rates
+    counts = n.tolist()
+    sums = []
+    for start, stop in _passes(counts):
+        batch = counts[start:stop]
+        # _solution's terms log2(1 + max(0, w_n - w_k) * GNR_k / Gamma), budget after budget
+        t = np.repeat(w[n[start:stop] - 1], batch)
+        t -= np.concatenate([w[:c] for c in batch])
+        np.maximum(0.0, t, out=t)
+        t *= np.concatenate([grid.gnr_k[:c] for c in batch])
+        t /= gamma
+        t += 1.0
+        np.log2(t, out=t)
+        end = 0
+        for c in batch:  # ndarray.sum is np.sum: the same pairwise sum, bit for bit
+            sums.append(float(t[end : end + c].sum()))
+            end += c
+    return n, grid.delta_b * np.array(sums)
 
 
 # ---------------------------------------------------------------------------

@@ -377,16 +377,17 @@ class TestSortedPrefix:
 
     @staticmethod
     def check(grid, gamma, budgets, bit_cap=owclb.DEFAULT_BIT_CAP):
-        sweep = owclb.hh_sorted_prefix(grid, gamma, budgets, bit_cap=bit_cap)
+        counts = owclb.hh_sorted_prefix(grid, gamma, budgets, bit_cap=bit_cap)
+        rates = grid.delta_b * counts.astype(float)  # as the power sweep writes them
         monotone = grid.is_monotone_nonincreasing()
         for i, budget in enumerate(budgets):
             ref = owclb.hh_naive(grid, gamma, budget, bit_cap=bit_cap)
-            np.testing.assert_array_equal(sweep.bits(i), ref.bits)
-            assert sweep.rates[i] == ref.rate
+            assert counts[i] == int(ref.bits.sum())
+            assert rates[i].tobytes() == np.float64(ref.rate).tobytes()
             if monotone:
                 acc = owclb.hh_accelerated(grid, gamma, budget, bit_cap=bit_cap)
-                assert sweep.rates[i] == acc.rate
-        return sweep
+                assert rates[i].tobytes() == np.float64(acc.rate).tobytes()
+        return counts
 
     @staticmethod
     def full_load(grid, gamma, bit_cap=owclb.DEFAULT_BIT_CAP):
@@ -428,11 +429,27 @@ class TestSortedPrefix:
 
     def test_edge_budgets(self):
         grid = flat_grid(8)
-        sweep = self.check(grid, 1.0, np.array([0.0, 0.5, 1e30]), bit_cap=5)
-        assert sweep.bits(0).tolist() == [0] * 8
-        assert sweep.bits(1).tolist() == [0] * 8  # below the first bit
-        assert sweep.bits(2).tolist() == [5] * 8  # past every carrier's cap
-        assert sweep.rates.tolist() == [0.0, 0.0, 40.0]
+        counts = self.check(grid, 1.0, np.array([0.0, 0.5, 1e30]), bit_cap=5)
+        # nothing at zero, nothing below the first bit, every carrier at its cap
+        assert counts.tolist() == [0, 0, 8 * 5]
+
+    @pytest.mark.parametrize("f_chip", [1e-300, 1e300])
+    def test_extreme_f_chip_and_overflowing_costs(self, f_chip):
+        # at f_chip 1e300 the costs of the weak carriers' bits overflow to inf
+        # and are never granted; at 1e-300 the strong carriers' bits cost 0,
+        # which a zero budget still does not buy
+        rng = np.random.default_rng(14)
+        free = 0  # grids with a zero-cost bit
+        for k in (1, 7, 64):
+            exps = rng.uniform(-300, 300, k)
+            for gnr in (10.0 ** np.sort(exps)[::-1], 10.0**exps):
+                grid = owclb.SubcarrierGrid(K=k, f_chip=f_chip, gnr_k=gnr)
+                with np.errstate(over="ignore"):
+                    free += bool(np.any(grid.delta_b / gnr == 0.0))
+                for gamma in (1.0, 3.98):
+                    budgets = [0.0, f_chip * 1e-3, f_chip, f_chip * 1e3, 1e308, math.inf]
+                    assert self.check(grid, gamma, budgets)[0] == 0
+        assert (free > 0) == (f_chip < 1.0)
 
     @pytest.mark.parametrize("loader", ["hh_naive", "hh_accelerated", "hh_sorted_prefix"])
     def test_bad_budget_refused_as_plain_float_before_rising_grid(self, loader):
@@ -450,11 +467,13 @@ class TestSortedPrefix:
         with pytest.raises(ValueError, match="sigma2_budget must be >= 0, got"):
             load(flat_grid(4), 1.0, float("nan"))
         plan = load(flat_grid(4), 1.0, float("inf"))
-        bits = plan.bits(0) if loader == "hh_sorted_prefix" else plan.bits
-        assert bits.tolist() == [owclb.DEFAULT_BIT_CAP] * 4
+        if loader == "hh_sorted_prefix":
+            assert plan.tolist() == [owclb.DEFAULT_BIT_CAP * 4]
+        else:
+            assert plan.bits.tolist() == [owclb.DEFAULT_BIT_CAP] * 4
 
     def test_scalar_budget_and_negative_budget(self):
-        assert owclb.hh_sorted_prefix(flat_grid(4), 1.0, 4.0).bits(0).tolist() == [1, 1, 1, 1]
+        assert owclb.hh_sorted_prefix(flat_grid(4), 1.0, 4.0).tolist() == [4]
         with pytest.raises(ValueError, match="sigma2_budget"):
             owclb.hh_sorted_prefix(flat_grid(4), 1.0, [1.0, -1.0])
 

@@ -28,6 +28,21 @@ def run_cli(*argv) -> int:
     return main(list(argv))
 
 
+def _src_env(env=os.environ) -> dict:
+    return {**env, "PYTHONPATH": os.pathsep.join(
+        [str(Path(owclb.__file__).parent.parent), env.get("PYTHONPATH", "")])}
+
+
+def _without_log_env() -> dict:
+    return {k: v for k, v in os.environ.items() if k != "OWCLB_LOG"}
+
+
+def run_cli_process(argv, env=os.environ) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, "-m", "owclb.cli", *argv], env=_src_env(env), capture_output=True, text=True
+    )
+
+
 class TestGnrEval:
     def test_writes_readable_csv(self, channel_path, tmp_path):
         out = tmp_path / "gnr.csv"
@@ -351,6 +366,58 @@ class TestHugeFrequencies:
         assert err == "" and "nan" not in out and out.count("\n") == 4
 
 
+GNR0_INF = "gnr0 must be a positive finite number, got inf"
+
+
+class TestHugeGains:
+    @pytest.mark.parametrize("argv, message", [
+        (["gnr-eval"], "gain_magsq is inf at f=1000 Hz"),
+        (["rate-curve", "--sweep", "power:1e4:1e9:4:log"], GNR0_INF),
+        (["rate-curve", "--sweep", "fmax:1e6:1e8:4"], GNR0_INF),
+        (["optimize-newton", "--budget", "1"], GNR0_INF),
+        (["optimize-hh", "--budget", "1"], GNR0_INF),
+        (["compare", "--budget", "1"], GNR0_INF),
+    ], ids=["gnr-eval", "power-sweep", "fmax-sweep", "optimize-newton", "optimize-hh", "compare"])
+    @pytest.mark.parametrize("gain", ["1e200", "1" + "0" * 200], ids=["float", "int"])
+    def test_gain_whose_square_overflows_is_refused(self, tmp_path, capsys, argv, message, gain):
+        # the square is inf, not an OverflowError; the GNR it gives is refused
+        path = tmp_path / "loud.json"
+        path.write_text(
+            '{"stages": [{"kind": "FlatGain", "params": {"gain": %s}}], "noise": {"floor": 1e-17}}'
+            % gain
+        )
+        out = tmp_path / "out.csv"
+        rc = run_cli(*argv, "--channel", str(path), "--out", str(out))
+        assert rc == 1
+        assert capsys.readouterr().err == f"owclb: {argv[0]} failed: {message}\n"
+        assert not out.exists()
+
+    def test_fit_refuses_the_channel_as_a_table(self, tmp_path, capsys):
+        # the sixth command reads a table, so the same file is a format error
+        path = tmp_path / "loud.json"
+        path.write_text('{"stages": [{"kind": "FlatGain", "params": {"gain": 1e200}}]}')
+        out = tmp_path / "out.json"
+        assert run_cli("fit", "--channel", str(path), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"owclb: {path}: expected header") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("stage, message", [
+        ('{"kind": "LaserSecondOrder", "params": {"dc_gain": 1.0, "relaxation_freq": 1e100, '
+         '"damping": 1e6}}', "gain_magsq is nan at f=1000 Hz"),
+        ('{"kind": "BeamSquintSinc", "params": {"element_gain": 1e200, "elements": 4, '
+         '"spacing_delay": 1e-12}}', "gain_magsq is inf at f=1000 Hz"),
+        ('{"kind": "FlatGain", "params": {"gain": 1e150}}', "gnr_linear is inf at f=1000 Hz"),
+    ], ids=["laser-resonance", "beam-gain", "gnr"])
+    def test_gnr_eval_refuses_columns_past_the_float_range(self, tmp_path, capsys, stage, message):
+        path = tmp_path / "loud.json"
+        path.write_text('{"stages": [%s], "noise": {"floor": 1e-17}}' % stage)
+        out = tmp_path / "out.csv"
+        assert run_cli("gnr-eval", "--channel", str(path), "--out", str(out)) == 1
+        assert capsys.readouterr().err == f"owclb: gnr-eval failed: {message}\n"
+        assert not out.exists()
+
+
 class TestFitCommand:
     def test_fit_writes_loadable_fragment(self, tmp_path):
         model = owclb.MagSqPoleZeroGnr(gnr0=1e4, zeros=(3e7,), poles=(2e6, 8e6))
@@ -507,13 +574,7 @@ class TestValidationAndDeterminism:
             ],
             "noise": {"floor": 1.0},
         }))
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            [str(Path(owclb.__file__).parent.parent), os.environ.get("PYTHONPATH", "")])}
-        proc = subprocess.run(
-            [sys.executable, "-m", "owclb.cli", *argv, "--channel", str(path),
-             "--k", "64", "--fchip", "1e7"],
-            env=env, capture_output=True, text=True,
-        )
+        proc = run_cli_process([*argv, "--channel", str(path), "--k", "64", "--fchip", "1e7"])
         assert proc.returncode == 1
         assert "Warning" not in proc.stderr
         assert proc.stderr.startswith(
@@ -768,6 +829,14 @@ class TestValidationAndDeterminism:
         monkeypatch.setenv("OWCLB_LOG", "debug")
         out = tmp_path / "gnr.csv"
         assert run_cli("gnr-eval", "--channel", channel_path, "--out", str(out)) == 0
+        # a failing command still logs its detail, in a process of its own
+        # so that the test runner's log capture does not take it
+        argv = ["optimize-hh", "--channel", channel_path, "--budget", "1", "--fchip", "1e160"]
+        for env, detail in ((os.environ, True), (_without_log_env(), False)):
+            proc = run_cli_process(argv, env)
+            assert proc.returncode == 1
+            assert proc.stderr.startswith("owclb: optimize-hh failed: frequency must be")
+            assert ("DEBUG:owclb:failure detail\nTraceback" in proc.stderr) == detail
 
     def test_fit_reruns_byte_identical(self, tmp_path):
         model = owclb.MagSqPoleZeroGnr(gnr0=9.0, poles=(3e6, 50e6))
@@ -836,12 +905,13 @@ def test_matches_golden_output(channel_path, tmp_path, capsys, name):
         assert out.read_bytes() == (DATA / name).read_bytes()
 
 
-def test_cli_import_loads_no_scipy():
-    code = "import sys, owclb.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [str(Path(owclb.__file__).parent.parent), os.environ.get("PYTHONPATH", "")])}
+@pytest.mark.parametrize("prefix", ["scipy", "logging"])
+def test_cli_import_loads_no_module(prefix):
+    # logging is imported only under OWCLB_LOG or to log a failure's detail
+    code = f"import sys, owclb.cli; print(sorted(m for m in sys.modules if m.startswith({prefix!r})))"
     proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", code], env=_src_env(_without_log_env()), capture_output=True,
+        text=True, check=True,
     )
     assert proc.stdout == "[]\n"
 

@@ -288,6 +288,30 @@ class TestOneNumberRule:
             owclb.FlatGain(gain=gain)
         assert str(info.value) == f"gain must be a positive finite number, got {shown}"
 
+    @pytest.mark.parametrize("count", [False, True])
+    def test_plain_float_shortcut_agrees_with_the_general_rule(self, count):
+        # a plain float skips the numbers.Real test; a float subclass takes it
+        class Sub(float):
+            pass
+
+        for v in (2.5, 4.0, 1e-320, sys.float_info.max, 0.0, -0.0, -1.0, math.nan, math.inf):
+            assert linkchain._fault(v, count) == linkchain._fault(Sub(v), count), v
+            # np.float64 shows its type in a message, so only the verdict is compared
+            assert (linkchain._fault(v, count) is None) == (linkchain._fault(np.float64(v), count) is None)
+
+    def test_plain_list_shortcut_agrees_with_any_sequence(self):
+        class Sub(list):
+            pass
+
+        for values in ([3e6, 1e6], [], [2.5, 0.0], [1e6, math.nan]):
+            results = []
+            for seq in (values, tuple(values), Sub(values), iter(values)):
+                try:
+                    results.append(linkchain._freq_tuple("zeros", seq))
+                except ValueError as exc:
+                    results.append(str(exc))
+            assert len(set(results)) == 1, results
+
     @pytest.mark.parametrize("bad", [None, 5, 1e6])
     def test_non_iterable_list_field_is_refused_by_name(self, bad):
         with pytest.raises(ValueError, match=r"^zeros must be a sequence of positive finite"):

@@ -505,6 +505,23 @@ class TestNewtonSweep:
             budgets = sweep_budgets(rng, power_curve(grid, gamma))
             self.assert_matches_newton(g, gamma, budgets, grid)
 
+    @pytest.mark.parametrize("k", [2, 1024, 8193, 20000])
+    def test_rates_byte_equal_across_passes(self, ref_model, gap, k):
+        # K=1024 with ten saturating budgets needs two elementwise passes;
+        # from K=8193 on, a saturating budget loads more than one pass holds
+        grid = subcarriers(ref_model, k, 200e6)
+        full = float(power_curve(grid, gap.gamma_linear)[-1])
+        budgets = [full * f for f in np.geomspace(1e-6, 0.9, 6)] + [2.0 * full] * 10
+        n, rates = owclb.newton_sweep(ref_model, gap, budgets, grid)
+        if k == 1024:
+            assert int(n.sum()) > owclb.waterfill._SWEEP_PASS
+        if k > owclb.waterfill._SWEEP_PASS:
+            assert int(n.max()) > owclb.waterfill._SWEEP_PASS
+        for b, lo, rate in zip(budgets, n.tolist(), rates):
+            sol = owclb.newton_fmax(ref_model, gap, b, grid)
+            assert lo * grid.delta_b == sol.f_max
+            assert rate.tobytes() == np.float64(sol.rate).tobytes()
+
     def test_refusals_are_newton_fmax_ones(self, ref_model, bump_model, gap):
         grid = subcarriers(ref_model, 64, 200e6)
         with pytest.raises(ValueError, match=r"^sigma2_budget must be > 0, got 0.0$"):
