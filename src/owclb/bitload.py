@@ -13,8 +13,11 @@ command samples its channel once:
 whole batch of budgets; the CLI uses it for the ``rate-curve`` power sweep.
 A count needs only the sorted cost values and their running sums, not
 which subcarrier each bit goes to, so it sorts the values alone.
-``hh_naive`` and ``hh_accelerated`` take the stable sort's grant order to
-load for one budget, and report the FLOPs and search rounds of the two
+``hh_naive`` and ``hh_accelerated`` load for one budget.  They take the
+same sort of values and count, n grants, and then build the grant order
+of only those n: every increment cheaper than the n-th smallest cost, then
+the lowest-numbered ones that cost exactly that, stably sorted by cost.
+Both report the FLOPs and search rounds of the two
 Hughes-Hartogs searches the paper compares: a scan of all K subcarriers
 per round, and a search of a lookup table of block heads, one per
 populated bit level.  The table search is exact only on
@@ -119,34 +122,47 @@ def _costs(grid: SubcarrierGrid, gamma: float, budgets, bit_cap: int):
         return budgets, (marginal[:, None] * 2.0 ** np.arange(bit_cap)).ravel()
 
 
-def _affordable(sorted_costs: np.ndarray, budgets: np.ndarray):
-    """How many of the ascending costs are finite, and how many of them
-    each budget affords, taken in order.
+def _sorted_counts(grid: SubcarrierGrid, gamma: float, budgets, bit_cap: int):
+    """Every increment's cost (numbered as in ``_costs``), how many of the
+    costs are finite, and how many increments each budget affords.
 
-    ``np.cumsum`` adds in the greedy's order, so every partial sum is
-    bit-identical to the greedy's running total.  Costs that overflow to
-    infinity are never granted, and a zero budget loads nothing, even a
-    zero-cost bit.
-    """
-    finite = int(sorted_costs.searchsorted(np.inf))  # no cost is NaN
-    with np.errstate(over="ignore"):
-        loaded = np.searchsorted(np.cumsum(sorted_costs[:finite]), budgets, side="right")
-    loaded[budgets == 0.0] = 0
-    return finite, loaded
-
-
-def _greedy(grid: SubcarrierGrid, gamma: float, budgets, bit_cap: int):
-    """Every finite increment (numbered as in ``_costs``) in greedy order,
-    and how many of them each budget in the batch affords.
-
-    The greedy grants the increments in the order of a stable sort by
-    (cost, subcarrier) and stops at the first one whose running sum
-    exceeds the budget.
+    The greedy grants in ascending cost order, so each budget's count needs
+    only the sorted cost values, not which increment each one is: equal
+    costs are indistinguishable.  ``np.cumsum`` adds in the greedy's order,
+    so every partial sum is bit-identical to the greedy's running total.
+    Costs that overflow to infinity are never granted, and a zero budget
+    loads nothing, even a zero-cost bit.
     """
     budgets, costs = _costs(grid, gamma, budgets, bit_cap)
-    order = np.argsort(costs, kind="stable")
-    finite, loaded = _affordable(costs[order], budgets)
-    return order[:finite], loaded
+    values = np.sort(costs)
+    finite = int(values.searchsorted(np.inf))  # no cost is NaN
+    with np.errstate(over="ignore"):
+        loaded = np.searchsorted(np.cumsum(values[:finite]), budgets, side="right")
+    loaded[budgets == 0.0] = 0
+    return costs, values, finite, loaded
+
+
+def _greedy(grid: SubcarrierGrid, gamma: float, sigma2_budget, bit_cap: int):
+    """The increments (numbered as in ``_costs``) the greedy grants for one
+    budget, in grant order, and how many increments are finite.
+
+    The greedy grants in the order of a stable sort by (cost, increment)
+    and stops at the first grant whose running sum exceeds the budget.  Its
+    first n grants are therefore every increment cheaper than c, the n-th
+    smallest cost, and then the lowest-numbered increments that cost
+    exactly c until n are taken.  Only those n are put in order, by a
+    stable sort of their costs taken in increment order.
+    """
+    costs, values, finite, loaded = _sorted_counts(grid, gamma, sigma2_budget, bit_cap)
+    n = int(loaded[0])
+    if n == 0:
+        return np.zeros(0, dtype=np.intp), finite
+    cut = values[n - 1]
+    chosen = np.flatnonzero(costs <= cut)
+    if chosen.size > n:  # drop the highest-numbered increments that cost exactly cut
+        at_cut = costs[chosen] == cut
+        chosen = chosen[~at_cut | (np.cumsum(at_cut) <= n - (chosen.size - int(at_cut.sum())))]
+    return chosen[np.argsort(costs[chosen], kind="stable")], finite
 
 
 def _table_search_flops(old_levels: np.ndarray, K: int, bit_cap: int) -> int:
@@ -155,23 +171,28 @@ def _table_search_flops(old_levels: np.ndarray, K: int, bit_cap: int) -> int:
     A round compares the heads of the populated levels below the cap, so
     it costs their count minus one; it sees at least one unless every
     carrier sits at the cap.  Grant i moves a carrier from level
-    ``old_levels[i]`` to the next one, so level b gains a carrier at each
-    grant from b-1 (all K start at level 0) and loses one at each grant
-    from b.  The level is empty before its first arrival, and after each
-    departure that leaves no carrier behind until the next arrival.
+    ``old_levels[i]`` to the next one, so the departures from level b-1
+    are the arrivals at level b, and all K carriers arrive at level 0 at
+    index -1.  A level holds a carrier from its first arrival on, except
+    after its j-th departure until its (j+1)-th arrival, or until the last
+    round L (the grant count) when no arrival is left.  All levels are
+    counted in one pass over the grants grouped by level.
     """
-    rounds = old_levels.size + 1
-    held = 0  # (round, level) pairs in which the level holds a carrier
-    arrived = np.full(K, -1)  # grant that brought each carrier to level b
-    for b in range(bit_cap):
-        if not arrived.size:
-            break  # no carrier reaches this level or any above it
-        left = np.flatnonzero(old_levels == b)  # grant that moved it on
-        nxt = np.append(arrived, rounds - 1)  # next arrival after each departure
-        empty = nxt[0] + 1 + np.maximum(nxt[1 : left.size + 1] - left, 0).sum()
-        held += rounds - empty
-        arrived = left
-    return int(held - rounds + (rounds - 1 == K * bit_cap))
+    L = old_levels.size
+    # grant indices by old level, ascending within a level (levels fit a
+    # small integer type, which numpy sorts stably by radix)
+    by_level = np.argsort(old_levels.astype(np.min_scalar_type(bit_cap)), kind="stable")
+    level = old_levels[by_level]
+    # group b of ``arrivals`` holds the arrivals at level b, and starts at
+    # bounds[b]: the K at -1 for level 0, then the departures from b-1
+    arrivals = np.concatenate((np.full(K, -1), by_level))
+    bounds = np.concatenate(([0], K + np.searchsorted(level, np.arange(bit_cap + 1))))
+    lo, hi = bounds[level], bounds[level + 1]  # the arrivals at each departure's level
+    nxt = lo + (K + np.arange(L) - hi) + 1  # departure j pairs with arrival j+1
+    paired = np.where(nxt < hi, arrivals[np.minimum(nxt, K + L - 1)], L)
+    gaps = int(np.maximum(paired - by_level, 0).sum())
+    first = arrivals[bounds[1:-2][bounds[1:-2] < bounds[2:-1]]]  # of each level b >= 1 reached
+    return int((L - first).sum()) - gaps + (L == K * bit_cap)
 
 
 def _plan(grid, gamma, sigma2_budget, bits, finite_left, search_flops, algorithm, table=None):
@@ -226,11 +247,11 @@ def hh_naive(
     plan at no cost.  Works on any grid.
     """
     gamma = _gamma_value(gap)
-    grants, loaded = _greedy(grid, gamma, sigma2_budget, bit_cap)
-    loads = int(loaded[0])
-    bits = np.bincount(grants[:loads] // bit_cap, minlength=grid.K)
+    grants, finite = _greedy(grid, gamma, sigma2_budget, bit_cap)
+    loads = grants.size
+    bits = np.bincount(grants // bit_cap, minlength=grid.K)
     search = (loads + 1) * (grid.K - 1)
-    return _plan(grid, gamma, sigma2_budget, bits, loads < grants.size, search, "hh_naive")
+    return _plan(grid, gamma, sigma2_budget, bits, loads < finite, search, "hh_naive")
 
 
 def require_monotone_grid(grid: SubcarrierGrid) -> None:
@@ -259,17 +280,16 @@ def hh_accelerated(
     reach the bit cap leave the candidate set.
     """
     gamma = _gamma_value(gap)
-    grants, loaded = _greedy(grid, gamma, sigma2_budget, bit_cap)
-    loads = int(loaded[0])
+    grants, finite = _greedy(grid, gamma, sigma2_budget, bit_cap)
     require_monotone_grid(grid)
-    carrier, old_level = np.divmod(grants[:loads], bit_cap)
+    carrier, old_level = np.divmod(grants, bit_cap)
     bits = np.bincount(carrier, minlength=grid.K)
     search = _table_search_flops(old_level, grid.K, bit_cap)
     heads = np.zeros(bit_cap + 1, dtype=np.int64)
     held, first = np.unique(bits, return_index=True)
     heads[held] = first + 1  # 1-based first carrier holding exactly b bits
     table = tuple(heads.tolist())
-    finite_left = loads < grants.size
+    finite_left = grants.size < finite
     return _plan(grid, gamma, sigma2_budget, bits, finite_left, search, "hh_accelerated", table)
 
 
@@ -284,11 +304,9 @@ def hh_sorted_prefix(
     monotone or not; each equals ``hh_naive``'s bit count for that budget.
 
     The count needs the ascending cost values, not the grant order, so one
-    plain sort of the costs serves every budget: equal costs are
-    indistinguishable, and their running sums match the greedy's bit for bit.
+    plain sort of the costs serves every budget (``_sorted_counts``).
     """
-    budgets, costs = _costs(grid, _gamma_value(gap), budgets, bit_cap)
-    return _affordable(np.sort(costs), budgets)[1]
+    return _sorted_counts(grid, _gamma_value(gap), budgets, bit_cap)[3]
 
 
 # ---------------------------------------------------------------------------
@@ -310,8 +328,8 @@ _PLAN_META = {
 def write_plan_csv(plan: BitLoadPlan, path) -> None:
     scalars = (plan.total_power, plan.rate, plan.flops, plan.iterations, plan.algorithm,
                plan.sigma2_budget, plan.gamma, plan.grid.f_chip)
-    rows = zip(range(1, plan.grid.K + 1), plan.grid.f_k, plan.bits, plan.power_k)
-    _write_csv(path, _PLAN_HEADER, rows, dict(zip(_PLAN_META, scalars)))
+    columns = (range(1, plan.grid.K + 1), plan.grid.f_k, plan.bits, plan.power_k)
+    _write_csv(path, _PLAN_HEADER, columns, dict(zip(_PLAN_META, scalars)))
 
 
 def read_plan_csv(path) -> dict:

@@ -182,7 +182,7 @@ def cmd_gnr_eval(args) -> int:
         if bad.size:
             i = int(bad[0])
             raise ValueError(f"{name} is {float(column[i])!r} at f={freqs[i]:g} Hz")
-    linkchain._write_csv(args.out, header, zip(freqs, gain, noise, gnr))
+    linkchain._write_csv(args.out, header, (freqs, gain, noise, gnr))
     if args.out:
         print(f"gnr-eval: {freqs.size} points, GNR(f_min)={gnr[0]:.6g} linear")
     return 0
@@ -195,14 +195,10 @@ def cmd_rate_curve(args) -> int:
     if variable == "fmax":
         g = _load_reduced(args)
         gamma = waterfill.ModulationGap.from_db(args.gamma_db)
-        rates = [waterfill.rate_closed_form(g, gamma, fm) for fm in points]
-        linkchain._write_csv(
-            args.out,
-            ["f_max_hz", "rate_mbit_s"],
-            zip(points, [r / 1e6 for r in rates]),
-        )
+        rates = waterfill.rate_closed_form(g, gamma, points)
+        linkchain._write_csv(args.out, ["f_max_hz", "rate_mbit_s"], (points, rates / 1e6))
         if args.out:
-            print(f"rate-curve: {len(rates)} points, peak {max(rates) / 1e6:.3f} Mbit/s")
+            print(f"rate-curve: {rates.size} points, peak {rates.max() / 1e6:.3f} Mbit/s")
         return 0
 
     _require_newton_k(args.k)
@@ -216,12 +212,19 @@ def cmd_rate_curve(args) -> int:
     bitload.require_monotone_grid(grid)
     hh = grid.delta_b * bitload.hh_sorted_prefix(grid, gamma, budgets).astype(float)
     psd, n_flat = _flat_band_psd(g, grid, budgets)
-    snr = psd[:, None] * grid.gnr_k[:n_flat] / gamma.gamma_linear
-    flat = grid.delta_b * np.sum(np.log2(1.0 + snr), axis=1)
+    gnr = grid.gnr_k[:n_flat]
+    with np.errstate(over="ignore"):
+        snr = psd[:, None] * gnr / gamma.gamma_linear
+    spectral = np.log2(1.0 + snr)
+    over = np.isinf(snr)
+    if over.any():  # past the float range 1 + snr rounds to snr: add the logarithms instead
+        rows, cols = np.nonzero(over)
+        spectral[rows, cols] = np.log2(psd[rows]) + np.log2(gnr[cols]) - math.log2(gamma.gamma_linear)
+    flat = grid.delta_b * np.sum(spectral, axis=1)
     linkchain._write_csv(
         args.out,
         ["sigma2_v2", "rate_newton_mbit_s", "rate_hh_mbit_s", "rate_flat_mbit_s"],
-        zip(budgets, newton / 1e6, hh / 1e6, flat / 1e6),
+        (budgets, newton / 1e6, hh / 1e6, flat / 1e6),
     )
     if args.out:
         print(
@@ -319,7 +322,7 @@ def cmd_compare(args) -> int:
             "savings_per_iteration",
             "populated_levels",
         ],
-        [[float(x) for x in row]],
+        [[float(x)] for x in row],
         {"rate_mbit_s": naive.rate / 1e6},
     )
     if args.out:

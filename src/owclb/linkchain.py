@@ -143,16 +143,32 @@ def _square(x) -> float:
         return math.inf
 
 
-def _polezero(gain: float, zeros, poles, f):
-    """gain * prod(1 + f^2/fz^2) / prod(1 + f^2/fp^2), zeros first, in list order.
+_FLOAT_TINY = sys.float_info.min  # the smallest normal float
 
+
+def _corner_factor(f, u, corner: float):
+    """1 + f^2/corner^2 as 1 + u/corner^2, u = f^2, or, for a corner whose
+    square is below the smallest normal float, as 1 + (f/corner)^2, which
+    divides by no underflowed square; a factor past the float range is inf.
     A corner whose square overflows gives a factor of exactly 1."""
-    u = np.square(_as_f(f))
+    c2 = _square(corner)
+    if c2 < _FLOAT_TINY:
+        r = f / corner
+        return 1.0 + r * r
+    return 1.0 + u / c2
+
+
+def _polezero(gain: float, zeros, poles, f):
+    """gain * prod(1 + f^2/fz^2) / prod(1 + f^2/fp^2), zeros first, in list
+    order; a factor past the float range is inf, without a warning."""
+    f = _as_f(f)
+    u = np.square(f)
     out = gain + 0.0 * u
-    for fz in zeros:
-        out = out * (1.0 + u / _square(fz))
-    for fp in poles:
-        out = out / (1.0 + u / _square(fp))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for fz in zeros:
+            out = out * _corner_factor(f, u, fz)
+        for fp in poles:
+            out = out / _corner_factor(f, u, fp)
     return out
 
 
@@ -199,8 +215,9 @@ class FirstOrderLowPass(_Checked):
     corner: float
 
     def magsq(self, f):
-        f = _as_f(f)
-        return _square(self.dc_gain) / (1.0 + (f / self.corner) ** 2)
+        r = _as_f(f) / self.corner
+        with np.errstate(over="ignore"):  # (f/corner)^2 past the float range is inf
+            return _square(self.dc_gain) / (1.0 + r * r)
 
 
 @dataclass(frozen=True)
@@ -256,8 +273,9 @@ class GaussianLowPass(_Checked):
     corner: float
 
     def magsq(self, f):
-        f = _as_f(f)
-        return _square(self.dc_gain) * np.exp(-2.0 * (f / self.corner) ** 2)
+        r = _as_f(f) / self.corner
+        with np.errstate(over="ignore"):  # (f/corner)^2 past the float range is inf
+            return _square(self.dc_gain) * np.exp(-2.0 * (r * r))
 
 
 @dataclass(frozen=True)
@@ -730,27 +748,30 @@ def load_chain(path) -> LinkChain:
 # CSV files: an optional "# key=value ..." line, a header row, numeric rows
 
 
-def _write_csv(path, header, rows, meta: dict | None = None) -> None:
+def _cells(values) -> list[str]:
+    """One column's text: integers (bools included) as integers, strings as
+    they are and every other value as ``repr(float(x))``, by the kind of the
+    column's first value."""
+    values = values.tolist() if isinstance(values, np.ndarray) else list(values)
+    if not values or isinstance(values[0], str):
+        return values
+    if isinstance(values[0], (int, np.integer)):
+        return list(map(str, map(int, values)))
+    return list(map(repr, map(float, values)))
+
+
+def _write_csv(path, header, columns, meta: dict | None = None) -> None:
     """Write the ``# key=value ...`` line (when ``meta`` is given), header and rows.
 
-    Integers (bools included) are written as integers, strings as they are
-    and every other value as ``repr(float(x))``, so floats read back exactly;
-    a row column takes the kind of its first cell.  Lines end in LF.  With
+    ``columns`` holds one sequence or array per header name, each formatted
+    by ``_cells``, so floats read back exactly.  Lines end in LF.  With
     ``path`` None the text goes to stdout.
     """
-
-    def column(values) -> list[str]:
-        if isinstance(values[0], str):
-            return list(values)
-        if isinstance(values[0], (int, np.integer)):
-            return list(map(str, map(int, values)))
-        return list(map(repr, map(float, values)))
-
     lines = []
     if meta is not None:
-        lines.append("# " + " ".join(f"{key}={column([v])[0]}" for key, v in meta.items()))
+        lines.append("# " + " ".join(f"{key}={_cells([v])[0]}" for key, v in meta.items()))
     lines.append(",".join(header))
-    lines.extend(map(",".join, zip(*map(column, zip(*rows)))))
+    lines.extend(map(",".join, zip(*map(_cells, columns))))
     text = "\n".join(lines) + "\n"
     if path is None:
         sys.stdout.write(text)
@@ -842,4 +863,4 @@ def read_response_table(path, *, values_in_db: bool = False) -> ResponseTable:
 
 
 def write_response_table(table: ResponseTable, path) -> None:
-    _write_csv(path, _TABLE_HEADER, table.rows)
+    _write_csv(path, _TABLE_HEADER, (table.frequencies, table.values))

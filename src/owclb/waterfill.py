@@ -44,9 +44,7 @@ is read off one curve built per grid as a running sum of nonnegative
 increments, so it is nondecreasing in floating point and the contract has
 exactly one answer, the one ``newton_sweep`` finds by ``searchsorted``.
 
-All power budgets are signal variances in V^2.  If the hardware power
-draw is a nonlinear monotone function of the variance, invert it with
-``sigma2_from_power`` first.
+All power budgets are signal variances in V^2.
 """
 
 from __future__ import annotations
@@ -221,7 +219,7 @@ def dsigma2_dfmax(g: MagSqPoleZeroGnr, gap, f_max: float) -> float:
     return 2.0 * gamma * u * bracket / _gnr_at_fmax(g, gamma, f_max)[0]
 
 
-def rate_closed_form(g: MagSqPoleZeroGnr, gap, f_max: float) -> float:
+def rate_closed_form(g: MagSqPoleZeroGnr, gap, f_max):
     """Waterfilling-optimal throughput in bit/s for the given f_max.
 
         R = (2/ln 2) * [ (N-M) f_max
@@ -231,17 +229,43 @@ def rate_closed_form(g: MagSqPoleZeroGnr, gap, f_max: float) -> float:
     The modulation gap and gnr0 cancel out of the optimal rate, so the
     result depends only on the corner frequencies; the ``gap`` argument is
     accepted for signature symmetry with the power expressions.
+
+    ``f_max`` may also be a 1-D array of frequencies (an f_max sweep).  The
+    result is then the array of the scalar calls' rates, bit for bit, from
+    one check of the gap, one of the points and one monotone check at the
+    largest point; a failing check raises the first failing scalar call's
+    error.
     """
     _gamma_value(gap)
+    if np.ndim(f_max):
+        points = np.asarray(f_max, dtype=float)
+        if points.ndim != 1:
+            raise ValueError(f"f_max must be a number or a 1-D array, got shape {points.shape}")
+        top = float(points.max(initial=0.0))
+        if not (
+            np.all(np.isfinite(points) & (points >= 0.0))
+            and (top == 0.0 or is_monotone_decreasing(g, top))
+        ):
+            for f in points.tolist():
+                rate_closed_form(g, gap, f)  # raises at the first failing point
+        rates = _closed_form(g, points)
+        rates[points == 0.0] = 0.0
+        return rates
     if f_max == 0.0:
         return 0.0
     f_max = _check_positive("f_max", f_max)
     _require_monotone(g, f_max, "rate_closed_form")
-    total = (len(g.poles) - len(g.zeros)) * f_max
+    return float(_closed_form(g, np.array([f_max]))[0])
+
+
+def _closed_form(g: MagSqPoleZeroGnr, f: np.ndarray) -> np.ndarray:
+    """``rate_closed_form``'s sum at each point, term by term in the scalar
+    order: zeros first, then poles, each arctangent from ``math.atan``."""
+    total = (len(g.poles) - len(g.zeros)) * f
     for fz in g.zeros:
-        total += fz * math.atan(f_max / fz)
+        total += fz * np.array(list(map(math.atan, (f / fz).tolist())))
     for fp in g.poles:
-        total -= fp * math.atan(f_max / fp)
+        total -= fp * np.array(list(map(math.atan, (f / fp).tolist())))
     return (2.0 / _LN2) * total
 
 
@@ -510,33 +534,6 @@ def waterlevel_solve(grid: SubcarrierGrid, gap, sigma2_budget: float) -> Waterfi
     return _solution(grid, gamma, v, psd, last + 1, sigma2, island=islands)
 
 
-def sigma2_from_power(power_budget: float, power_map=None) -> float:
-    """Invert a monotone power-draw map P_T = g(sigma2) to a variance budget.
-
-    The identity map is the default (budgets already are variances).  Any
-    strictly increasing callable works; the inverse is found by bracketed
-    bisection.
-    """
-    if power_map is None:
-        return float(power_budget)
-    if power_budget <= 0.0:
-        raise ValueError("power_budget must be > 0")
-    lo, hi = 0.0, 1.0
-    for _ in range(200):
-        if power_map(hi) >= power_budget:
-            break
-        hi *= 2.0
-    else:
-        raise ValueError("power_map never reaches the requested budget")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if power_map(mid) < power_budget:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 # ---------------------------------------------------------------------------
 # CSV interface
 
@@ -565,8 +562,8 @@ def write_solution_csv(sol: WaterfillSolution, path) -> None:
     island = ";".join(f"{repr(a)}:{repr(b)}" for a, b in sol.island)
     scalars = (sol.f_max, sol.water_level, sol.sigma2, sol.rate, sol.saturated,
                sol.iterations, island)
-    rows = zip(sol.f_hz, sol.psd, sol.gnr)
-    _write_csv(path, _SOLUTION_HEADER, rows, dict(zip(_SOLUTION_META, scalars)))
+    columns = (sol.f_hz, sol.psd, sol.gnr)
+    _write_csv(path, _SOLUTION_HEADER, columns, dict(zip(_SOLUTION_META, scalars)))
 
 
 def read_solution_csv(path) -> WaterfillSolution:

@@ -67,6 +67,19 @@ def quad_rate(g, f_max: float) -> float:
     return val
 
 
+def rate_closed_form_scalar(g, f_max: float) -> float:
+    """The closed-form rate at one f_max in plain Python floats, as first
+    written: zeros first, then poles, each arctangent from ``math.atan``."""
+    if f_max == 0.0:
+        return 0.0
+    total = (len(g.poles) - len(g.zeros)) * f_max
+    for fz in g.zeros:
+        total += fz * math.atan(f_max / fz)
+    for fp in g.poles:
+        total -= fp * math.atan(f_max / fp)
+    return (2.0 / math.log(2.0)) * total
+
+
 def _log_gnr(g, f: float) -> float:
     u = float(f) * float(f)
     out = math.log(g.gnr0)
@@ -287,6 +300,43 @@ def hh_accelerated_loop(
         state, grid, gamma, sigma2_budget, state.flops, iterations, "hh_accelerated",
         tuple(levels),
     )
+
+
+def greedy_argsort(grid, gamma: float, sigma2_budget: float, bit_cap: int):
+    """The greedy's grants as first derived from one sort: a stable argsort
+    of every (subcarrier, bit) increment's cost, numbered k * bit_cap + b,
+    cut at the first running sum above the budget.  Returns the granted
+    increments in grant order and the count of finite costs."""
+    with np.errstate(over="ignore"):
+        marginal = grid.delta_b * gamma / grid.gnr_k
+        costs = (marginal[:, None] * 2.0 ** np.arange(bit_cap)).ravel()
+    order = np.argsort(costs, kind="stable")
+    finite = int(np.sum(np.isfinite(costs)))
+    if sigma2_budget == 0.0:
+        return order[:0], finite
+    with np.errstate(over="ignore"):
+        sums = np.cumsum(costs[order][:finite])
+    return order[: int(np.searchsorted(sums, sigma2_budget, side="right"))], finite
+
+
+def table_search_flops_loop(old_levels: np.ndarray, K: int, bit_cap: int) -> int:
+    """The lookup-table search's comparisons, one level at a time: level b
+    gains a carrier at each grant from b-1 (all K start at level 0) and
+    loses one at each grant from b; it is empty before its first arrival,
+    and after each departure that leaves no carrier behind until the next
+    arrival."""
+    rounds = old_levels.size + 1
+    held = 0  # (round, level) pairs in which the level holds a carrier
+    arrived = np.full(K, -1)  # grant that brought each carrier to level b
+    for b in range(bit_cap):
+        if not arrived.size:
+            break  # no carrier reaches this level or any above it
+        left = np.flatnonzero(old_levels == b)  # grant that moved it on
+        nxt = np.append(arrived, rounds - 1)  # next arrival after each departure
+        empty = nxt[0] + 1 + np.maximum(nxt[1 : left.size + 1] - left, 0).sum()
+        held += rounds - empty
+        arrived = left
+    return int(held - rounds + (rounds - 1 == K * bit_cap))
 
 
 def newton_fmax_search(g, gap, sigma2_budget, K, f_chip):

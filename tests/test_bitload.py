@@ -372,6 +372,79 @@ class TestAgainstLoops:
         assert accel.iterations == naive.iterations
 
 
+class TestGrantOrder:
+    """The grant order built from one sort of values, and the one-pass table
+    count, against the full stable argsort and the per-level loop in
+    ``_oracles``."""
+
+    @staticmethod
+    def grids(rng):
+        """Seeded grids: decreasing, non-monotone, power-of-two GNRs (ties
+        across bit levels), equal-GNR plateaus, K = 1, and f_chip at
+        1e-300 (costs of 0) and 1e300 (costs at inf)."""
+        for k in (1, 2, 7, 33):
+            yield owclb.SubcarrierGrid(K=k, f_chip=2e8, gnr_k=np.sort(10.0 ** rng.uniform(-2, 4, k))[::-1])
+            yield owclb.SubcarrierGrid(K=k, f_chip=2e8, gnr_k=10.0 ** rng.uniform(-2, 4, k))
+            two = 2.0 ** rng.integers(-4, 5, k).astype(float)
+            yield owclb.SubcarrierGrid(K=k, f_chip=float(k), gnr_k=two)
+            yield owclb.SubcarrierGrid(K=k, f_chip=float(k), gnr_k=np.sort(two)[::-1])
+            plateaus = 2.0 ** -(np.arange(k) * 3 // k).astype(float)  # three equal-GNR runs
+            yield owclb.SubcarrierGrid(K=k, f_chip=float(k), gnr_k=plateaus)
+            for f_chip in (1e-300, 1e300):
+                yield owclb.SubcarrierGrid(K=k, f_chip=f_chip, gnr_k=10.0 ** rng.uniform(-300, 300, k))
+
+    @staticmethod
+    def budgets(rng, grid, gamma, bit_cap):
+        with np.errstate(over="ignore"):
+            costs = np.sort((grid.delta_b * gamma / grid.gnr_k[:, None] * 2.0 ** np.arange(bit_cap)).ravel())
+            spent = np.cumsum(costs[np.isfinite(costs)])
+        picks = [0.0, math.inf, 1e308]
+        if spent.size:
+            picks += [float(spent[rng.integers(spent.size)]), float(spent[-1]),
+                      float(rng.uniform(0.0, 1.0)) * float(spent[-1])]
+        return picks
+
+    def test_grants_and_table_count_equal_the_oracles(self):
+        rng = np.random.default_rng(41)
+        checked = 0
+        for grid in self.grids(rng):
+            for gamma in (1.0, 3.98):
+                for bit_cap in (1, 3, 12, 13):
+                    for budget in self.budgets(rng, grid, gamma, bit_cap):
+                        grants, finite = owclb.bitload._greedy(grid, gamma, budget, bit_cap)
+                        ref, ref_finite = _oracles.greedy_argsort(grid, gamma, budget, bit_cap)
+                        np.testing.assert_array_equal(grants, ref)
+                        assert finite == ref_finite
+                        old = grants % bit_cap
+                        assert owclb.bitload._table_search_flops(old, grid.K, bit_cap) == (
+                            _oracles.table_search_flops_loop(old, grid.K, bit_cap))
+                        checked += 1
+        assert checked > 1000
+
+    def test_table_count_on_any_grant_sequence(self):
+        # grants in any order, each to a carrier below the cap, up to a full load
+        rng = np.random.default_rng(42)
+        for _ in range(600):
+            k, bit_cap = int(rng.integers(1, 40)), int(rng.integers(1, 14))
+            bits = np.zeros(k, dtype=np.int64)
+            old = []
+            for _ in range(int(rng.integers(0, k * bit_cap + 1))):
+                carrier = int(rng.choice(np.flatnonzero(bits < bit_cap)))
+                old.append(bits[carrier])
+                bits[carrier] += 1
+            old = np.array(old, dtype=np.int64)
+            count = owclb.bitload._table_search_flops(old, k, bit_cap)
+            assert type(count) is int
+            assert count == _oracles.table_search_flops_loop(old, k, bit_cap)
+
+    def test_full_load_and_single_carrier(self):
+        for k, bit_cap in ((1, 1), (1, 12), (5, 1), (4, 12)):
+            old = np.tile(np.arange(bit_cap), k).reshape(k, bit_cap).T.ravel()  # round robin
+            assert owclb.bitload._table_search_flops(old, k, bit_cap) == (
+                _oracles.table_search_flops_loop(old, k, bit_cap))
+            assert owclb.bitload._table_search_flops(old[:0], k, bit_cap) == 0
+
+
 class TestSortedPrefix:
     """hh_sorted_prefix against the per-budget loaders it replaces."""
 

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -220,6 +221,58 @@ class TestRateCurve:
         assert [line.split(",")[1] for line in out.splitlines()[1:]] == ["0.0"] * 4
 
 
+    def test_power_sweep_flat_snr_past_the_float_range(self, tmp_path):
+        # GNR about 1e308 below 1 MHz: psd * GNR passes the largest float from
+        # the 12th budget on, where 1 + snr rounds to snr and logarithms add
+        path = tmp_path / "loud.json"
+        doc = {"stages": [{"kind": "RationalPoleZero", "params": {"dc_gain": 1e154, "poles": [1e6]}}],
+               "noise": {"floor": 1.0}}
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "sweep.csv"
+        proc = run_cli_process(["rate-curve", "--channel", str(path), "--sweep",
+                                "power:1e4:1e9:24:log", "--k", "1024", "--out", str(out)])
+        assert proc.returncode == 0
+        assert "Warning" not in proc.stderr and proc.stderr == ""
+        assert "inf" not in out.read_text()
+        budgets, flat = read_table(out)[1][:, [0, 3]].T
+        g = owclb.reduce_to_polezero(owclb.load_chain(path))
+        grid = owclb.SubcarrierGrid.from_model(g, 1024, 200e6)
+        psd, n_flat = cli._flat_band_psd(g, grid, budgets)
+        with mpmath.workdps(30):
+            want = [grid.delta_b * float(mpmath.fsum(
+                mpmath.log(1 + mpmath.mpf(p) * mpmath.mpf(x), 2) for x in grid.gnr_k[:n_flat]
+            )) / 1e6 for p in psd]
+        np.testing.assert_allclose(flat, want, rtol=1e-13)
+        # the budgets whose SNR stays finite keep the plain log2(1 + snr) sum
+        with np.errstate(over="ignore"):
+            snr = psd[:, None] * grid.gnr_k[:n_flat]
+        finite = np.isfinite(snr).all(axis=1)
+        assert finite.sum() == 11 and finite[:11].all()
+        plain = grid.delta_b * np.sum(np.log2(1.0 + snr[finite]), axis=1) / 1e6
+        assert flat[finite].tobytes() == plain.tobytes()
+
+    def test_fmax_sweep_makes_one_closed_form_call(self, channel_path, monkeypatch, tmp_path):
+        counts = {"rate_closed_form": 0, "is_monotone_decreasing": 0}
+
+        def counted(name):
+            inner = getattr(owclb.waterfill, name)
+
+            def wrapper(*args):
+                counts[name] += 1
+                return inner(*args)
+
+            monkeypatch.setattr(owclb.waterfill, name, wrapper)
+
+        counted("rate_closed_form")
+        counted("is_monotone_decreasing")
+        out = tmp_path / "fmax.csv"
+        rc = run_cli("rate-curve", "--channel", channel_path, "--sweep", "fmax:1e5:2e8:200:log",
+                     "--out", str(out))
+        assert rc == 0
+        assert counts == {"rate_closed_form": 1, "is_monotone_decreasing": 1}
+        assert read_table(out)[1].shape == (200, 2)
+
+
 class TestOptimize:
     def test_newton_solution_round_trips(self, channel_path, tmp_path):
         out = tmp_path / "wf.csv"
@@ -319,6 +372,34 @@ class TestCompare:
         assert row["naive_flops"] == row["accel_flops"] and row["flops_saved"] == 0.0
         assert row["savings_per_iteration"] == 0.0
         assert row["populated_levels"] == 1.0  # level 0 heads every carrier
+
+
+class TestTinyCorners:
+    TINY = {"stages": [{"kind": "RationalPoleZero", "params": {"dc_gain": 1.0, "poles": [1e-300]}}],
+            "noise": {"floor": 1e-17}}
+
+    @pytest.mark.parametrize("argv", [
+        ["optimize-hh", "--budget", "1"],
+        ["optimize-newton", "--budget", "1"],
+        ["compare", "--budget", "1"],
+        ["rate-curve", "--sweep", "power:1e4:1e9:4:log"],
+    ], ids=lambda a: a[0])
+    def test_grid_commands_print_one_line_and_no_warning(self, tmp_path, argv):
+        # (f/1e-300)^2 is past the float range on every subcarrier: GNR 0
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps(self.TINY))
+        proc = run_cli_process([*argv, "--channel", str(path)])
+        assert proc.returncode == 1
+        assert proc.stderr == f"owclb: {argv[0]} failed: gnr_k entries must be positive and finite\n"
+
+    def test_gnr_eval_from_zero_hz(self, tmp_path):
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps(self.TINY))
+        out = tmp_path / "gnr.csv"
+        proc = run_cli_process(["gnr-eval", "--channel", str(path), "--sweep", "fmax:0:1e6:3",
+                                "--out", str(out)])
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert read_table(out)[1][:, 3].tolist() == [1e17, 0.0, 0.0]
 
 
 class TestHugeFrequencies:

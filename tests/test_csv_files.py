@@ -116,7 +116,7 @@ class TestRoundTrip:
     def test_cli_table(self, tmp_path, header, n_rows, with_meta, data):
         rows = data.draw(float_arrays(n_rows * len(header))).reshape(n_rows, len(header))
         path = tmp_path / "out.csv"
-        _write_csv(path, header, rows, {"rate_mbit_s": 1.5} if with_meta else None)
+        _write_csv(path, header, rows.T, {"rate_mbit_s": 1.5} if with_meta else None)
         names, back = read_table(path)
         assert names == header
         np.testing.assert_array_equal(back, rows)

@@ -6,6 +6,7 @@ import json
 import math
 import re
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -393,6 +394,47 @@ class TestGnrEval:
         vec = owclb.gnr_eval(ref_chain, freqs)
         for f, v in zip(freqs, vec):
             assert owclb.gnr_eval(ref_chain, float(f)) == v
+
+    @pytest.mark.parametrize("stage", [owclb.FirstOrderLowPass, owclb.GaussianLowPass])
+    @pytest.mark.parametrize("corner", [1e-200, 1e-160, 1e-150, 5e6])
+    def test_tiny_corner_scalar_equals_array_without_warning(self, stage, corner):
+        chain = owclb.LinkChain((stage(dc_gain=1.0, corner=corner),), owclb.NoiseSpectrum(floor=1.0))
+        freqs = [0.0, 1e-200, 1.0, 1e6, 1e10]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vec = owclb.gnr_eval(chain, freqs)
+            scalar = [owclb.gnr_eval(chain, f) for f in freqs]
+        assert np.array(scalar).tobytes() == vec.tobytes()
+        assert scalar[0] == 1.0
+        if corner < 1e-150:
+            assert scalar[2:] == [0.0] * 3  # (f/corner)^2 past the float range
+
+    @pytest.mark.parametrize("corner", [1e-300, 1e-160])
+    def test_corner_whose_square_underflows(self, corner):
+        # no division by an underflowed square: 1 at f = 0, the exact
+        # (f/corner)^2 form where it is in range, and no warning
+        g = owclb.MagSqPoleZeroGnr(gnr0=1.0, poles=(corner,))
+        f = np.array([0.0, corner, 3.0 * corner, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vec = g(f)
+            scalar = [g(x) for x in f.tolist()]
+        assert vec.tolist() == [1.0, 0.5, 0.1, 0.0]
+        assert np.array(scalar, dtype=float).tobytes() == vec.tobytes()
+
+    def test_normal_corners_keep_the_square_form(self):
+        # a corner whose square is a normal float is divided into u = f^2 as before
+        rng = np.random.default_rng(5)
+        zeros, poles = tuple(10.0 ** rng.uniform(-150, 9, 3)), tuple(10.0 ** rng.uniform(-150, 9, 4))
+        f = 10.0 ** rng.uniform(-3, 10, 50)
+        u = f * f
+        want = np.full_like(f, 7.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for fz in zeros:
+                want = want * (1.0 + u / (fz * fz))
+            for fp in poles:
+                want = want / (1.0 + u / (fp * fp))
+        assert owclb.linkchain._polezero(7.0, zeros, poles, f).tobytes() == want.tobytes()
 
     def test_tabulated_range_error_propagates(self):
         chain = owclb.LinkChain(

@@ -193,6 +193,67 @@ class TestRateClosedForm:
             assert got == pytest.approx(want, rel=1e-6)
 
 
+class TestRateClosedFormArray:
+    """``rate_closed_form`` on a 1-D array of f_max: the scalar calls' rates."""
+
+    @staticmethod
+    def points(rng):
+        return np.concatenate(([0.0, -0.0], np.geomspace(1e3, 2e8, 40), np.linspace(0.0, 3e8, 9),
+                               10.0 ** rng.uniform(3, 9, 10)))
+
+    def test_equals_the_scalar_calls_bit_for_bit(self, ref_model, gap):
+        rng = np.random.default_rng(31)
+        models = [ref_model, owclb.MagSqPoleZeroGnr(gnr0=5.0)]
+        models += [random_monotone_model(rng) for _ in range(20)]
+        for g in models:
+            f = self.points(rng)
+            rates = owclb.rate_closed_form(g, gap, f)
+            assert isinstance(rates, np.ndarray) and rates.shape == f.shape
+            scalar = [owclb.rate_closed_form(g, gap, x) for x in f.tolist()]
+            assert all(type(r) is float for r in scalar)
+            assert rates.tobytes() == np.array(scalar).tobytes()
+            ref = [_oracles.rate_closed_form_scalar(g, x) for x in f.tolist()]
+            assert rates.tobytes() == np.array(ref).tobytes()
+            assert rates[f == 0.0].tobytes() == np.zeros(np.sum(f == 0.0)).tobytes()
+
+    def test_a_list_and_an_empty_array(self, ref_model):
+        f = [0.0, 1e6, 3e7]
+        assert owclb.rate_closed_form(ref_model, 1.0, f).tolist() == [
+            owclb.rate_closed_form(ref_model, 1.0, x) for x in f
+        ]
+        assert owclb.rate_closed_form(ref_model, 1.0, np.array([])).shape == (0,)
+        with pytest.raises(ValueError, match=r"^f_max must be a number or a 1-D array, got shape \(2, 1\)$"):
+            owclb.rate_closed_form(ref_model, 1.0, np.ones((2, 1)))
+
+    def test_one_monotone_check_at_the_largest_point(self, ref_model, monkeypatch):
+        seen = []
+        check = owclb.waterfill.is_monotone_decreasing
+        monkeypatch.setattr(owclb.waterfill, "is_monotone_decreasing",
+                            lambda g, f: seen.append(f) or check(g, f))
+        owclb.rate_closed_form(ref_model, 1.0, np.array([3e6, 0.0, 2e8, 1e5]))
+        assert seen == [2e8]
+        owclb.rate_closed_form(ref_model, 1.0, np.zeros(3))
+        assert seen == [2e8]
+
+    @pytest.mark.parametrize("f", [
+        [1e6, 5e8, 2e8, 9e8],  # rising from about 2.5e7 Hz: the first failing point is 5e8
+        [1e6, -1.0, 5e8],
+        [1e6, 5e8, math.nan],
+        [0.0, math.inf, 5e8],
+    ], ids=["rising", "negative", "rising-then-nan", "inf"])
+    def test_raises_the_first_failing_scalar_call(self, bump_model, f):
+        with pytest.raises(ValueError) as scalar:
+            for x in f:
+                owclb.rate_closed_form(bump_model, 1.0, x)
+        with pytest.raises(type(scalar.value)) as batch:
+            owclb.rate_closed_form(bump_model, 1.0, np.array(f))
+        assert str(batch.value) == str(scalar.value)
+
+    def test_bad_gap_checked_first(self, bump_model):
+        with pytest.raises(ValueError, match="modulation gap must be >= 1 linear, got 0.5"):
+            owclb.rate_closed_form(bump_model, 0.5, np.array([5e8, -1.0]))
+
+
 class TestDerivative:
     def test_single_pole_expression(self):
         g = owclb.MagSqPoleZeroGnr(gnr0=2e9, poles=(5e6,))
@@ -748,15 +809,6 @@ def test_power_curve_overflow_is_above_every_budget():
     n, rates = owclb.newton_sweep(g, 1.0, budgets, grid)
     assert n.tolist() == [1] * 4 and rates.tolist() == [0.0] * 4
     assert np.isinf(owclb.waterfill._newton_setup(g, 1.0, budgets, grid)[2][-1])
-
-
-class TestPowerMap:
-    def test_identity_default(self):
-        assert owclb.sigma2_from_power(3.5) == 3.5
-
-    def test_monotone_map_inverted(self):
-        sigma2 = owclb.sigma2_from_power(8.0, power_map=lambda s: 2.0 * s**2)
-        assert sigma2 == pytest.approx(2.0, rel=1e-9)
 
 
 class TestSolutionCsv:
