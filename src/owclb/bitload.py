@@ -49,13 +49,11 @@ table one per populated level below the cap.
 
 from __future__ import annotations
 
-import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linkchain import ChannelFormatError, _is_integer, _read_csv, _write_csv
+from .linkchain import ChannelFormatError, _read_csv, _write_csv
 from .waterfill import SubcarrierGrid, _gamma_value
 
 DEFAULT_BIT_CAP = 12
@@ -89,20 +87,6 @@ class BitLoadPlan:
     gamma: float
     sigma2_budget: float
     group_table: tuple[int, ...] | None = None
-
-
-def marginal_power(grid: SubcarrierGrid, gap, k: int, b_current: int) -> float:
-    """Power needed to raise subcarrier k (1-based) from b to b+1 bits:
-    (Delta_B * Gamma / GNR(f_k)) * 2^b, priced as the greedy prices it;
-    inf where that overflows, a bit the greedy never grants."""
-    gamma = _gamma_value(gap)
-    if not (_is_integer(k) and 1 <= k <= grid.K):
-        raise ValueError(f"k must be an integer in 1..{grid.K}, got {k!r}")
-    if not (_is_integer(b_current) and b_current >= 0):
-        raise ValueError(f"b_current must be an integer >= 0, got {b_current!r}")
-    if b_current >= sys.float_info.max_exp:
-        return math.inf
-    return grid.delta_b * gamma / float(grid.gnr_k[k - 1]) * 2.0**b_current
 
 
 def _costs(grid: SubcarrierGrid, gamma: float, budgets, bit_cap: int):

@@ -132,11 +132,6 @@ def _check_flags(args: argparse.Namespace) -> None:
             raise CliError(f"{name} must be finite, got {value}")
 
 
-def read_table(path) -> tuple[list[str], np.ndarray]:
-    """Read back any CSV this CLI emits: (column names, value matrix)."""
-    return linkchain._read_csv(path)[1:]
-
-
 def _load_reduced(args) -> linkchain.MagSqPoleZeroGnr:
     return linkchain.reduce_to_polezero(linkchain.load_chain(args.channel))
 

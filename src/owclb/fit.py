@@ -42,6 +42,8 @@ from .linkchain import (
     NoiseSpectrum,
     RationalPoleZero,
     ResponseTable,
+    _FLOAT_MAX,
+    _FLOAT_TINY,
     _is_integer,
     chain_to_dict,
 )
@@ -49,6 +51,11 @@ from .linkchain import (
 _Q10 = 10.0 / math.log(10.0)  # dB per natural-log unit
 _DAMP_TRIES = 25  # rejected damped trials in a row before a start stops
 _MAX_ITERS = 200  # accepted steps before a start stops
+_MARGIN = 16.0  # a corner may leave f_range by this many nepers
+# so the solve's corner weights exp(2 l) and ratios f^2/weight are normal
+# floats for an f_range inside these limits, spanning at most _F_FIT_MAX
+_F_FIT_MIN = math.exp(math.log(_FLOAT_TINY) / 2.0 + _MARGIN)  # ~1.33e-147 Hz
+_F_FIT_MAX = math.exp(math.log(_FLOAT_MAX) / 2.0 - _MARGIN)  # ~1.51e147 Hz
 
 
 @dataclass(frozen=True)
@@ -74,6 +81,11 @@ class FitConfig:
         lo, hi = (float(self.f_range[0]), float(self.f_range[1]))
         if not (0.0 < lo < hi) or not math.isfinite(hi):
             raise ValueError(f"f_range must be ascending positive, got {self.f_range!r}")
+        if lo < _F_FIT_MIN or hi > _F_FIT_MAX or hi / lo > _F_FIT_MAX:
+            raise ValueError(
+                f"f_range must lie in [{_F_FIT_MIN:.3g}, {_F_FIT_MAX:.3g}] Hz and span at most "
+                f"a factor of {_F_FIT_MAX:.3g}, got {self.f_range!r}"
+            )
         object.__setattr__(self, "f_range", (lo, hi))
         if self.multistarts < 1:
             raise ValueError("multistarts must be >= 1")
@@ -222,7 +234,8 @@ def fit_polezero(data: ResponseTable, cfg: FitConfig) -> FitResult:
 
     Raises ValueError when fewer than 2*(M+N+1) rows fall in the window
     and RuntimeError when every start ends with a non-finite cost, so
-    that no start has an rms to report.
+    that no start has an rms to report, or when the best start's gnr0 is
+    past the float range.
     """
     lo, hi = cfg.f_range
     mask = (data.frequencies >= lo) & (data.frequencies <= hi)
@@ -235,7 +248,7 @@ def fit_polezero(data: ResponseTable, cfg: FitConfig) -> FitResult:
         )
     u = np.square(f)
     y_data = 10.0 * np.log10(v)
-    l_bounds = (math.log(lo) - 16.0, math.log(hi) + 16.0)
+    l_bounds = (math.log(lo) - _MARGIN, math.log(hi) + _MARGIN)
 
     m = cfg.n_zeros
     rng = np.random.default_rng(cfg.seed)
@@ -248,8 +261,12 @@ def fit_polezero(data: ResponseTable, cfg: FitConfig) -> FitResult:
 
     best = finite[np.argmin(cost[finite])]
     c, log_z, log_p, r = cs[best], logs[best, :m], logs[best, m:], rs[best].copy()
+    with np.errstate(over="ignore"):
+        gnr0 = 10.0 ** (c / 10.0)
+    if not 0.0 < gnr0 < math.inf:
+        raise RuntimeError(f"fitted gnr0 of {c:.6g} dB is past the float range")
     model = MagSqPoleZeroGnr(
-        gnr0=10.0 ** (c / 10.0),
+        gnr0=gnr0,
         zeros=tuple(float(np.exp(l)) for l in np.sort(log_z)),
         poles=tuple(float(np.exp(l)) for l in np.sort(log_p)),
     )
@@ -267,11 +284,6 @@ def fit_polezero(data: ResponseTable, cfg: FitConfig) -> FitResult:
         per_point_residuals=r,
         notes=tuple(notes),
     )
-
-
-def residual_scan(data: ResponseTable, model: MagSqPoleZeroGnr) -> np.ndarray:
-    """Per-row residual 10*log10(model) - 10*log10(data) in dB."""
-    return 10.0 * np.log10(model.evaluate(data.frequencies)) - 10.0 * np.log10(data.values)
 
 
 def scan_orders(data: ResponseTable, cfg: FitConfig):

@@ -160,7 +160,9 @@ def _corner_factor(f, u, corner: float):
 
 def _polezero(gain: float, zeros, poles, f):
     """gain * prod(1 + f^2/fz^2) / prod(1 + f^2/fp^2), zeros first, in list
-    order; a factor past the float range is inf, without a warning."""
+    order; a factor past the float range is inf, without a warning.  Where
+    a zero's and a pole's factors both pass it, inf/inf is nan: there the
+    product is taken in logarithms instead (``_log_polezero``)."""
     f = _as_f(f)
     u = np.square(f)
     out = gain + 0.0 * u
@@ -169,7 +171,27 @@ def _polezero(gain: float, zeros, poles, f):
             out = out * _corner_factor(f, u, fz)
         for fp in poles:
             out = out / _corner_factor(f, u, fp)
+    # one check over the result: a max, since a sum may overflow
+    if 0.0 < gain < math.inf and math.isnan(out.max(initial=0.0) if out.ndim else out):
+        if not out.ndim:
+            return _log_polezero(gain, zeros, poles, f)
+        bad = np.isnan(out)
+        out[bad] = _log_polezero(gain, zeros, poles, f[bad])
     return out
+
+
+def _log_polezero(gain: float, zeros, poles, f):
+    """``_polezero``'s product at f > 0 as exp of a sum of logarithms, each
+    factor log(1 + (f/corner)^2) = logaddexp(0, 2 (log f - log corner));
+    inf where the product passes the float range."""
+    log_f = np.log(f)
+    total = math.log(gain)
+    for fz in zeros:
+        total = total + np.logaddexp(0.0, 2.0 * (log_f - math.log(fz)))
+    for fp in poles:
+        total = total - np.logaddexp(0.0, 2.0 * (log_f - math.log(fp)))
+    with np.errstate(over="ignore"):
+        return np.exp(total)
 
 
 class _Checked:
@@ -250,10 +272,6 @@ class LaserSecondOrder(_Checked):
     dc_gain: float
     relaxation_freq: float
     damping: float
-
-    @property
-    def has_resonant_peak(self) -> bool:
-        return self.relaxation_freq > self.damping / math.sqrt(2.0)
 
     def magsq(self, f):
         f = _as_f(f)
@@ -440,11 +458,6 @@ class MagSqPoleZeroGnr(_Checked):
 
 # ---------------------------------------------------------------------------
 # operations
-
-
-def eval_component_magsq(component: ComponentResponse, f):
-    """Magnitude-squared response |H(f)|^2 of a single stage."""
-    return component.magsq(f)
 
 
 def eval_noise_psd(noise: NoiseSpectrum, f):

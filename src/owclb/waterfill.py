@@ -260,12 +260,15 @@ def rate_closed_form(g: MagSqPoleZeroGnr, gap, f_max):
 
 def _closed_form(g: MagSqPoleZeroGnr, f: np.ndarray) -> np.ndarray:
     """``rate_closed_form``'s sum at each point, term by term in the scalar
-    order: zeros first, then poles, each arctangent from ``math.atan``."""
+    order: zeros first, then poles, each arctangent from ``math.atan``.  A
+    ratio f/corner past the float range is inf, whose arctangent pi/2 is the
+    exact limit, so that overflow warns nothing."""
     total = (len(g.poles) - len(g.zeros)) * f
-    for fz in g.zeros:
-        total += fz * np.array(list(map(math.atan, (f / fz).tolist())))
-    for fp in g.poles:
-        total -= fp * np.array(list(map(math.atan, (f / fp).tolist())))
+    with np.errstate(over="ignore"):
+        for fz in g.zeros:
+            total += fz * np.array(list(map(math.atan, (f / fz).tolist())))
+        for fp in g.poles:
+            total -= fp * np.array(list(map(math.atan, (f / fp).tolist())))
     return (2.0 / _LN2) * total
 
 

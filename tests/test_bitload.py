@@ -79,69 +79,14 @@ class TestGrid:
         assert owclb.SubcarrierGrid(K=4, f_chip=4.0, gnr_k=np.ones(4)).delta_b == 1.0
 
 
-class TestMarginalPower:
-    def test_first_bit(self):
-        grid = flat_grid(4, gnr=8.0)
-        assert owclb.marginal_power(grid, 2.0, 1, 0) == 2.0 / 8.0
-
-    def test_exponential_in_bits(self):
-        grid = flat_grid(4, gnr=1.0)
-        assert owclb.marginal_power(grid, 1.0, 2, 3) == 8.0
-
-    def test_inverse_in_gnr(self):
-        lo = owclb.marginal_power(flat_grid(2, gnr=1.0), 1.0, 1, 5)
-        hi = owclb.marginal_power(flat_grid(2, gnr=2.0), 1.0, 1, 5)
-        assert lo == 2.0 * hi
-
-    def test_bounds(self):
-        grid = flat_grid(4)
-        with pytest.raises(ValueError):
-            owclb.marginal_power(grid, 1.0, 0, 0)
-        with pytest.raises(ValueError):
-            owclb.marginal_power(grid, 1.0, 5, 0)
-        with pytest.raises(ValueError):
-            owclb.marginal_power(grid, 1.0, 1, -1)
-
-    @pytest.mark.parametrize("b", [1024, 1025, 10**6])
-    def test_overflowing_bit_costs_inf(self, b):
-        assert owclb.marginal_power(flat_grid(4), 1.0, 1, b) == math.inf
-
-    def test_last_finite_power_of_two(self):
-        assert owclb.marginal_power(flat_grid(4), 1.0, 1, 1023) == 2.0**1023
-        assert owclb.marginal_power(flat_grid(4), 1.0, np.int64(2), np.int64(3)) == 8.0
-
+class TestBitPrice:
     def test_prices_a_bit_as_the_greedy_does(self):
         # delta_b * gamma = 1e308: multiplying by 2 first would overflow,
         # but the greedy divides by the GNR first and grants the bit
         grid = owclb.SubcarrierGrid(K=2, f_chip=2e10, gnr_k=np.array([1e300, 1e299]))
-        assert owclb.marginal_power(grid, 1e298, 1, 1) == 2e8
         plan = owclb.hh_naive(grid, 1e298, 3e8)
         assert plan.bits.tolist() == [2, 0]
-        assert plan.total_power == 1e8 + owclb.marginal_power(grid, 1e298, 1, 1)
-
-    def test_reference_grid_prices_unchanged(self, ref_model, gap):
-        # away from overflow, dividing first moves no bit of any price
-        grid = owclb.SubcarrierGrid.from_model(ref_model, 64, 200e6)
-        for k in range(1, 65):
-            for b in range(owclb.DEFAULT_BIT_CAP):
-                old = grid.delta_b * gap.gamma_linear * 2.0**b / float(grid.gnr_k[k - 1])
-                assert owclb.marginal_power(grid, gap, k, b) == old, (k, b)
-
-    @pytest.mark.parametrize(
-        "k, b, message",
-        [
-            (1.5, 0, r"^k must be an integer in 1\.\.4, got 1\.5$"),
-            (True, 0, r"^k must be an integer in 1\.\.4, got True$"),
-            (2.0, 0, r"^k must be an integer in 1\.\.4, got 2\.0$"),
-            (1, 1.5, r"^b_current must be an integer >= 0, got 1\.5$"),
-            (1, True, r"^b_current must be an integer >= 0, got True$"),
-            (1, 3.0, r"^b_current must be an integer >= 0, got 3\.0$"),
-            (1, -1, r"^b_current must be an integer >= 0, got -1$"),
-        ],
-    )
-    def test_non_integer_arguments_are_refused(self, k, b, message):
-        with pytest.raises(ValueError, match=message):
-            owclb.marginal_power(flat_grid(4), 1.0, k, b)
+        assert plan.total_power == 1e8 + 2e8  # the second bit costs 1e10 * 1e298 / 1e300 * 2
 
 
 class TestNaive:
@@ -285,10 +230,11 @@ class TestAccelerated:
             plan = owclb.hh_accelerated(grid, gap, budget)
             assert plan.total_power <= budget
             # the cheapest next bit would overshoot
+            gamma = gap.gamma_linear
             nxt = np.min(
                 [
-                    owclb.marginal_power(grid, gap, k + 1, int(b))
-                    for k, b in enumerate(plan.bits)
+                    grid.delta_b * gamma / gnr_k * 2.0**b
+                    for gnr_k, b in zip(grid.gnr_k, plan.bits)
                     if b < owclb.DEFAULT_BIT_CAP
                 ]
             )

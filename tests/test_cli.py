@@ -1,8 +1,10 @@
 import json
+import math
 import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import mpmath
@@ -11,7 +13,8 @@ import pytest
 
 import owclb
 from owclb import cli
-from owclb.cli import COMMANDS, main, read_table
+from owclb.cli import COMMANDS, main
+from owclb.linkchain import _read_csv
 
 from conftest import build_reference_chain
 
@@ -48,7 +51,7 @@ class TestGnrEval:
     def test_writes_readable_csv(self, channel_path, tmp_path):
         out = tmp_path / "gnr.csv"
         assert run_cli("gnr-eval", "--channel", channel_path, "--out", str(out)) == 0
-        header, rows = read_table(out)
+        header, rows = _read_csv(out)[1:]
         assert header == ["f_hz", "gain_magsq", "noise_psd_v2_per_hz", "gnr_linear"]
         np.testing.assert_allclose(rows[:, 3], rows[:, 1] / rows[:, 2], rtol=1e-12)
         assert rows[0, 3] == pytest.approx(4.602e10, rel=1e-3)
@@ -62,7 +65,7 @@ class TestGnrEval:
             )
             == 0
         )
-        _, rows = read_table(out)
+        _, rows = _read_csv(out)[1:]
         assert rows.shape[0] == 11
         assert rows[0, 0] == 1e6 and rows[-1, 0] == pytest.approx(1e8)
 
@@ -77,7 +80,7 @@ class TestRateCurve:
             )
             == 0
         )
-        header, rows = read_table(out)
+        header, rows = _read_csv(out)[1:]
         assert header == ["f_max_hz", "rate_mbit_s"]
         assert np.all(np.diff(rows[:, 1]) > 0.0)
 
@@ -91,7 +94,7 @@ class TestRateCurve:
             )
             == 0
         )
-        header, rows = read_table(out)
+        header, rows = _read_csv(out)[1:]
         assert header == [
             "sigma2_v2",
             "rate_newton_mbit_s",
@@ -234,7 +237,7 @@ class TestRateCurve:
         assert proc.returncode == 0
         assert "Warning" not in proc.stderr and proc.stderr == ""
         assert "inf" not in out.read_text()
-        budgets, flat = read_table(out)[1][:, [0, 3]].T
+        budgets, flat = _read_csv(out)[2][:, [0, 3]].T
         g = owclb.reduce_to_polezero(owclb.load_chain(path))
         grid = owclb.SubcarrierGrid.from_model(g, 1024, 200e6)
         psd, n_flat = cli._flat_band_psd(g, grid, budgets)
@@ -270,7 +273,7 @@ class TestRateCurve:
                      "--out", str(out))
         assert rc == 0
         assert counts == {"rate_closed_form": 1, "is_monotone_decreasing": 1}
-        assert read_table(out)[1].shape == (200, 2)
+        assert _read_csv(out)[2].shape == (200, 2)
 
 
 class TestOptimize:
@@ -336,7 +339,7 @@ class TestCompare:
             )
             == 0
         )
-        header, rows = read_table(out)
+        header, rows = _read_csv(out)[1:]
         saved = rows[0, header.index("flops_saved")]
         assert saved > 0
         assert rows[0, header.index("naive_flops")] > rows[0, header.index("accel_flops")]
@@ -366,7 +369,7 @@ class TestCompare:
     def test_zero_budget(self, channel_path, tmp_path):
         out = tmp_path / "cmp.csv"
         assert run_cli("compare", "--channel", channel_path, "--budget", "0", "--out", str(out)) == 0
-        header, rows = read_table(out)
+        header, rows = _read_csv(out)[1:]
         row = dict(zip(header, rows[0]))
         assert row["iterations"] == 0.0
         assert row["naive_flops"] == row["accel_flops"] and row["flops_saved"] == 0.0
@@ -399,7 +402,32 @@ class TestTinyCorners:
         proc = run_cli_process(["gnr-eval", "--channel", str(path), "--sweep", "fmax:0:1e6:3",
                                 "--out", str(out)])
         assert proc.returncode == 0 and proc.stderr == ""
-        assert read_table(out)[1][:, 3].tolist() == [1e17, 0.0, 0.0]
+        assert _read_csv(out)[2][:, 3].tolist() == [1e17, 0.0, 0.0]
+
+
+    def test_fmax_sweep_warns_nothing(self, tmp_path):
+        # f/1e-300 passes the float range; atan(inf) = pi/2 is its exact limit
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps(self.TINY))
+        out = tmp_path / "rate.csv"
+        proc = run_cli_process(["rate-curve", "--sweep", "fmax:1e5:2e8:20:log", "--channel", str(path),
+                                "--out", str(out)])
+        assert proc.returncode == 0 and proc.stderr == ""
+        points, rates = _read_csv(out)[2].T
+        assert rates.tolist() == (2.0 / math.log(2.0) * points / 1e6).tolist()
+
+    def test_zero_and_pole_far_below_1_hz_load(self, tmp_path, capsys):
+        # both factors are inf on every subcarrier, their ratio 1e-100 is not
+        path = tmp_path / "pair.json"
+        params = self.TINY["stages"][0]["params"]
+        path.write_text(json.dumps({**self.TINY, "stages": [
+            {"kind": "RationalPoleZero", "params": {**params, "zeros": [1e-250]}}]}))
+        for argv, head in ((["optimize-hh", "--naive"], "optimize-hh[hh_naive]: 0 bits"),
+                           (["optimize-hh"], "optimize-hh[hh_accelerated]: 0 bits"),
+                           (["compare"], "# rate_mbit_s=0.0\n")):
+            assert run_cli(*argv, "--budget", "1", "--channel", str(path)) == 0
+            out, err = capsys.readouterr()
+            assert err == "" and out.startswith(head) and "nan" not in out
 
 
 class TestHugeFrequencies:
@@ -941,6 +969,95 @@ class TestValidationAndDeterminism:
 
 # Recorded with the code before the CSV codec, gap validator and per-command
 # flags were merged; every output file and stdout must match byte for byte.
+# Field values from the smallest to the largest a channel may hold: fixed
+# extremes around the limits of f^2, plus seeded log-uniform draws.
+PROPERTY_VALUES = [1e-300, 1e-250, 1.5e-154, 1.0, 1.4e154, 1e200, 1.7e308] + (
+    10.0 ** np.random.default_rng(7).uniform(-300, 308, 3)
+).tolist()
+PROPERTY_FLOORS = [1e-300, 1e-17, 1.0, 1.7e308]
+# one chain per stage kind (and one for the noise spectrum): stages, noise fields
+PROPERTY_CHAINS = {
+    "FlatGain": lambda x: ({"gain": x}, {}),
+    "FirstOrderLowPass": lambda x: ({"dc_gain": 1.0, "corner": x}, {}),
+    "RationalPoleZero": lambda x: ({"dc_gain": x, "zeros": [x], "poles": [1e-300, 1e6]}, {}),
+    "LaserSecondOrder": lambda x: ({"dc_gain": 1.0, "relaxation_freq": x, "damping": x}, {}),
+    "GaussianLowPass": lambda x: ({"dc_gain": x, "corner": x}, {}),
+    "BeamSquintSinc": lambda x: ({"element_gain": 1.0, "elements": 4, "spacing_delay": x}, {}),
+    "Tabulated": lambda x: ({"rows": [[1.0, 1.0], [1e6, x], [1e11, x]]}, {}),
+    "NoiseSpectrum": lambda x: ({"gain": 1.0}, {"uplift_zero": x, "rolloff_poles": [x, 1e7]}),
+}
+PROPERTY_ARGVS = [
+    ["gnr-eval"],
+    ["rate-curve", "--sweep", "fmax:1e5:2e8:20:log"],
+    ["rate-curve", "--sweep", "power:1e-6:1e9:6:log"],
+    ["optimize-newton", "--budget", "1"],
+    ["optimize-hh", "--budget", "1"],
+    ["optimize-hh", "--naive", "--budget", "1"],
+    ["compare", "--budget", "1"],
+]
+PROPERTY_FIT_FLAGS = [[], ["--db"], ["--zeros", "1", "--poles", "2"], ["--scan-orders", "--poles", "2"]]
+
+
+def _property_faults(capsys, argv, out) -> list[str]:
+    """Run one command in-process and name every property it breaks: exit
+    0, 1 or 2, no exception, no warning, no nan in stdout or the output
+    file, one stderr line on a failure and none on success."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            rc = main(argv)
+        except Exception as exc:
+            raise AssertionError(f"{argv} raised") from exc
+    stdout, stderr = capsys.readouterr()
+    written = out.read_text() if out.exists() else ""
+    out.unlink(missing_ok=True)
+    faults = [f"warning: {w.message}" for w in caught]
+    if rc not in (0, 1, 2):
+        faults.append(f"exit {rc}")
+    if "nan" in (stdout + written).lower():
+        faults.append("nan in the output")
+    if stderr.count("\n") != (0 if rc == 0 else 1) or "Traceback" in stderr:
+        faults.append(f"stderr {stderr!r}")
+    return [f"{argv[:-4]} {fault}" for fault in faults]
+
+
+class TestProperty:
+    """Seeded channels and tables at the ends of the float range, through
+    every command: each run ends in a clean exit code and message."""
+
+    @pytest.mark.parametrize("kind", sorted(PROPERTY_CHAINS))
+    def test_every_command_on_extreme_channels(self, tmp_path, capsys, kind):
+        path, out = tmp_path / "channel.json", tmp_path / "out.csv"
+        faults = []
+        for x in PROPERTY_VALUES:
+            params, noise = PROPERTY_CHAINS[kind](x)
+            stage = "FlatGain" if kind == "NoiseSpectrum" else kind
+            for floor in PROPERTY_FLOORS:
+                path.write_text(json.dumps({"stages": [{"kind": stage, "params": params}],
+                                            "noise": {"floor": floor, **noise}}))
+                for argv in PROPERTY_ARGVS:
+                    argv = [*argv, "--channel", str(path), "--out", str(out)]
+                    faults += [f"x={x!r} floor={floor!r} {f}" for f in _property_faults(capsys, argv, out)]
+        assert faults == []
+
+    def test_fit_on_extreme_tables(self, tmp_path, capsys):
+        tables = [
+            # data falling as f^-2 from 1.7e308: the fitted gnr0 passes the float range
+            [(f, 1.7e308 * (1e-60 / f) ** 2) for f in np.geomspace(1e-60, 1e60, 8).tolist()],
+        ]
+        for x in PROPERTY_VALUES:
+            tables.append([(f, x / (1.0 + (f / 1e6) ** 2)) for f in np.geomspace(1e3, 1e9, 8).tolist()])
+            tables.append([(x * 2.0**i, 1.0 / (1 + i)) for i in range(8)])
+        path, out = tmp_path / "table.csv", tmp_path / "out.json"
+        faults = []
+        for rows in tables:
+            path.write_text("frequency_hz,value\n" + "".join(f"{f!r},{v!r}\n" for f, v in rows))
+            for flags in PROPERTY_FIT_FLAGS:
+                argv = ["fit", *flags, "--channel", str(path), "--out", str(out)]
+                faults += [f"{rows[0]} {f}" for f in _property_faults(capsys, argv, out)]
+        assert faults == []
+
+
 _REF = ["--gamma-db", "6.06", "--fchip", "2e8"]
 GOLDEN_CASES = {
     "gnr_eval_ref.csv": ["gnr-eval"],

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -112,6 +113,36 @@ class TestFitEdgeCases:
             owclb.FitConfig(n_zeros=0, n_poles=1, f_range=(1e3, 1e9), seed=-1)
 
     @pytest.mark.parametrize(
+        "f_range", [(1e-300, 1e-290), (1e-150, 1e-140), (1e140, 1e150), (1e-100, 1e100)],
+        ids=["tiny", "below", "above", "wide"],
+    )
+    def test_window_whose_corner_weights_leave_the_float_range(self, f_range):
+        # weights exp(2 l) with l within 16 nepers of the window, and f^2 over
+        # them, would underflow or overflow inside the solve
+        with pytest.raises(ValueError, match=r"^f_range must lie in \[1\.33e-147, 1\.51e\+147\] Hz"):
+            owclb.FitConfig(n_zeros=0, n_poles=1, f_range=f_range)
+
+    @pytest.mark.parametrize("f_range", [(fit._F_FIT_MIN, 1e-140), (1e140, fit._F_FIT_MAX), (1.0, fit._F_FIT_MAX),
+                                         (1e-70, 1e70)])
+    def test_window_at_the_float_range_fits_silently(self, f_range):
+        f = np.geomspace(*f_range, 8)
+        table = owclb.ResponseTable(frequencies=f, values=1.0 / (1.0 + (f / f[3]) ** 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fitted = owclb.fit_polezero(table, owclb.FitConfig(n_zeros=0, n_poles=1, f_range=f_range))
+        assert math.isfinite(fitted.rms_db_error)
+
+    def test_gnr0_past_the_float_range_is_refused(self):
+        # data falling as f^-2 from 1.7e308 at 1e-60 Hz: a pole below the
+        # window puts gnr0 past the largest float
+        f = np.geomspace(1e-60, 1e60, 8)
+        table = owclb.ResponseTable(frequencies=f, values=1.7e308 * (1e-60 / f) ** 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RuntimeError, match=r"^fitted gnr0 of [0-9.]+ dB is past the float range$"):
+                owclb.fit_polezero(table, owclb.FitConfig(n_zeros=0, n_poles=1, f_range=(1e-60, 1e60)))
+
+    @pytest.mark.parametrize(
         "name, value", [("n_zeros", 0.5), ("n_zeros", True), ("n_poles", 2.0), ("multistarts", 1.5),
                         ("multistarts", False), ("n_poles", "3"), ("seed", 1.5), ("seed", True),
                         ("seed", "7")],
@@ -171,27 +202,13 @@ class TestNonRationalBridge:
         assert got == pytest.approx(_oracles.mp_sigma2(g, 1.0, 2e9), rel=1e-9)
 
 
-class TestResidualScan:
-    def test_zero_for_generator(self):
-        true = owclb.MagSqPoleZeroGnr(gnr0=2.0, poles=(5e6,))
-        table = synth_table(true)
-        res = owclb.residual_scan(table, true)
-        assert np.max(np.abs(res)) < 1e-9
-
-    def test_level_shift(self):
-        true = owclb.MagSqPoleZeroGnr(gnr0=2.0, poles=(5e6,))
-        table = synth_table(true)
-        doubled = owclb.MagSqPoleZeroGnr(gnr0=4.0, poles=(5e6,))
-        res = owclb.residual_scan(table, doubled)
-        np.testing.assert_allclose(res, 10.0 * np.log10(2.0), rtol=1e-9)
-
+class TestFitResiduals:
     def test_reference_fit_residuals_small(self):
         true = owclb.MagSqPoleZeroGnr(gnr0=REF_GNR0, zeros=REF_ZEROS, poles=REF_POLES)
         fitted = owclb.fit_polezero(
             synth_table(true), owclb.FitConfig(n_zeros=1, n_poles=4, f_range=(1e3, 1e9), seed=0)
         )
-        res = owclb.residual_scan(synth_table(true), fitted.model)
-        assert np.max(np.abs(res)) < 0.1
+        assert np.max(np.abs(fitted.per_point_residuals)) < 0.1
 
 
 class TestChannelFragment:

@@ -8,6 +8,7 @@ import re
 import sys
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -53,8 +54,8 @@ class TestComponentEval:
         f = np.geomspace(1e3, 1e150, 50)
         plain = owclb.RationalPoleZero(dc_gain=3.0, poles=(1e6,))
         huge = dataclasses.replace(plain, **{kind: getattr(plain, kind) + (1e200,)})
-        got = owclb.eval_component_magsq(huge, f)
-        assert got.tobytes() == owclb.eval_component_magsq(plain, f).tobytes()
+        got = huge.magsq(f)
+        assert got.tobytes() == plain.magsq(f).tobytes()
 
     @pytest.mark.parametrize("f", [0.0, 3.5e6, np.float64(3.5e6)])
     def test_scalar_frequency_comes_back_as_float(self, f):
@@ -63,38 +64,32 @@ class TestComponentEval:
 
     def test_first_order_half_power_at_corner(self):
         c = owclb.FirstOrderLowPass(dc_gain=1.0, corner=5e6)
-        assert owclb.eval_component_magsq(c, 5e6) == 0.5
+        assert c.magsq(5e6) == 0.5
 
     def test_laser_dc_value(self):
         c = owclb.LaserSecondOrder(dc_gain=1.0, relaxation_freq=2e9, damping=4e9)
-        assert owclb.eval_component_magsq(c, 0.0) == 1.0
+        assert c.magsq(0.0) == 1.0
 
     def test_laser_formula_matches_direct_expression(self):
         c = owclb.LaserSecondOrder(dc_gain=0.7, relaxation_freq=2e9, damping=1e9)
         f = 1.3e9
         expect = 0.7**2 * 2e9**4 / ((2e9**2 - f**2) ** 2 + (1e9 * f) ** 2)
-        assert owclb.eval_component_magsq(c, f) == pytest.approx(expect, rel=1e-14)
-
-    def test_laser_peak_flag(self):
-        smooth = owclb.LaserSecondOrder(dc_gain=1.0, relaxation_freq=1e9, damping=2e9)
-        peaked = owclb.LaserSecondOrder(dc_gain=1.0, relaxation_freq=2e9, damping=1e9)
-        assert not smooth.has_resonant_peak
-        assert peaked.has_resonant_peak
+        assert c.magsq(f) == pytest.approx(expect, rel=1e-14)
 
     def test_beam_squint_null(self):
         c = owclb.BeamSquintSinc(element_gain=1.0, elements=8, spacing_delay=1e-12)
         f_null = 1.0 / (8 * 1e-12)
-        assert owclb.eval_component_magsq(c, f_null) <= c.dc_amplitude**2 * 1e-25
+        assert c.magsq(f_null) <= c.dc_amplitude**2 * 1e-25
 
     def test_beam_squint_dc(self):
         c = owclb.BeamSquintSinc(element_gain=0.5, elements=4, spacing_delay=2e-12)
         expect = (0.5 * 4 * SPEED_OF_LIGHT_M_S * 2e-12) ** 2
-        assert owclb.eval_component_magsq(c, 0.0) == pytest.approx(expect, rel=1e-15)
+        assert c.magsq(0.0) == pytest.approx(expect, rel=1e-15)
 
     def test_gaussian(self):
         c = owclb.GaussianLowPass(dc_gain=2.0, corner=1e9)
-        assert owclb.eval_component_magsq(c, 0.0) == 4.0
-        assert owclb.eval_component_magsq(c, 1e9) == pytest.approx(4.0 * math.exp(-2.0))
+        assert c.magsq(0.0) == 4.0
+        assert c.magsq(1e9) == pytest.approx(4.0 * math.exp(-2.0))
 
     def test_dc_value_equals_dc_gain_squared_for_all_variants(self):
         cases = [
@@ -105,7 +100,7 @@ class TestComponentEval:
             owclb.GaussianLowPass(dc_gain=3.0, corner=1e8),
         ]
         for c in cases:
-            assert owclb.eval_component_magsq(c, 0.0) == pytest.approx(9.0, rel=1e-15)
+            assert c.magsq(0.0) == pytest.approx(9.0, rel=1e-15)
 
     def test_tabulated_loglog_interpolation(self):
         table = owclb.ResponseTable(
@@ -113,7 +108,7 @@ class TestComponentEval:
         )
         c = owclb.Tabulated(table=table)
         # halfway in log f between 1e3 and 1e5 -> halfway in log value
-        assert owclb.eval_component_magsq(c, 1e4) == pytest.approx(1e-1, rel=1e-12)
+        assert c.magsq(1e4) == pytest.approx(1e-1, rel=1e-12)
 
     def test_tabulated_out_of_range(self):
         table = owclb.ResponseTable(
@@ -138,7 +133,7 @@ class TestComponentEval:
     )
     def test_rational_positive_and_even(self, dc, zeros, poles, f):
         c = owclb.RationalPoleZero(dc_gain=dc, zeros=tuple(zeros), poles=tuple(poles))
-        val = owclb.eval_component_magsq(c, f)
+        val = c.magsq(f)
         assert val > 0.0
         assert math.isfinite(val)
         # magnitude-squared depends on f only through f^2
@@ -421,6 +416,21 @@ class TestGnrEval:
             scalar = [g(x) for x in f.tolist()]
         assert vec.tolist() == [1.0, 0.5, 0.1, 0.0]
         assert np.array(scalar, dtype=float).tobytes() == vec.tobytes()
+
+    def test_zero_and_pole_factors_past_the_float_range(self):
+        # both factors are inf at f >= 1 Hz, but their ratio (1e-300/1e-250)^2
+        # is not: those points are summed in logarithms, the rest keep their bits
+        g = owclb.MagSqPoleZeroGnr(gnr0=1e17, zeros=(1e-250,), poles=(1e-300,))
+        f = np.array([0.0, 1e-300, 1e-280, 1.0, 1e10])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vec = g(f)
+            scalar = [g(x) for x in f.tolist()]
+        assert np.array(scalar).tobytes() == vec.tobytes()
+        exact = [float(mpmath.mpf(1e17) * (1 + (mpmath.mpf(x) / mpmath.mpf(1e-250)) ** 2)
+                       / (1 + (mpmath.mpf(x) / mpmath.mpf(1e-300)) ** 2)) for x in f.tolist()]
+        np.testing.assert_allclose(vec, exact, rtol=1e-13)
+        assert vec[:3].tolist() == [1e17 / (1.0 + (x / 1e-300) ** 2) for x in f[:3].tolist()]
 
     def test_normal_corners_keep_the_square_form(self):
         # a corner whose square is a normal float is divided into u = f^2 as before

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -248,6 +249,17 @@ class TestRateClosedFormArray:
         with pytest.raises(type(scalar.value)) as batch:
             owclb.rate_closed_form(bump_model, 1.0, np.array(f))
         assert str(batch.value) == str(scalar.value)
+
+    @pytest.mark.parametrize("zeros", [(), (1e-250,)], ids=["pole", "zero-and-pole"])
+    def test_corner_far_below_1_hz_warns_nothing(self, zeros):
+        # f/corner passes the float range, and atan(inf) = pi/2 is its exact limit
+        g = owclb.MagSqPoleZeroGnr(gnr0=1.0, zeros=zeros, poles=(1e-300, 1e6))
+        f = np.geomspace(1e5, 2e8, 20)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rates = owclb.rate_closed_form(g, 1.0, f)
+        ref = [_oracles.rate_closed_form_scalar(g, x) for x in f.tolist()]
+        assert rates.tobytes() == np.array(ref).tobytes()
 
     def test_bad_gap_checked_first(self, bump_model):
         with pytest.raises(ValueError, match="modulation gap must be >= 1 linear, got 0.5"):
