@@ -15,6 +15,9 @@ Each command takes only its own flags (``COMMANDS``); every one takes
     owclb compare         [--gamma-db G] --budget B [--k K] [--fchip F]
     owclb fit             [--zeros M] [--poles N] [--seed S] [--db] [--scan-orders]
 
+``--gamma-db`` is the modulation gap in dB, 0 to 3000; the library takes it
+as the plain linear number 10**(G/10).  The ``fmax`` sweep's closed-form
+rate does not depend on it.
 Without ``--out``, gnr-eval, rate-curve and compare write their CSV to stdout.
 Set OWCLB_LOG=debug (or info/warning) for diagnostics on stderr.
 """
@@ -137,9 +140,9 @@ def _load_reduced(args) -> linkchain.MagSqPoleZeroGnr:
 
 
 def _load_grid(args):
-    """The reduced channel, the modulation gap, and the channel on the subcarrier grid."""
+    """The reduced channel, the linear modulation gap, and the channel on the subcarrier grid."""
     g = _load_reduced(args)
-    gamma = waterfill.ModulationGap.from_db(args.gamma_db)
+    gamma = 10.0 ** (args.gamma_db / 10.0)  # finite: _RANGES caps --gamma-db at 3000
     return g, gamma, waterfill.SubcarrierGrid.from_model(g, args.k, args.fchip)
 
 
@@ -188,9 +191,7 @@ def cmd_rate_curve(args) -> int:
         raise CliError("sweep is required for rate-curve")
     variable, points = _parse_sweep(args.sweep)
     if variable == "fmax":
-        g = _load_reduced(args)
-        gamma = waterfill.ModulationGap.from_db(args.gamma_db)
-        rates = waterfill.rate_closed_form(g, gamma, points)
+        rates = waterfill.rate_closed_form(_load_reduced(args), points)
         linkchain._write_csv(args.out, ["f_max_hz", "rate_mbit_s"], (points, rates / 1e6))
         if args.out:
             print(f"rate-curve: {rates.size} points, peak {rates.max() / 1e6:.3f} Mbit/s")
@@ -209,12 +210,12 @@ def cmd_rate_curve(args) -> int:
     psd, n_flat = _flat_band_psd(g, grid, budgets)
     gnr = grid.gnr_k[:n_flat]
     with np.errstate(over="ignore"):
-        snr = psd[:, None] * gnr / gamma.gamma_linear
+        snr = psd[:, None] * gnr / gamma
     spectral = np.log2(1.0 + snr)
     over = np.isinf(snr)
     if over.any():  # past the float range 1 + snr rounds to snr: add the logarithms instead
         rows, cols = np.nonzero(over)
-        spectral[rows, cols] = np.log2(psd[rows]) + np.log2(gnr[cols]) - math.log2(gamma.gamma_linear)
+        spectral[rows, cols] = np.log2(psd[rows]) + np.log2(gnr[cols]) - math.log2(gamma)
     flat = grid.delta_b * np.sum(spectral, axis=1)
     linkchain._write_csv(
         args.out,

@@ -158,11 +158,13 @@ def _corner_factor(f, u, corner: float):
     return 1.0 + u / c2
 
 
-def _polezero(gain: float, zeros, poles, f):
+def _polezero(gain: float, zeros, poles, f, log_gain: float | None = None):
     """gain * prod(1 + f^2/fz^2) / prod(1 + f^2/fp^2), zeros first, in list
     order; a factor past the float range is inf, without a warning.  Where
-    a zero's and a pole's factors both pass it, inf/inf is nan: there the
-    product is taken in logarithms instead (``_log_polezero``)."""
+    a zero's and a pole's factors both pass it, inf/inf is nan, and so is
+    0*inf or inf/inf after a gain of 0 or inf (a squared dc_gain past the
+    float range): there the product is taken in logarithms instead
+    (``_log_polezero``), from log(gain), or ``log_gain`` for such a gain."""
     f = _as_f(f)
     u = np.square(f)
     out = gain + 0.0 * u
@@ -172,20 +174,22 @@ def _polezero(gain: float, zeros, poles, f):
         for fp in poles:
             out = out / _corner_factor(f, u, fp)
     # one check over the result: a max, since a sum may overflow
-    if 0.0 < gain < math.inf and math.isnan(out.max(initial=0.0) if out.ndim else out):
+    if math.isnan(out.max(initial=0.0) if out.ndim else out):
+        if 0.0 < gain < math.inf:
+            log_gain = math.log(gain)
         if not out.ndim:
-            return _log_polezero(gain, zeros, poles, f)
+            return _log_polezero(log_gain, zeros, poles, f)
         bad = np.isnan(out)
-        out[bad] = _log_polezero(gain, zeros, poles, f[bad])
+        out[bad] = _log_polezero(log_gain, zeros, poles, f[bad])
     return out
 
 
-def _log_polezero(gain: float, zeros, poles, f):
+def _log_polezero(log_gain: float, zeros, poles, f):
     """``_polezero``'s product at f > 0 as exp of a sum of logarithms, each
     factor log(1 + (f/corner)^2) = logaddexp(0, 2 (log f - log corner));
     inf where the product passes the float range."""
     log_f = np.log(f)
-    total = math.log(gain)
+    total = log_gain
     for fz in zeros:
         total = total + np.logaddexp(0.0, 2.0 * (log_f - math.log(fz)))
     for fp in poles:
@@ -256,7 +260,8 @@ class RationalPoleZero(_Checked):
     poles: tuple[float, ...] = ()
 
     def magsq(self, f):
-        return _polezero(_square(self.dc_gain), self.zeros, self.poles, f)
+        gain, log_gain = _square(self.dc_gain), 2.0 * math.log(self.dc_gain)
+        return _polezero(gain, self.zeros, self.poles, f, log_gain)
 
 
 @dataclass(frozen=True)
@@ -450,10 +455,8 @@ class MagSqPoleZeroGnr(_Checked):
         object.__setattr__(self, "zeros", tuple(sorted(self.zeros)))
         object.__setattr__(self, "poles", tuple(sorted(self.poles)))
 
-    def evaluate(self, f):
+    def __call__(self, f):
         return _polezero(self.gnr0, self.zeros, self.poles, f)
-
-    __call__ = evaluate
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,8 @@ one-dimensional search over f_max:
 * ``psd_opt``          optimal PSD at one frequency for a given f_max
 * ``sigma2_of_fmax``   total signal power as a function of f_max, by
                        fixed Gauss-Legendre on octave panels
-* ``rate_closed_form`` throughput in bit/s, closed form in f_max
+* ``rate_closed_form`` throughput in bit/s, closed form in f_max; the gap
+                       cancels out of it, so it takes none
 * ``dsigma2_dfmax``    analytic derivative of the power w.r.t. f_max
 * ``SubcarrierGrid``   the DCO-OFDM subcarriers f_k = k * Delta_B with the
                        GNR sampled once on them; the Newton search, the
@@ -44,17 +45,20 @@ is read off one curve built per grid as a running sum of nonnegative
 increments, so it is nondecreasing in floating point and the contract has
 exactly one answer, the one ``newton_sweep`` finds by ``searchsorted``.
 
-All power budgets are signal variances in V^2.
+All power budgets are signal variances in V^2.  Every ``gap`` argument is
+the modulation gap Gamma as a plain linear number >= 1, 10**(dB/10).
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .linkchain import (
+    _FLOAT_MAX,
     MagSqPoleZeroGnr,
     _check_positive,
     _is_integer,
@@ -70,29 +74,12 @@ class NonMonotoneGnrError(ValueError):
     """Operation requires a monotonically decreasing GNR."""
 
 
-@dataclass(frozen=True)
-class ModulationGap:
-    """SNR penalty factor (BER target, clipping, DC bias); >= 1 linear."""
-
-    gamma_linear: float
-
-    def __post_init__(self):
-        _gamma_value(self.gamma_linear)
-
-    @classmethod
-    def from_db(cls, gamma_db: float) -> "ModulationGap":
-        try:
-            return cls(10.0 ** (float(gamma_db) / 10.0))
-        except OverflowError:  # above about 3082 dB
-            raise ValueError(f"modulation gap of {gamma_db!r} dB overflows a float") from None
-
-
 def _gamma_value(gap) -> float:
-    """The linear gap of a ``ModulationGap`` or a plain number; finite and >= 1."""
-    gamma = float(getattr(gap, "gamma_linear", gap))
-    if not math.isfinite(gamma) or gamma < 1.0:
-        raise ValueError(f"modulation gap must be >= 1 linear, got {gamma!r}")
-    return gamma
+    """The linear modulation gap Gamma as a float: a real number other than
+    bool (as ``_fault`` reads a number), finite and >= 1."""
+    if isinstance(gap, numbers.Real) and not isinstance(gap, bool) and 1.0 <= gap <= _FLOAT_MAX:
+        return float(gap)
+    raise ValueError(f"modulation gap must be >= 1 linear, got {gap!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,7 +117,7 @@ def _gnr_at_fmax(g: MagSqPoleZeroGnr, gamma: float, f_max: float) -> tuple[float
     Refused before anything uses them unless the GNR is > 0 and the level
     finite: a subnormal GNR passes the first test but overflows the level.
     """
-    gnr = float(g.evaluate(f_max))
+    gnr = float(g(f_max))
     if not gnr > 0.0:
         raise ValueError(f"GNR at f_max={f_max:g} Hz is {gnr!r}, not > 0 (underflow)")
     level = gamma / gnr
@@ -151,7 +138,7 @@ def psd_opt(g: MagSqPoleZeroGnr, gap, f_max: float, f) -> float:
     _require_monotone(g, f_max, "psd_opt")
     f_arr = np.asarray(f, dtype=float)
     _, level = _gnr_at_fmax(g, gamma, f_max)
-    s = np.where(f_arr < f_max, np.maximum(0.0, level - gamma / g.evaluate(f_arr)), 0.0)
+    s = np.where(f_arr < f_max, np.maximum(0.0, level - gamma / g(f_arr)), 0.0)
     return s if f_arr.ndim else float(s)
 
 
@@ -219,7 +206,7 @@ def dsigma2_dfmax(g: MagSqPoleZeroGnr, gap, f_max: float) -> float:
     return 2.0 * gamma * u * bracket / _gnr_at_fmax(g, gamma, f_max)[0]
 
 
-def rate_closed_form(g: MagSqPoleZeroGnr, gap, f_max):
+def rate_closed_form(g: MagSqPoleZeroGnr, f_max):
     """Waterfilling-optimal throughput in bit/s for the given f_max.
 
         R = (2/ln 2) * [ (N-M) f_max
@@ -227,16 +214,13 @@ def rate_closed_form(g: MagSqPoleZeroGnr, gap, f_max):
                          - sum_n fp_n atan(f_max/fp_n) ]
 
     The modulation gap and gnr0 cancel out of the optimal rate, so the
-    result depends only on the corner frequencies; the ``gap`` argument is
-    accepted for signature symmetry with the power expressions.
+    result depends only on the corner frequencies and no gap is taken.
 
     ``f_max`` may also be a 1-D array of frequencies (an f_max sweep).  The
     result is then the array of the scalar calls' rates, bit for bit, from
-    one check of the gap, one of the points and one monotone check at the
-    largest point; a failing check raises the first failing scalar call's
-    error.
+    one check of the points and one monotone check at the largest point; a
+    failing check raises the first failing scalar call's error.
     """
-    _gamma_value(gap)
     if np.ndim(f_max):
         points = np.asarray(f_max, dtype=float)
         if points.ndim != 1:
@@ -247,7 +231,7 @@ def rate_closed_form(g: MagSqPoleZeroGnr, gap, f_max):
             and (top == 0.0 or is_monotone_decreasing(g, top))
         ):
             for f in points.tolist():
-                rate_closed_form(g, gap, f)  # raises at the first failing point
+                rate_closed_form(g, f)  # raises at the first failing point
         rates = _closed_form(g, points)
         rates[points == 0.0] = 0.0
         return rates

@@ -356,7 +356,7 @@ def newton_fmax_search(g, gap, sigma2_budget, K, f_chip):
 
     delta = f_chip / K
     f_k = delta * np.arange(1, K + 1)
-    gnr_k = np.asarray(g.evaluate(f_k), dtype=float)
+    gnr_k = np.asarray(g(f_k), dtype=float)
     w_k = gamma / gnr_k
 
     cache: dict[int, float] = {}

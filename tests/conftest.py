@@ -54,8 +54,8 @@ def ref_model() -> owclb.MagSqPoleZeroGnr:
 
 
 @pytest.fixture
-def gap() -> owclb.ModulationGap:
-    return owclb.ModulationGap.from_db(GAMMA_DB)
+def gap() -> float:
+    return 10.0 ** (GAMMA_DB / 10.0)
 
 
 # Non-monotone example: the two zeros at 10/50 MHz lift the GNR back up

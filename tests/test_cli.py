@@ -150,14 +150,13 @@ class TestRateCurve:
     def test_power_sweep_samples_the_model_once(self, channel_path, monkeypatch):
         # Newton and the bit loaders share one grid, so every budget reuses its samples
         sampled = []
-        evaluate = owclb.MagSqPoleZeroGnr.evaluate
+        call = owclb.MagSqPoleZeroGnr.__call__
 
         def counted(model, f):
             if np.ndim(f):
                 sampled.append(np.size(f))
-            return evaluate(model, f)
+            return call(model, f)
 
-        monkeypatch.setattr(owclb.MagSqPoleZeroGnr, "evaluate", counted)
         monkeypatch.setattr(owclb.MagSqPoleZeroGnr, "__call__", counted)
         rc = run_cli(
             "rate-curve", "--channel", channel_path, "--sweep", "power:1e4:1e9:24:log",
@@ -254,6 +253,14 @@ class TestRateCurve:
         plain = grid.delta_b * np.sum(np.log2(1.0 + snr[finite]), axis=1) / 1e6
         assert flat[finite].tobytes() == plain.tobytes()
 
+    def test_fmax_sweep_does_not_depend_on_the_gap(self, channel_path, tmp_path):
+        # the gap cancels out of the closed-form rate
+        outs = [tmp_path / "g0.csv", tmp_path / "g606.csv"]
+        for gamma_db, out in zip(("0", "6.06"), outs):
+            assert run_cli("rate-curve", "--channel", channel_path, "--gamma-db", gamma_db,
+                           "--sweep", "fmax:1e5:2e8:200:log", "--out", str(out)) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
     def test_fmax_sweep_makes_one_closed_form_call(self, channel_path, monkeypatch, tmp_path):
         counts = {"rate_closed_form": 0, "is_monotone_decreasing": 0}
 
@@ -289,6 +296,13 @@ class TestOptimize:
         sol = owclb.read_solution_csv(out)
         assert sol.sigma2 <= 3.5e7
         assert sol.f_max > 0
+
+    def test_hh_at_the_largest_gap(self, channel_path, tmp_path):
+        # --gamma-db 3000 is the largest the flags take; its linear gap is finite
+        out = tmp_path / "hh.csv"
+        assert run_cli("optimize-hh", "--channel", channel_path, "--gamma-db", "3000",
+                       "--budget", "1", "--out", str(out)) == 0
+        assert "gamma_linear=1e+300" in out.read_text().splitlines()[0].split()
 
     def test_hh_zero_budget_all_zero_exit_0(self, channel_path, tmp_path):
         out = tmp_path / "hh.csv"
@@ -430,6 +444,20 @@ class TestTinyCorners:
             assert err == "" and out.startswith(head) and "nan" not in out
 
 
+    def test_gain_whose_square_underflows_over_a_tiny_zero(self, tmp_path):
+        # dc_gain^2 = 0 and the zero's factor is inf, but |H|^2 is finite
+        path = tmp_path / "quiet.json"
+        path.write_text(json.dumps({"stages": [{"kind": "RationalPoleZero", "params": {
+            "dc_gain": 1e-200, "zeros": [1e-250], "poles": [1e6, 1e7]}}], "noise": {"floor": 1e-17}}))
+        out = tmp_path / "gnr.csv"
+        proc = run_cli_process(["gnr-eval", "--channel", str(path), "--out", str(out)])
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert "nan" not in out.read_text()
+        f, gain = _read_csv(out)[2][:, :2].T
+        assert f[0] == 1e3
+        assert gain[0] == pytest.approx(1e106 / (1.0 + 1e-6) / (1.0 + 1e-8), rel=1e-12)
+
+
 class TestHugeFrequencies:
     @pytest.mark.parametrize("argv", [
         ["optimize-newton", "--budget", "1e-3"],
@@ -531,7 +559,7 @@ class TestFitCommand:
     def test_fit_writes_loadable_fragment(self, tmp_path):
         model = owclb.MagSqPoleZeroGnr(gnr0=1e4, zeros=(3e7,), poles=(2e6, 8e6))
         freqs = np.geomspace(1e4, 1e9, 120)
-        table = owclb.ResponseTable(frequencies=freqs, values=model.evaluate(freqs))
+        table = owclb.ResponseTable(frequencies=freqs, values=model(freqs))
         table_path = tmp_path / "meas.csv"
         owclb.write_response_table(table, table_path)
         out = tmp_path / "fit.json"
@@ -549,7 +577,7 @@ class TestFitCommand:
     def test_fit_db_input(self, tmp_path):
         model = owclb.MagSqPoleZeroGnr(gnr0=50.0, poles=(5e6,))
         freqs = np.geomspace(1e4, 1e9, 80)
-        db_vals = 10.0 * np.log10(model.evaluate(freqs))
+        db_vals = 10.0 * np.log10(model(freqs))
         table_path = tmp_path / "meas_db.csv"
         table_path.write_text(
             "frequency_hz,value\n"
@@ -571,7 +599,7 @@ class TestFitCommand:
     def test_scan_orders_runs(self, tmp_path, capsys):
         model = owclb.MagSqPoleZeroGnr(gnr0=5.0, poles=(4e6, 60e6))
         freqs = np.geomspace(1e4, 1e9, 100)
-        table = owclb.ResponseTable(frequencies=freqs, values=model.evaluate(freqs))
+        table = owclb.ResponseTable(frequencies=freqs, values=model(freqs))
         table_path = tmp_path / "meas.csv"
         owclb.write_response_table(table, table_path)
         assert (
@@ -883,7 +911,7 @@ class TestValidationAndDeterminism:
         freqs = np.geomspace(1e4, 1e9, 40)
         table_path = tmp_path / "meas.csv"
         owclb.write_response_table(
-            owclb.ResponseTable(frequencies=freqs, values=model.evaluate(freqs)), table_path
+            owclb.ResponseTable(frequencies=freqs, values=model(freqs)), table_path
         )
         ch = ["--channel", channel_path, "--gamma-db", "6.06", "--fchip", "2e8"]
         cases = [
@@ -950,7 +978,7 @@ class TestValidationAndDeterminism:
     def test_fit_reruns_byte_identical(self, tmp_path):
         model = owclb.MagSqPoleZeroGnr(gnr0=9.0, poles=(3e6, 50e6))
         freqs = np.geomspace(1e4, 1e9, 90)
-        table = owclb.ResponseTable(frequencies=freqs, values=model.evaluate(freqs))
+        table = owclb.ResponseTable(frequencies=freqs, values=model(freqs))
         table_path = tmp_path / "meas.csv"
         owclb.write_response_table(table, table_path)
         outs = []
@@ -980,6 +1008,9 @@ PROPERTY_CHAINS = {
     "FlatGain": lambda x: ({"gain": x}, {}),
     "FirstOrderLowPass": lambda x: ({"dc_gain": 1.0, "corner": x}, {}),
     "RationalPoleZero": lambda x: ({"dc_gain": x, "zeros": [x], "poles": [1e-300, 1e6]}, {}),
+    # at a tiny dc_gain, its square is 0 while the zero's factor is inf
+    "RationalPoleZero/tiny-zero": lambda x: (
+        {"dc_gain": x, "zeros": [1e-250], "poles": [1e6, 1e7]}, {}),
     "LaserSecondOrder": lambda x: ({"dc_gain": 1.0, "relaxation_freq": x, "damping": x}, {}),
     "GaussianLowPass": lambda x: ({"dc_gain": x, "corner": x}, {}),
     "BeamSquintSinc": lambda x: ({"element_gain": 1.0, "elements": 4, "spacing_delay": x}, {}),
@@ -1031,7 +1062,7 @@ class TestProperty:
         faults = []
         for x in PROPERTY_VALUES:
             params, noise = PROPERTY_CHAINS[kind](x)
-            stage = "FlatGain" if kind == "NoiseSpectrum" else kind
+            stage = "FlatGain" if kind == "NoiseSpectrum" else kind.split("/")[0]
             for floor in PROPERTY_FLOORS:
                 path.write_text(json.dumps({"stages": [{"kind": stage, "params": params}],
                                             "noise": {"floor": floor, **noise}}))

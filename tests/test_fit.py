@@ -15,7 +15,7 @@ from conftest import REF_GNR0, REF_POLES, REF_ZEROS
 
 def synth_table(model: owclb.MagSqPoleZeroGnr, lo=1e3, hi=1e9, n=240) -> owclb.ResponseTable:
     freqs = np.geomspace(lo, hi, n)
-    return owclb.ResponseTable(frequencies=freqs, values=model.evaluate(freqs))
+    return owclb.ResponseTable(frequencies=freqs, values=model(freqs))
 
 
 class TestFitRoundTrip:
@@ -239,7 +239,7 @@ def _noisy_problem(rng, m, n, rows, starts):
         poles=tuple(10.0 ** rng.uniform(5.5, 8.5, n)),
     )
     freqs = np.geomspace(_LO, _HI, rows)
-    y_data = 10.0 * np.log10(model.evaluate(freqs)) + rng.normal(0.0, 0.1, rows)
+    y_data = 10.0 * np.log10(model(freqs)) + rng.normal(0.0, 0.1, rows)
     logs0 = rng.uniform(math.log(_LO), math.log(_HI), (starts, m + n))
     return np.square(freqs), y_data, logs0
 

@@ -432,6 +432,29 @@ class TestGnrEval:
         np.testing.assert_allclose(vec, exact, rtol=1e-13)
         assert vec[:3].tolist() == [1e17 / (1.0 + (x / 1e-300) ** 2) for x in f[:3].tolist()]
 
+    @pytest.mark.parametrize("dc_gain, zeros, poles", [
+        (1e-200, (1e-250,), (1e6, 1e7)),  # dc_gain^2 is 0, the zero's factor inf: 0*inf
+        (1e200, (), (1e-250,)),  # dc_gain^2 is inf, the pole's factor inf: inf/inf
+    ], ids=["gain-underflows", "gain-overflows"])
+    def test_gain_whose_square_leaves_the_float_range(self, dc_gain, zeros, poles):
+        # |H|^2 itself is finite: it is summed in logarithms from 2 log(dc_gain)
+        stage = owclb.RationalPoleZero(dc_gain=dc_gain, zeros=zeros, poles=poles)
+        f = np.array([1e3, 1e6, 1e10])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vec = stage.magsq(f)
+            scalar = [stage.magsq(x) for x in f.tolist()]
+        assert np.array(scalar).tobytes() == vec.tobytes()
+        exact = []
+        for x in f.tolist():
+            value = mpmath.mpf(dc_gain) ** 2
+            for z in zeros:
+                value *= 1 + (mpmath.mpf(x) / mpmath.mpf(z)) ** 2
+            for p in poles:
+                value /= 1 + (mpmath.mpf(x) / mpmath.mpf(p)) ** 2
+            exact.append(float(value))
+        np.testing.assert_allclose(vec, exact, rtol=1e-12)
+
     def test_normal_corners_keep_the_square_form(self):
         # a corner whose square is a normal float is divided into u = f^2 as before
         rng = np.random.default_rng(5)
@@ -481,7 +504,7 @@ class TestReduce:
         g = owclb.reduce_to_polezero(ref_chain)
         freqs = np.geomspace(1e3, 1e10, 301)
         direct = owclb.gnr_eval(ref_chain, freqs)
-        np.testing.assert_allclose(g.evaluate(freqs), direct, rtol=1e-12)
+        np.testing.assert_allclose(g(freqs), direct, rtol=1e-12)
 
     def test_exact_pair_cancels_to_flat(self):
         chain = owclb.LinkChain(
@@ -531,7 +554,7 @@ class TestReduce:
         assert g.gnr0 == pytest.approx(8.0, rel=1e-15)
         freqs = np.geomspace(1e4, 1e9, 50)
         np.testing.assert_allclose(
-            g.evaluate(freqs), owclb.gnr_eval(chain, freqs), rtol=1e-12
+            g(freqs), owclb.gnr_eval(chain, freqs), rtol=1e-12
         )
 
     def test_model_corners_stored_sorted(self):
@@ -574,7 +597,7 @@ class TestMonotone:
         assert owclb.is_monotone_decreasing(ref_model, 1e10)
         # corroborate with a dense numeric scan
         freqs = np.geomspace(1e2, 1e10, 20000)
-        vals = ref_model.evaluate(freqs)
+        vals = ref_model(freqs)
         assert np.all(np.diff(vals) <= vals[:-1] * 1e-12)
 
     def test_matches_dense_scan_on_random_models(self):
@@ -588,7 +611,7 @@ class TestMonotone:
                 poles=tuple(10.0 ** rng.uniform(5, 9, n)),
             )
             freqs = np.geomspace(1e3, 1e10, 4000)
-            vals = g.evaluate(freqs)
+            vals = g(freqs)
             scan_monotone = bool(np.all(np.diff(vals) <= vals[:-1] * 1e-9))
             assert owclb.is_monotone_decreasing(g, 1e10) == scan_monotone
 

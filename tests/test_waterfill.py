@@ -1,5 +1,8 @@
 import math
+import re
 import warnings
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -64,7 +67,7 @@ class TestSigma2:
 
     def test_reference_against_quadrature(self, ref_model, gap):
         got = owclb.sigma2_of_fmax(ref_model, gap, 50e6)
-        want = _oracles.mp_sigma2(ref_model, gap.gamma_linear, 50e6)
+        want = _oracles.mp_sigma2(ref_model, gap, 50e6)
         assert got == pytest.approx(want, rel=1e-9)
 
     def test_repeated_zero_matches_oracle(self):
@@ -152,35 +155,35 @@ class TestSigma2Oracle:
 class TestRateClosedForm:
     def test_flat_model_zero_rate(self):
         g = owclb.MagSqPoleZeroGnr(gnr0=123.0)
-        assert owclb.rate_closed_form(g, 1.0, 5e7) == 0.0
+        assert owclb.rate_closed_form(g, 5e7) == 0.0
 
     def test_single_pole_value(self):
         g = owclb.MagSqPoleZeroGnr(gnr0=1e7, poles=(6e6,))
         expect = (2.0 / math.log(2.0)) * 6e6 * (1.0 - math.pi / 4.0)
-        got = owclb.rate_closed_form(g, 1.0, 6e6)
+        got = owclb.rate_closed_form(g, 6e6)
         assert got == pytest.approx(expect, rel=1e-12)
         assert got == pytest.approx(0.61924 * 6e6, rel=1e-4)
 
-    def test_reference_against_quadrature(self, ref_model, gap):
-        got = owclb.rate_closed_form(ref_model, gap, 30e6)
+    def test_reference_against_quadrature(self, ref_model):
+        got = owclb.rate_closed_form(ref_model, 30e6)
         want = _oracles.quad_rate(ref_model, 30e6)
         assert got == pytest.approx(want, rel=1e-6)
 
     def test_independent_of_gap_and_gnr0(self, ref_model):
-        base = owclb.rate_closed_form(ref_model, 1.0, 45e6)
+        base = owclb.rate_closed_form(ref_model, 45e6)
         rescaled = owclb.MagSqPoleZeroGnr(
             gnr0=ref_model.gnr0 * 7.3e4, zeros=ref_model.zeros, poles=ref_model.poles
         )
-        assert owclb.rate_closed_form(rescaled, 9.9, 45e6) == base  # bitwise
+        assert owclb.rate_closed_form(rescaled, 45e6) == base  # bitwise
 
-    def test_strictly_increasing_in_fmax(self, ref_model, gap):
+    def test_strictly_increasing_in_fmax(self, ref_model):
         fmaxes = np.geomspace(1e5, 2e8, 30)
-        vals = [owclb.rate_closed_form(ref_model, gap, f) for f in fmaxes]
+        vals = [owclb.rate_closed_form(ref_model, f) for f in fmaxes]
         assert np.all(np.diff(vals) > 0.0)
 
     def test_non_monotone_rejected(self, bump_model):
         with pytest.raises(owclb.NonMonotoneGnrError):
-            owclb.rate_closed_form(bump_model, 1.0, 500e6)
+            owclb.rate_closed_form(bump_model, 500e6)
 
     def test_random_models_match_quadrature(self):
         rng = np.random.default_rng(23)
@@ -189,7 +192,7 @@ class TestRateClosedForm:
             f_max = 10.0 ** rng.uniform(
                 math.log10(min(g.poles) / 3.0), math.log10(3.0 * max(g.poles + g.zeros))
             )
-            got = owclb.rate_closed_form(g, 1.0, f_max)
+            got = owclb.rate_closed_form(g, f_max)
             want = _oracles.quad_rate(g, f_max)
             assert got == pytest.approx(want, rel=1e-6)
 
@@ -208,9 +211,9 @@ class TestRateClosedFormArray:
         models += [random_monotone_model(rng) for _ in range(20)]
         for g in models:
             f = self.points(rng)
-            rates = owclb.rate_closed_form(g, gap, f)
+            rates = owclb.rate_closed_form(g, f)
             assert isinstance(rates, np.ndarray) and rates.shape == f.shape
-            scalar = [owclb.rate_closed_form(g, gap, x) for x in f.tolist()]
+            scalar = [owclb.rate_closed_form(g, x) for x in f.tolist()]
             assert all(type(r) is float for r in scalar)
             assert rates.tobytes() == np.array(scalar).tobytes()
             ref = [_oracles.rate_closed_form_scalar(g, x) for x in f.tolist()]
@@ -219,21 +222,21 @@ class TestRateClosedFormArray:
 
     def test_a_list_and_an_empty_array(self, ref_model):
         f = [0.0, 1e6, 3e7]
-        assert owclb.rate_closed_form(ref_model, 1.0, f).tolist() == [
-            owclb.rate_closed_form(ref_model, 1.0, x) for x in f
+        assert owclb.rate_closed_form(ref_model, f).tolist() == [
+            owclb.rate_closed_form(ref_model, x) for x in f
         ]
-        assert owclb.rate_closed_form(ref_model, 1.0, np.array([])).shape == (0,)
+        assert owclb.rate_closed_form(ref_model, np.array([])).shape == (0,)
         with pytest.raises(ValueError, match=r"^f_max must be a number or a 1-D array, got shape \(2, 1\)$"):
-            owclb.rate_closed_form(ref_model, 1.0, np.ones((2, 1)))
+            owclb.rate_closed_form(ref_model, np.ones((2, 1)))
 
     def test_one_monotone_check_at_the_largest_point(self, ref_model, monkeypatch):
         seen = []
         check = owclb.waterfill.is_monotone_decreasing
         monkeypatch.setattr(owclb.waterfill, "is_monotone_decreasing",
                             lambda g, f: seen.append(f) or check(g, f))
-        owclb.rate_closed_form(ref_model, 1.0, np.array([3e6, 0.0, 2e8, 1e5]))
+        owclb.rate_closed_form(ref_model, np.array([3e6, 0.0, 2e8, 1e5]))
         assert seen == [2e8]
-        owclb.rate_closed_form(ref_model, 1.0, np.zeros(3))
+        owclb.rate_closed_form(ref_model, np.zeros(3))
         assert seen == [2e8]
 
     @pytest.mark.parametrize("f", [
@@ -245,9 +248,9 @@ class TestRateClosedFormArray:
     def test_raises_the_first_failing_scalar_call(self, bump_model, f):
         with pytest.raises(ValueError) as scalar:
             for x in f:
-                owclb.rate_closed_form(bump_model, 1.0, x)
+                owclb.rate_closed_form(bump_model, x)
         with pytest.raises(type(scalar.value)) as batch:
-            owclb.rate_closed_form(bump_model, 1.0, np.array(f))
+            owclb.rate_closed_form(bump_model, np.array(f))
         assert str(batch.value) == str(scalar.value)
 
     @pytest.mark.parametrize("zeros", [(), (1e-250,)], ids=["pole", "zero-and-pole"])
@@ -257,13 +260,10 @@ class TestRateClosedFormArray:
         f = np.geomspace(1e5, 2e8, 20)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rates = owclb.rate_closed_form(g, 1.0, f)
+            rates = owclb.rate_closed_form(g, f)
         ref = [_oracles.rate_closed_form_scalar(g, x) for x in f.tolist()]
         assert rates.tobytes() == np.array(ref).tobytes()
 
-    def test_bad_gap_checked_first(self, bump_model):
-        with pytest.raises(ValueError, match="modulation gap must be >= 1 linear, got 0.5"):
-            owclb.rate_closed_form(bump_model, 0.5, np.array([5e8, -1.0]))
 
 
 class TestDerivative:
@@ -333,7 +333,7 @@ def _newton_case(rng):
     gamma = float(10.0 ** rng.uniform(0.0, 1.0))
     if rng.random() < 0.5:
         return g, gamma, float(10.0 ** rng.uniform(-20.0, 20.0)), k, f_chip
-    w = gamma / g.evaluate(uniform_grid(f_chip, k))
+    w = gamma / g(uniform_grid(f_chip, k))
     full = (f_chip / k) * float(np.sum(w[-1] - w))
     return g, gamma, full * float(10.0 ** rng.uniform(-9.0, 0.3)), k, f_chip
 
@@ -363,7 +363,7 @@ class TestNewton:
     def test_exit_contract(self, ref_model, gap):
         k, f_chip = 64, 200e6
         delta = f_chip / k
-        w = gap.gamma_linear / ref_model.evaluate(uniform_grid(f_chip, k))
+        w = gap / ref_model(uniform_grid(f_chip, k))
 
         def power(ks):
             return delta * float(np.sum(np.maximum(0.0, w[ks - 1] - w[:ks])))
@@ -386,7 +386,7 @@ class TestNewton:
 
     def test_kkt_conditions(self, ref_model, gap):
         sol = owclb.newton_fmax(ref_model, gap, 1e7, subcarriers(ref_model, 64, 200e6))
-        w = gap.gamma_linear / ref_model.evaluate(sol.f_hz)
+        w = gap / ref_model(sol.f_hz)
         assert np.all(sol.psd >= 0.0)
         support = sol.psd > 0.0
         np.testing.assert_allclose(
@@ -414,7 +414,7 @@ class TestNewton:
             f_star = brentq(
                 lambda f: owclb.sigma2_of_fmax(ref_model, gap, f) - b, 1e3, 200e6
             )
-            cont.append(owclb.rate_closed_form(ref_model, gap, f_star))
+            cont.append(owclb.rate_closed_form(ref_model, f_star))
         cont = np.array(cont)
         assert np.all(rates <= cont * (1.0 + 1e-12))
         assert np.all(cont - rates <= 0.06 * cont)
@@ -425,7 +425,7 @@ class TestNewton:
             f_star = brentq(
                 lambda f: owclb.sigma2_of_fmax(ref_model, gap, f) - b, 1e3, 200e6
             )
-            lin_rates.append(owclb.rate_closed_form(ref_model, gap, f_star))
+            lin_rates.append(owclb.rate_closed_form(ref_model, f_star))
         curv = np.diff(lin_rates, 2)
         assert np.all(curv <= 1e-9 * max(lin_rates))
 
@@ -469,7 +469,7 @@ class TestNewton:
                 attempts = len(calls)
                 calls.clear()
                 ref = _oracles.newton_fmax_search(ref_model, gap, budget, k, 200e6)
-                assert_matches_first_search(sol, ref, grid, gap.gamma_linear)
+                assert_matches_first_search(sol, ref, grid, gap)
                 assert sol.iterations == attempts <= fails_at
 
     def test_invalid_budget(self, ref_model, gap):
@@ -513,8 +513,7 @@ class TestNewtonSweep:
     @staticmethod
     def assert_matches_newton(g, gamma, budgets, grid):
         n, rates = owclb.newton_sweep(g, gamma, budgets, grid)
-        gamma_linear = float(getattr(gamma, "gamma_linear", gamma))
-        curve = np.array(_oracles.power_curve_in_order(grid, gamma_linear))
+        curve = np.array(_oracles.power_curve_in_order(grid, gamma))
         assert np.all(np.diff(curve) >= 0.0)
         for b, lo, rate in zip(budgets, n.tolist(), rates.tolist()):
             sol = owclb.newton_fmax(g, gamma, b, grid)
@@ -528,19 +527,19 @@ class TestNewtonSweep:
     @pytest.mark.parametrize("k", [64, 1024])
     def test_reference_model(self, ref_model, gap, k):
         grid = subcarriers(ref_model, k, 200e6)
-        budgets = sweep_budgets(np.random.default_rng(k), power_curve(grid, gap.gamma_linear))
+        budgets = sweep_budgets(np.random.default_rng(k), power_curve(grid, gap))
         self.assert_matches_newton(ref_model, gap, budgets, grid)
 
     def test_two_subcarriers(self, ref_model, gap):
         grid = subcarriers(ref_model, 2, 200e6)
-        power = power_curve(grid, gap.gamma_linear)
+        power = power_curve(grid, gap)
         budgets = [power[1] * f for f in (1e-9, 0.5, 1.0 - 1e-16, 1.0, 1.5)]
         n = self.assert_matches_newton(ref_model, gap, budgets, grid)
         assert n.tolist() == [1, 1, 1, 2, 2]
 
     def test_saturation(self, ref_model, gap):
         grid = subcarriers(ref_model, 64, 200e6)
-        full = float(power_curve(grid, gap.gamma_linear)[-1])
+        full = float(power_curve(grid, gap)[-1])
         budgets = [full, float(np.nextafter(full, np.inf)), 2.0 * full, 1e30]
         n = self.assert_matches_newton(ref_model, gap, budgets, grid)
         assert n.tolist() == [64] * 4
@@ -583,7 +582,7 @@ class TestNewtonSweep:
         # K=1024 with ten saturating budgets needs two elementwise passes;
         # from K=8193 on, a saturating budget loads more than one pass holds
         grid = subcarriers(ref_model, k, 200e6)
-        full = float(power_curve(grid, gap.gamma_linear)[-1])
+        full = float(power_curve(grid, gap)[-1])
         budgets = [full * f for f in np.geomspace(1e-6, 0.9, 6)] + [2.0 * full] * 10
         n, rates = owclb.newton_sweep(ref_model, gap, budgets, grid)
         if k == 1024:
@@ -661,7 +660,7 @@ class TestWaterlevel:
     def test_kkt_pointwise(self, bump_model):
         grid = subcarriers(bump_model, 2048, 1e9)
         sol = owclb.waterlevel_solve(grid, 1.0, 4.85e9)
-        w = 1.0 / bump_model.evaluate(sol.f_hz)
+        w = 1.0 / bump_model(sol.f_hz)
         assert np.all(sol.psd >= 0.0)
         slack = sol.psd * (sol.water_level - w - sol.psd)
         assert np.all(np.abs(slack) <= 1e-12 * sol.water_level**2)
@@ -684,7 +683,7 @@ class TestWaterlevel:
         assert sol.f_max == grid.f_k[0]
         assert sol.island == ()
         assert sol.iterations == 0
-        assert sol.water_level > 1.0 / float(g.evaluate(grid.f_k[0]))
+        assert sol.water_level > 1.0 / float(g(grid.f_k[0]))
         assert sol.sigma2 == pytest.approx(1e-9, rel=1e-6)
 
     def test_budget_lost_in_rounding_has_no_active_cell(self):
@@ -755,10 +754,31 @@ class TestWaterlevel:
         assert active[0] <= f_peak <= active[-1]
 
 
-def test_gap_from_db_overflow_is_value_error():
-    assert owclb.ModulationGap.from_db(3000.0).gamma_linear == 1e300
-    with pytest.raises(ValueError, match="modulation gap of 4000.0 dB overflows a float"):
-        owclb.ModulationGap.from_db(4000.0)
+# every function that takes a gap, each reduced to one number of its result
+GAP_CALLS = {
+    "psd_opt": lambda g, grid, gap: owclb.psd_opt(g, gap, 5e7, 1e6),
+    "sigma2_of_fmax": lambda g, grid, gap: owclb.sigma2_of_fmax(g, gap, 5e7),
+    "dsigma2_dfmax": lambda g, grid, gap: owclb.dsigma2_dfmax(g, gap, 5e7),
+    "newton_fmax": lambda g, grid, gap: owclb.newton_fmax(g, gap, 1e7, grid).rate,
+    "newton_sweep": lambda g, grid, gap: owclb.newton_sweep(g, gap, [1e7], grid)[1][0],
+    "waterlevel_solve": lambda g, grid, gap: owclb.waterlevel_solve(grid, gap, 1e7).rate,
+    "hh_naive": lambda g, grid, gap: owclb.hh_naive(grid, gap, 1e7).rate,
+    "hh_accelerated": lambda g, grid, gap: owclb.hh_accelerated(grid, gap, 1e7).rate,
+    "hh_sorted_prefix": lambda g, grid, gap: owclb.hh_sorted_prefix(grid, gap, [1e7])[0],
+}
+
+
+@pytest.mark.parametrize("call", GAP_CALLS.values(), ids=GAP_CALLS)
+def test_gap_is_one_real_number(ref_model, call):
+    # a real number other than bool, finite and >= 1, as the channel's number rule reads one
+    grid = subcarriers(ref_model, 64, 200e6)
+    want = call(ref_model, grid, 2.0)
+    for gap in (2, np.float64(2.0), np.int64(2), Fraction(2)):
+        assert call(ref_model, grid, gap) == want, repr(gap)
+    for gap in ("2", True, None, [2.0], Decimal("2"), 0.5, 0, math.nan, math.inf, 10**400):
+        message = f"^modulation gap must be >= 1 linear, got {re.escape(repr(gap))}$"
+        with pytest.raises(ValueError, match=message):
+            call(ref_model, grid, gap)
 
 
 def test_gnr_underflow_at_fmax_is_value_error():
