@@ -513,7 +513,7 @@ def reduce_to_polezero(chain: LinkChain) -> MagSqPoleZeroGnr:
     noise zeros become GNR poles and noise poles become GNR zeros.
     Exactly-equal pole/zero pairs (relative tolerance 1e-9) cancel, which
     reproduces the analytic cancellation of a receiver response that also
-    shapes its own noise.
+    shapes its own noise.  A gnr0 that is not a positive finite float is refused.
     """
     zeros: list[float] = []
     poles: list[float] = []
@@ -535,6 +535,10 @@ def reduce_to_polezero(chain: LinkChain) -> MagSqPoleZeroGnr:
             poles.extend(stage.poles)
     noise = chain.noise
     gnr0 /= noise.floor
+    if not 0.0 < gnr0 < math.inf:  # nan is 0 * inf
+        fault = {0.0: "underflows to 0", math.inf: "overflows to inf"}.get(
+            gnr0, "has a factor that underflows to 0 and one that overflows to inf")
+        raise ValueError(f"gnr0, the product of the squared stage gains over the noise floor, {fault}")
     if noise.uplift_zero is not None:
         poles.append(noise.uplift_zero)
     poles.extend(noise.extra_zeros)

@@ -6,7 +6,6 @@ decreasing GNR the water level is pinned by the highest occupied
 frequency, v = Gamma/GNR(f_max), which collapses the optimization to a
 one-dimensional search over f_max:
 
-* ``psd_opt``          optimal PSD at one frequency for a given f_max
 * ``sigma2_of_fmax``   total signal power as a function of f_max, by
                        fixed Gauss-Legendre on octave panels
 * ``rate_closed_form`` throughput in bit/s, closed form in f_max; the gap
@@ -17,13 +16,11 @@ one-dimensional search over f_max:
                        exact water level and the bit loaders in
                        ``bitload`` all run on it
 * ``newton_fmax``      grid-snapped Newton search for f_max given a budget,
-                       one bracketed loop over the grid's discrete power
-                       curve that takes bracket midpoints once Newton is
-                       unusable
+                       one bracketed loop over the grid's power curve that
+                       takes the curve's exact count once Newton is unusable
 * ``newton_sweep``     ``newton_fmax``'s f_max and rate for a batch of
-                       budgets, one ``searchsorted`` on the same
-                       nondecreasing discrete power curve (the
-                       ``rate-curve`` power sweep)
+                       budgets, one ``searchsorted`` on the same curve
+                       (the ``rate-curve`` power sweep)
 * ``waterlevel_solve`` exact water level for arbitrary (also
                        non-monotone) GNR samples on the grid's equal
                        Delta_B cells, with island reporting
@@ -37,13 +34,13 @@ longer moves the snapped frequency across a subcarrier boundary while the
 accumulated discrete power stays within budget.  That mixes a grid
 quantity with a continuous one, so it is interpreted here as: iterate
 until the snapped index is pinned between a within-budget grid point and
-its over-budget successor (a one-cell feasibility bracket).  Every probe,
-Newton or midpoint, lies strictly inside the bracket, so the loop ends
-with the exact contract: sigma2 <= budget, and loading one more grid step
-would exceed it.  ``iterations`` counts Newton attempts only.  The power
-is read off one curve built per grid as a running sum of nonnegative
-increments, so it is nondecreasing in floating point and the contract has
-exactly one answer, the one ``newton_sweep`` finds by ``searchsorted``.
+its over-budget successor (a one-cell feasibility bracket).  Every Newton
+probe lies strictly inside the bracket.  Once Newton is unusable the
+search takes the count of power curve values within budget, the one
+index the bracket can end at, since the curve (``_power_curve``) is
+nondecreasing in floating point.  So the search ends with the exact
+contract: sigma2 <= budget, and loading one more grid step would exceed
+it.  ``iterations`` counts Newton attempts.
 
 All power budgets are signal variances in V^2.  Every ``gap`` argument is
 the modulation gap Gamma as a plain linear number >= 1, 10**(dB/10).
@@ -124,22 +121,6 @@ def _gnr_at_fmax(g: MagSqPoleZeroGnr, gamma: float, f_max: float) -> tuple[float
     if not math.isfinite(level):
         raise ValueError(f"Gamma/GNR at f_max={f_max:g} Hz overflows: GNR is {gnr!r}")
     return gnr, level
-
-
-def psd_opt(g: MagSqPoleZeroGnr, gap, f_max: float, f) -> float:
-    """Optimal PSD Gamma/GNR(f_max) - Gamma/GNR(f) for f < f_max, else 0.
-
-    For a flat GNR this is identically zero (the f_max parameterization is
-    degenerate there); use waterlevel_solve to spread a budget over a flat
-    channel.
-    """
-    gamma = _gamma_value(gap)
-    f_max = _check_positive("f_max", f_max)
-    _require_monotone(g, f_max, "psd_opt")
-    f_arr = np.asarray(f, dtype=float)
-    _, level = _gnr_at_fmax(g, gamma, f_max)
-    s = np.where(f_arr < f_max, np.maximum(0.0, level - gamma / g(f_arr)), 0.0)
-    return s if f_arr.ndim else float(s)
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +327,7 @@ def _nearest_index(f: float, delta: float, k_max: int) -> int:
     return min(max(k, 1), k_max)
 
 
-# Newton attempts before every further round takes the bracket midpoint.
+# Newton attempts before the search takes the power curve's exact count.
 _NEWTON_MAX_ITERS = 100
 
 
@@ -357,7 +338,7 @@ def newton_fmax(
 
     ``grid`` holds g sampled on the K subcarriers
     (``SubcarrierGrid.from_model(g, K, f_chip)``); the discrete power curve
-    is built from its samples (``_newton_setup``), and g itself gives the
+    is built from its samples (``_power_curve``), and g itself gives the
     monotonicity check and the derivative.
 
     One bracketed loop over the subcarrier index: ``lo`` is feasible (the
@@ -368,15 +349,15 @@ def newton_fmax(
     f_chip), snapped to the nearest subcarrier k*Delta_B (ties toward the
     lower index) and clamped into the bracket.  Once Newton is unusable (a
     non-finite or non-positive derivative, a non-finite step, or
-    ``_NEWTON_MAX_ITERS`` attempts), every further round takes the bracket
-    midpoint.  ``iterations`` counts Newton attempts, a failed one
-    included, and not the midpoint rounds.  A budget larger than the
-    full-band power saturates at f_chip (flagged on the returned solution).
-    The loop ends with hi = lo + 1, so the exit contract holds on the
-    curve: sigma2 = power(lo) <= budget, and loading one more grid step
-    would exceed the budget.  sigma2 equals Delta_B * sum_k S_k up to
-    rounding when w_k = Gamma/GNR_k is nondecreasing, and bounds it from
-    above otherwise.
+    ``_NEWTON_MAX_ITERS`` attempts), lo is the curve's count of values
+    within budget, the one index the bracket can end at, and the loop
+    stops.  ``iterations`` counts Newton attempts, a failed one included.
+    A budget larger than the full-band power saturates at f_chip (flagged
+    on the returned solution).  The exit contract holds on the curve:
+    sigma2 = power(lo) <= budget, and loading one more grid step would
+    exceed the budget.  sigma2 equals Delta_B * sum_k S_k up to rounding
+    when w_k = Gamma/GNR_k is nondecreasing, and bounds it from above
+    otherwise.
     """
     gamma, w_k, power = _newton_setup(g, gap, [sigma2_budget], grid)
     K, delta = grid.K, grid.delta_b
@@ -384,17 +365,18 @@ def newton_fmax(
     f_cur, p_cur = grid.f_chip, float(power[K - 1])
     if p_cur <= sigma2_budget:
         lo = K
-    iters, newton = 0, True
+    iters = 0
     while hi - lo > 1:
-        ks = (lo + hi) // 2
-        if newton and iters < _NEWTON_MAX_ITERS:
+        f_next = math.nan
+        if iters < _NEWTON_MAX_ITERS:
             iters += 1
             deriv = dsigma2_dfmax(g, gamma, f_cur)
-            usable = 0.0 < deriv < math.inf
-            f_next = f_cur - (p_cur - sigma2_budget) / deriv if usable else math.nan
-            newton = math.isfinite(f_next)
-            if newton:
-                ks = min(max(_nearest_index(f_next, delta, K), lo + 1), hi - 1)
+            if 0.0 < deriv < math.inf:
+                f_next = f_cur - (p_cur - sigma2_budget) / deriv
+        if not math.isfinite(f_next):
+            lo = int(np.searchsorted(power, sigma2_budget, "right"))
+            break
+        ks = min(max(_nearest_index(f_next, delta, K), lo + 1), hi - 1)
         p_cur = float(power[ks - 1])
         if p_cur <= sigma2_budget:
             lo = ks
@@ -407,14 +389,22 @@ def newton_fmax(
     return _solution(grid, gamma, level, psd, lo, sigma2, saturated=lo == K, iterations=iters)
 
 
-def _newton_setup(g: MagSqPoleZeroGnr, gap, budgets, grid: SubcarrierGrid):
-    """``newton_fmax``'s checks, each budget's included, then (Gamma, w_k, power).
+def _power_curve(w: np.ndarray, delta: float) -> np.ndarray:
+    """The discrete power curve of the cell costs w, in their order.
 
-    power[n-1] is the discrete power with f_max at subcarrier n:
-    power(1) = 0 and power(n+1) = power(n) + Delta_B * n * max(0, w_n+1 - w_n).
-    A running sum of nonnegative terms, it is nondecreasing in floating
-    point; a tail that overflows is +inf, above every finite budget.
+    power[n-1] fills the first n cells up to w_n: power(1) = 0 and
+    power(n+1) = power(n) + Delta_B * n * max(0, w_n+1 - w_n).  A running
+    sum of nonnegative terms, it is nondecreasing in floating point; a
+    tail that overflows is +inf, above every finite budget.
     """
+    with np.errstate(over="ignore"):
+        steps = delta * np.arange(1, w.size) * np.maximum(0.0, np.diff(w))
+        return np.concatenate(([0.0], np.cumsum(steps)))
+
+
+def _newton_setup(g: MagSqPoleZeroGnr, gap, budgets, grid: SubcarrierGrid):
+    """``newton_fmax``'s checks, each budget's included, then (Gamma, w_k,
+    power), with the power curve of w_k in subcarrier order."""
     gamma = _gamma_value(gap)
     if grid.K < 2:
         raise ValueError(f"K must be an integer >= 2, got {grid.K!r}")
@@ -422,10 +412,7 @@ def _newton_setup(g: MagSqPoleZeroGnr, gap, budgets, grid: SubcarrierGrid):
         _check_budget(b)
     _require_monotone(g, grid.f_chip, "newton_fmax")
     w = _gamma_over_gnr(grid, gamma)
-    with np.errstate(over="ignore"):
-        steps = grid.delta_b * np.arange(1, grid.K) * np.maximum(0.0, np.diff(w))
-        power = np.concatenate(([0.0], np.cumsum(steps)))
-    return gamma, w, power
+    return gamma, w, _power_curve(w, grid.delta_b)
 
 
 # The most terms one elementwise pass of newton_sweep holds, unless a single
@@ -495,9 +482,10 @@ def waterlevel_solve(grid: SubcarrierGrid, gap, sigma2_budget: float) -> Waterfi
     ``newton_fmax``'s power curve equals up to rounding on a monotone grid,
     and the rate is the same log2 sum.  The level comes from the active
     set (Palomar & Fonollosa, IEEE TSP 2005): with w = Gamma/GNR sorted,
-    v_j = (budget/Delta_B + w_(1) + ... + w_(j)) / j over the j cheapest
-    cells, at the largest j with v_j > w_(j).  Zero-power intervals below
-    f_max are reported as islands.
+    the j cheapest cells are active, j the count of the sorted w's power
+    curve values within budget, and the level spends the rest evenly over
+    them, v = w_(j) + (budget - power(j)) / j / Delta_B.  Zero-power
+    intervals below f_max are reported as islands.
     """
     gamma = _gamma_value(gap)
     _check_budget(sigma2_budget)
@@ -505,14 +493,18 @@ def waterlevel_solve(grid: SubcarrierGrid, gap, sigma2_budget: float) -> Waterfi
     w = _gamma_over_gnr(grid, gamma)
 
     w_sorted = np.sort(w)
-    levels = (sigma2_budget / delta + np.cumsum(w_sorted)) / np.arange(1, grid.K + 1)
-    lifted = np.flatnonzero(levels > w_sorted)
-    if lifted.size == 0:
-        raise RuntimeError("no active frequencies at the water level: budget too small")
-    v = float(levels[lifted[-1]])
+    j = int(np.searchsorted(_power_curve(w_sorted, delta), sigma2_budget, "right"))
+    top = float(w_sorted[j - 1])
+    # power(j) = Delta_B * sum_i (w_(j) - w_(i)) once more as one pairwise sum:
+    # the curve's running sum rounds off more with every term
+    spent = delta * float(np.sum(top - w_sorted[:j]))
+    v = top + (sigma2_budget - spent) / j / delta
 
     psd = np.maximum(0.0, v - w)
-    last = int(np.flatnonzero(psd)[-1])
+    active = np.flatnonzero(psd)
+    if active.size == 0:
+        raise RuntimeError("no active frequencies at the water level: budget too small")
+    last = int(active[-1])
     # runs of zero power below f_max: [start, stop) between the mask's edges,
     # reported as the frequencies of subcarriers start+1 and stop
     edges = np.flatnonzero(np.diff(np.concatenate(([0], psd[:last] == 0.0, [0])))).tolist()

@@ -1,12 +1,13 @@
 """Independent numeric oracles: brute-force and multiprecision quadrature,
 finite differences, exhaustive enumeration, per-bit greedy loops, the
 first Newton search with its bisection fallback, the discrete power curve
-as an in-order scalar loop, and the per-start fit loop.  These never call
-the closed-form, sorted, single-loop or lockstep paths they are used to
-check."""
+as an in-order scalar loop, the exact water level in rationals, and the
+per-start fit loop.  These never call the closed-form, sorted,
+single-loop or lockstep paths they are used to check."""
 
 import itertools
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -447,6 +448,22 @@ def power_curve_in_order(grid, gamma: float) -> list[float]:
         total += delta * n * max(0.0, w[n] - w[n - 1])
         power.append(total)
     return power
+
+
+def waterlevel_exact(grid, gamma: float, budget: float) -> tuple[int, Fraction]:
+    """The active count and water level of the budget, exactly, in
+    ``Fraction``s of the cell costs w = Gamma/GNR_k as floats: with w
+    sorted, the largest j whose level (b/Delta_B + w_(1) + ... + w_(j))/j
+    lies above w_(j), and that level.  Every j is tested, each with its own
+    comparison (multiplied through by j*Delta_B); no power curve is built."""
+    w = [Fraction(c) for c in sorted(gamma / x for x in grid.gnr_k.tolist())]
+    b, delta = Fraction(budget), Fraction(grid.delta_b)
+    count, total, active_total = 0, Fraction(0), None
+    for j, w_j in enumerate(w, start=1):
+        total += w_j
+        if b + delta * total > delta * j * w_j:
+            count, active_total = j, total
+    return count, (b / delta + active_total) / count
 
 
 def island_scan(sol):

@@ -503,7 +503,8 @@ class TestHugeFrequencies:
         assert err == "" and "nan" not in out and out.count("\n") == 4
 
 
-GNR0_INF = "gnr0 must be a positive finite number, got inf"
+GNR0 = "gnr0, the product of the squared stage gains over the noise floor, "
+GNR0_INF = GNR0 + "overflows to inf"
 
 
 class TestHugeGains:
@@ -527,6 +528,23 @@ class TestHugeGains:
         rc = run_cli(*argv, "--channel", str(path), "--out", str(out))
         assert rc == 1
         assert capsys.readouterr().err == f"owclb: {argv[0]} failed: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["optimize-newton", "--budget", "1"],
+        ["rate-curve", "--sweep", "fmax:1e5:2e8:20:log"],
+        ["optimize-hh", "--budget", "1"],
+    ], ids=["optimize-newton", "fmax-sweep", "optimize-hh"])
+    def test_gain_whose_square_underflows_is_refused(self, tmp_path, capsys, argv):
+        # |H|^2 is finite on the grid, but gnr0 = 1e-400 / 1e-17 is no float
+        path = tmp_path / "quiet.json"
+        path.write_text(
+            '{"stages": [{"kind": "RationalPoleZero", "params": {"dc_gain": 1e-200, '
+            '"zeros": [1e-250], "poles": [1e6, 1e7]}}], "noise": {"floor": 1e-17}}'
+        )
+        out = tmp_path / "out.csv"
+        assert run_cli(*argv, "--channel", str(path), "--out", str(out)) == 1
+        assert capsys.readouterr().err == f"owclb: {argv[0]} failed: {GNR0}underflows to 0\n"
         assert not out.exists()
 
     def test_fit_refuses_the_channel_as_a_table(self, tmp_path, capsys):

@@ -557,6 +557,22 @@ class TestReduce:
             g(freqs), owclb.gnr_eval(chain, freqs), rtol=1e-12
         )
 
+    @pytest.mark.parametrize("gains, floor, fault", [
+        ((1e-200,), 1e-17, "underflows to 0"),
+        ((1e200,), 1e-17, "overflows to inf"),
+        ((1e-100,), 1e300, "underflows to 0"),
+        ((1e100,), 1e-300, "overflows to inf"),
+        ((1e200, 1e-200), 1.0, "has a factor that underflows to 0 and one that overflows to inf"),
+    ], ids=["gain-under", "gain-over", "floor-under", "floor-over", "both"])
+    def test_gnr0_past_the_float_range_is_refused(self, gains, floor, fault):
+        chain = owclb.LinkChain(
+            stages=tuple(owclb.FlatGain(gain=x) for x in gains),
+            noise=owclb.NoiseSpectrum(floor=floor),
+        )
+        message = f"gnr0, the product of the squared stage gains over the noise floor, {fault}"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            owclb.reduce_to_polezero(chain)
+
     def test_model_corners_stored_sorted(self):
         g = owclb.MagSqPoleZeroGnr(gnr0=1.0, zeros=(5e7, 1e6), poles=(9e6, 2e6, 4e6))
         assert g.zeros == (1e6, 5e7)

@@ -23,38 +23,6 @@ def subcarriers(g, k, f_chip: float) -> owclb.SubcarrierGrid:
     return owclb.SubcarrierGrid.from_model(g, k, f_chip)
 
 
-class TestPsdOpt:
-    def test_zero_at_fmax(self, ref_model, gap):
-        assert owclb.psd_opt(ref_model, gap, 30e6, 30e6) == 0.0
-
-    def test_single_pole_at_dc(self):
-        g = owclb.MagSqPoleZeroGnr(gnr0=5e8, poles=(4e6,))
-        gamma = 2.0
-        # water level at f_max = f_p is twice the DC inverse-GNR
-        assert owclb.psd_opt(g, gamma, 4e6, 0.0) == pytest.approx(gamma / 5e8, rel=1e-12)
-
-    def test_flat_model_degenerates_to_zero(self):
-        g = owclb.MagSqPoleZeroGnr(gnr0=1e9)
-        for f in (0.0, 1e6, 5e7):
-            assert owclb.psd_opt(g, 1.0, 1e8, f) == 0.0
-
-    def test_never_negative(self, ref_model, gap):
-        f = np.linspace(0.0, 250e6, 500)
-        s = owclb.psd_opt(ref_model, gap, 120e6, f)
-        assert np.all(s >= 0.0)
-        assert np.all(s[f >= 120e6] == 0.0)
-
-    def test_non_monotone_rejected(self, bump_model):
-        with pytest.raises(owclb.NonMonotoneGnrError, match="waterlevel_solve"):
-            owclb.psd_opt(bump_model, 1.0, 500e6, 1e6)
-
-    def test_array_matches_scalar(self, ref_model, gap):
-        freqs = np.linspace(0.0, 80e6, 33)
-        vec = owclb.psd_opt(ref_model, gap, 60e6, freqs)
-        for f, v in zip(freqs, vec):
-            assert owclb.psd_opt(ref_model, gap, 60e6, float(f)) == v
-
-
 class TestSigma2:
     def test_single_pole_closed_form(self):
         g = owclb.MagSqPoleZeroGnr(gnr0=3e9, poles=(7e6,))
@@ -435,7 +403,7 @@ class TestNewton:
 
     @pytest.mark.parametrize("cap", [0, 1, 2, 3, None])
     def test_matches_first_search(self, monkeypatch, cap):
-        # caps 0-3 hand the search to the bracket midpoints early
+        # caps 0-3 hand the search to the power curve's exact count early
         if cap is not None:
             monkeypatch.setattr(owclb.waterfill, "_NEWTON_MAX_ITERS", cap)
         rng = np.random.default_rng(2024 + (cap or 0))
@@ -450,8 +418,8 @@ class TestNewton:
 
     @pytest.mark.parametrize("bad", [math.nan, 0.0, -1.0, math.inf, 5e-324])
     @pytest.mark.parametrize("fails_at", [1, 2, 4])
-    def test_unusable_derivative_hands_off_to_midpoints(self, monkeypatch, ref_model, gap,
-                                                        bad, fails_at):
+    def test_unusable_derivative_takes_the_exact_count(self, monkeypatch, ref_model, gap,
+                                                       bad, fails_at):
         # 5e-324 makes the Newton step overflow to a non-finite f_max
         calls = []
         exact = owclb.waterfill.dsigma2_dfmax
@@ -471,6 +439,19 @@ class TestNewton:
                 ref = _oracles.newton_fmax_search(ref_model, gap, budget, k, 200e6)
                 assert_matches_first_search(sol, ref, grid, gap)
                 assert sol.iterations == attempts <= fails_at
+
+    @pytest.mark.parametrize("k", [2, 64, 1024])
+    def test_exact_count_on_the_curve(self, monkeypatch, ref_model, gap, k):
+        # no Newton attempt: the count alone ends the search, also at budgets
+        # equal to a curve value, where a count of values below it is one short
+        monkeypatch.setattr(owclb.waterfill, "_NEWTON_MAX_ITERS", 0)
+        grid = subcarriers(ref_model, k, 200e6)
+        curve = np.array(_oracles.power_curve_in_order(grid, gap))
+        for b in sweep_budgets(np.random.default_rng(k), curve):
+            sol = owclb.newton_fmax(ref_model, gap, b, grid)
+            n = round(sol.f_max / grid.delta_b)
+            assert sol.iterations == 0 and sol.sigma2 == curve[n - 1] <= b
+            assert n == k or curve[n] > b
 
     def test_invalid_budget(self, ref_model, gap):
         with pytest.raises(ValueError):
@@ -604,6 +585,35 @@ class TestNewtonSweep:
             owclb.newton_sweep(bump_model, 1.0, [1e6], subcarriers(bump_model, 64, 1e9))
 
 
+def level_grid(rng, kind: str) -> owclb.SubcarrierGrid:
+    """A seeded grid of K 2..1024: a random monotone model's samples
+    ("monotone"), the same samples shuffled ("shuffled"), or a few distinct
+    GNR values repeated in runs of equal cell costs ("plateau")."""
+    k = int(rng.choice([2, 3, 8, 64, 256, 1024]))
+    f_chip = float(10.0 ** rng.uniform(6.0, 9.5))
+    if kind == "plateau":
+        values = 10.0 ** rng.uniform(-3.0, 3.0, int(rng.integers(1, 5)))
+        return owclb.SubcarrierGrid(K=k, f_chip=f_chip, gnr_k=rng.choice(values, k))
+    grid = subcarriers(random_monotone_model(rng), k, f_chip)
+    if kind == "shuffled":
+        grid = owclb.SubcarrierGrid(K=k, f_chip=f_chip, gnr_k=rng.permutation(grid.gnr_k))
+    return grid
+
+
+def level_budgets(rng, grid, gamma):
+    """Log-spread budgets up to 2x the full fill, plus points of the sorted
+    cells' power curve and their two float neighbours."""
+    by_cost = owclb.SubcarrierGrid(K=grid.K, f_chip=grid.f_chip, gnr_k=np.sort(grid.gnr_k)[::-1])
+    curve = np.array(_oracles.power_curve_in_order(by_cost, gamma))
+    exact = np.unique(curve[curve > 0.0])
+    if exact.size > 4:
+        exact = rng.choice(exact, 4, replace=False)
+    full = float(curve[-1]) or grid.delta_b * gamma / float(grid.gnr_k.max())
+    budgets = list(full * 10.0 ** rng.uniform(-9.0, math.log10(2.0), 4))
+    budgets += list(exact) + list(np.nextafter(exact, 0.0)) + list(np.nextafter(exact, np.inf))
+    return [float(b) for b in budgets]
+
+
 class TestWaterlevel:
     def test_matches_newton_at_same_realized_power(self, ref_model, gap):
         k, f_chip = 64, 200e6
@@ -618,6 +628,36 @@ class TestWaterlevel:
             # reports the snapped water-level frequency, where S is exactly 0
             assert abs(sol_w.f_max - sol_n.f_max) <= f_chip / k + 1e-9
             np.testing.assert_allclose(sol_w.psd, sol_n.psd, rtol=1e-6, atol=1e-9 * sol_n.water_level)
+
+    @pytest.mark.parametrize("kind", ["monotone", "shuffled", "plateau"])
+    def test_level_within_4_ulp_of_exact(self, kind):
+        rng = np.random.default_rng(["monotone", "shuffled", "plateau"].index(kind) + 77)
+        for _ in range(40):
+            grid = level_grid(rng, kind)
+            gamma = float(10.0 ** rng.uniform(0.0, 1.0))
+            w = gamma / grid.gnr_k
+            for budget in level_budgets(rng, grid, gamma):
+                count, level = _oracles.waterlevel_exact(grid, gamma, budget)
+                try:
+                    sol = owclb.waterlevel_solve(grid, gamma, budget)
+                except RuntimeError:  # the budget is lost in rounding next to w_(1)
+                    assert float(level) == w.min()
+                    continue
+                ulp = Fraction(math.ulp(float(level)))
+                assert abs(Fraction(sol.water_level) - level) <= 4 * ulp, (grid.K, budget)
+                # away from ulp-level ties with the level, the active cells are the exact count
+                if not np.any(np.abs(w - float(level)) <= 8 * math.ulp(float(level))):
+                    assert np.count_nonzero(sol.psd) == count
+
+    def test_level_past_a_cumulative_sum_stays_finite(self):
+        # the costs 1e307 sum past the float range, the level 1.0000001e307 does not
+        grid = owclb.SubcarrierGrid(K=1024, f_chip=1.0, gnr_k=np.full(1024, 1e-307))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = owclb.waterlevel_solve(grid, 1.0, 1e300)
+        assert math.isfinite(sol.water_level) and math.isfinite(sol.rate)
+        assert sol.water_level == pytest.approx(1.0000001e307, rel=1e-15)
+        assert sol.sigma2 <= 1e300 * (1.0 + 1e-15)
 
     def test_power_converges_to_budget(self, ref_model, gap):
         grid = subcarriers(ref_model, 256, 200e6)
@@ -756,7 +796,6 @@ class TestWaterlevel:
 
 # every function that takes a gap, each reduced to one number of its result
 GAP_CALLS = {
-    "psd_opt": lambda g, grid, gap: owclb.psd_opt(g, gap, 5e7, 1e6),
     "sigma2_of_fmax": lambda g, grid, gap: owclb.sigma2_of_fmax(g, gap, 5e7),
     "dsigma2_dfmax": lambda g, grid, gap: owclb.dsigma2_dfmax(g, gap, 5e7),
     "newton_fmax": lambda g, grid, gap: owclb.newton_fmax(g, gap, 1e7, grid).rate,
@@ -784,11 +823,7 @@ def test_gap_is_one_real_number(ref_model, call):
 def test_gnr_underflow_at_fmax_is_value_error():
     # GNR(2e8) = 1e-280 / (1 + (2e5)^2)^5 lies below the smallest subnormal
     g = owclb.MagSqPoleZeroGnr(gnr0=1e-280, poles=(1e3,) * 5)
-    for call in (
-        owclb.sigma2_of_fmax,
-        lambda g, gap, f_max: owclb.psd_opt(g, gap, f_max, 1e6),
-        owclb.dsigma2_dfmax,
-    ):
+    for call in (owclb.sigma2_of_fmax, owclb.dsigma2_dfmax):
         with pytest.raises(ValueError, match=r"^GNR at f_max=2e\+08 Hz is 0\.0, not > 0"):
             call(g, 1.0, 2e8)
 
@@ -798,11 +833,7 @@ OVERFLOW_MODEL = owclb.MagSqPoleZeroGnr(gnr0=1e-280, poles=(1e3,) * 5)
 
 
 def test_gamma_over_gnr_overflow_at_fmax_is_value_error():
-    for call in (
-        owclb.sigma2_of_fmax,
-        lambda g, gap, f_max: owclb.psd_opt(g, gap, f_max, 1e6),
-        owclb.dsigma2_dfmax,
-    ):
+    for call in (owclb.sigma2_of_fmax, owclb.dsigma2_dfmax):
         with pytest.raises(
             ValueError, match=r"^Gamma/GNR at f_max=1e\+07 Hz overflows: GNR is 1e-320$"
         ):
@@ -840,7 +871,7 @@ def test_power_curve_overflow_is_above_every_budget():
         assert sol.f_max == grid.delta_b and sol.sigma2 == 0.0 and sol.rate == 0.0
     n, rates = owclb.newton_sweep(g, 1.0, budgets, grid)
     assert n.tolist() == [1] * 4 and rates.tolist() == [0.0] * 4
-    assert np.isinf(owclb.waterfill._newton_setup(g, 1.0, budgets, grid)[2][-1])
+    assert np.isinf(owclb.waterfill._power_curve(1.0 / grid.gnr_k, grid.delta_b)[-1])
 
 
 class TestSolutionCsv:
