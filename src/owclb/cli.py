@@ -149,14 +149,17 @@ def _load_grid(args):
 def _flat_band_psd(g, grid: waterfill.SubcarrierGrid, budgets: np.ndarray):
     """Baseline: each budget spread uniformly over [0, first pole corner].
 
-    Returns the PSD per budget and the number of subcarriers it loads, at
-    least one; subcarriers beyond the first pole carry nothing.  The PSD
-    is budget / max(f_edge, delta_b), so that one subcarrier above a pole
-    below delta_b gets no more than the budget.
+    Returns the PSD per budget, the number of subcarriers it loads, at
+    least one, and the band width it is spread over; subcarriers beyond the
+    first pole carry nothing.  The width is max(f_edge, delta_b), so that
+    one subcarrier above a pole below delta_b gets no more than the budget.
+    A PSD past the float range is inf, without a warning.
     """
     f_edge = min(g.poles) if g.poles else grid.f_chip
     n_flat = max(1, int(np.sum(grid.f_k <= f_edge)))
-    return budgets / max(f_edge, grid.delta_b), n_flat
+    width = max(f_edge, grid.delta_b)
+    with np.errstate(over="ignore"):
+        return budgets / width, n_flat, width
 
 
 def _require_newton_k(k: int) -> None:
@@ -207,7 +210,7 @@ def cmd_rate_curve(args) -> int:
     # hh_accelerated made; a rising model has already failed Newton above
     bitload.require_monotone_grid(grid)
     hh = grid.delta_b * bitload.hh_sorted_prefix(grid, gamma, budgets).astype(float)
-    psd, n_flat = _flat_band_psd(g, grid, budgets)
+    psd, n_flat, width = _flat_band_psd(g, grid, budgets)
     gnr = grid.gnr_k[:n_flat]
     with np.errstate(over="ignore"):
         snr = psd[:, None] * gnr / gamma
@@ -215,7 +218,10 @@ def cmd_rate_curve(args) -> int:
     over = np.isinf(snr)
     if over.any():  # past the float range 1 + snr rounds to snr: add the logarithms instead
         rows, cols = np.nonzero(over)
-        spectral[rows, cols] = np.log2(psd[rows]) + np.log2(gnr[cols]) - math.log2(gamma)
+        log_psd = np.log2(psd[rows])
+        huge = np.isinf(log_psd)  # the PSD itself past it: log2(budget / width)
+        log_psd[huge] = np.log2(budgets[rows[huge]]) - math.log2(width)
+        spectral[rows, cols] = log_psd + np.log2(gnr[cols]) - math.log2(gamma)
     flat = grid.delta_b * np.sum(spectral, axis=1)
     linkchain._write_csv(
         args.out,

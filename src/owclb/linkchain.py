@@ -18,8 +18,10 @@ The channel classes check their fields from their declared types
 One number rule, ``_fault``, serves both: a real number, not a bool, in
 (0, largest float], and for a count also whole; text, None, lists,
 ``Decimal``, nan, inf and ints past the float range are refused.  A new
-stage kind is a frozen ``_Checked`` dataclass with typed fields and a
-``magsq``, listed in ``ComponentResponse``.
+stage kind is a frozen ``_Checked`` dataclass with typed fields, listed in
+``ComponentResponse``: a rational kind derives from ``_PoleZeroStage`` and
+gives ``polezero``, its (dc gain, zeros, poles), which its ``magsq`` and
+``reduce_to_polezero`` both read; any other kind gives ``magsq``.
 
 All algebra is carried out on magnitude-squared quantities; phase is never
 modeled.  A gain or corner whose square passes the largest float squares to
@@ -219,18 +221,29 @@ class _Checked:
                 _check_positive(name, value)
 
 
+class _PoleZeroStage(_Checked):
+    """Base of the rational stage kinds.  Each gives ``polezero``, its
+    (dc gain, zeros, poles); ``magsq`` takes |H(f)|^2 from it through the
+    one pole-zero product, and ``reduce_to_polezero`` reads it as well."""
+
+    def magsq(self, f):
+        gain, zeros, poles = self.polezero
+        return _polezero(_square(gain), zeros, poles, f, 2.0 * math.log(gain))
+
+
 @dataclass(frozen=True)
-class FlatGain(_Checked):
+class FlatGain(_PoleZeroStage):
     """Frequency-flat stage, e.g. line-of-sight propagation loss."""
 
     gain: float
 
-    def magsq(self, f):
-        return _square(self.gain) + 0.0 * _as_f(f)
+    @property
+    def polezero(self):
+        return self.gain, (), ()
 
 
 @dataclass(frozen=True)
-class FirstOrderLowPass(_Checked):
+class FirstOrderLowPass(_PoleZeroStage):
     """Single-pole low pass: |H(f)|^2 = dc_gain^2 / (1 + f^2/corner^2).
 
     Covers carrier-lifetime-limited LEDs, phosphor photoluminescence,
@@ -240,14 +253,13 @@ class FirstOrderLowPass(_Checked):
     dc_gain: float
     corner: float
 
-    def magsq(self, f):
-        r = _as_f(f) / self.corner
-        with np.errstate(over="ignore"):  # (f/corner)^2 past the float range is inf
-            return _square(self.dc_gain) / (1.0 + r * r)
+    @property
+    def polezero(self):
+        return self.dc_gain, (), (self.corner,)
 
 
 @dataclass(frozen=True)
-class RationalPoleZero(_Checked):
+class RationalPoleZero(_PoleZeroStage):
     """General stage with real corner zeros and poles.
 
     |H(f)|^2 = dc_gain^2 * prod(1 + f^2/fz^2) / prod(1 + f^2/fp^2).
@@ -259,9 +271,9 @@ class RationalPoleZero(_Checked):
     zeros: tuple[float, ...] = ()
     poles: tuple[float, ...] = ()
 
-    def magsq(self, f):
-        gain, log_gain = _square(self.dc_gain), 2.0 * math.log(self.dc_gain)
-        return _polezero(gain, self.zeros, self.poles, f, log_gain)
+    @property
+    def polezero(self):
+        return self.dc_gain, self.zeros, self.poles
 
 
 @dataclass(frozen=True)
@@ -395,9 +407,6 @@ ComponentResponse = Union[
     Tabulated,
 ]
 
-_REDUCIBLE_KINDS = (FlatGain, FirstOrderLowPass, RationalPoleZero)
-
-
 @dataclass(frozen=True)
 class NoiseSpectrum(_Checked):
     """Receiver output noise PSD with one uplift zero and roll-off poles.
@@ -509,7 +518,8 @@ def _cancel_pairs(zeros: list[float], poles: list[float]) -> tuple[list[float], 
 def reduce_to_polezero(chain: LinkChain) -> MagSqPoleZeroGnr:
     """Collapse a chain of rational stages into the canonical GNR form.
 
-    Stage zeros/poles enter directly; the noise floor divides the DC gain,
+    Each stage's ``polezero`` enters directly, its squared gain into gnr0
+    and its zeros and poles as they are; the noise floor divides the DC gain,
     noise zeros become GNR poles and noise poles become GNR zeros.
     Exactly-equal pole/zero pairs (relative tolerance 1e-9) cancel, which
     reproduces the analytic cancellation of a receiver response that also
@@ -519,20 +529,15 @@ def reduce_to_polezero(chain: LinkChain) -> MagSqPoleZeroGnr:
     poles: list[float] = []
     gnr0 = 1.0
     for stage in chain.stages:
-        if not isinstance(stage, _REDUCIBLE_KINDS):
+        if not isinstance(stage, _PoleZeroStage):
             raise NotReducibleError(
                 f"stage {type(stage).__name__} has no exact pole-zero form; "
                 "not reducible; use the fit module to approximate it"
             )
-        if isinstance(stage, FlatGain):
-            gnr0 *= _square(stage.gain)
-        elif isinstance(stage, FirstOrderLowPass):
-            gnr0 *= _square(stage.dc_gain)
-            poles.append(stage.corner)
-        else:
-            gnr0 *= _square(stage.dc_gain)
-            zeros.extend(stage.zeros)
-            poles.extend(stage.poles)
+        gain, stage_zeros, stage_poles = stage.polezero
+        gnr0 *= _square(gain)
+        zeros.extend(stage_zeros)
+        poles.extend(stage_poles)
     noise = chain.noise
     gnr0 /= noise.floor
     if not 0.0 < gnr0 < math.inf:  # nan is 0 * inf

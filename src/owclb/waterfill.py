@@ -9,7 +9,9 @@ one-dimensional search over f_max:
 * ``sigma2_of_fmax``   total signal power as a function of f_max, by
                        fixed Gauss-Legendre on octave panels
 * ``rate_closed_form`` throughput in bit/s, closed form in f_max; the gap
-                       cancels out of it, so it takes none
+                       cancels out of it, so it takes none; a number or
+                       an array of f_max, checked in one pass, and a
+                       rate past the float range is refused
 * ``dsigma2_dfmax``    analytic derivative of the power w.r.t. f_max
 * ``SubcarrierGrid``   the DCO-OFDM subcarriers f_k = k * Delta_B with the
                        GNR sampled once on them; the Newton search, the
@@ -23,7 +25,8 @@ one-dimensional search over f_max:
                        (the ``rate-curve`` power sweep)
 * ``waterlevel_solve`` exact water level for arbitrary (also
                        non-monotone) GNR samples on the grid's equal
-                       Delta_B cells, with island reporting
+                       Delta_B cells, with island reporting; a level
+                       past the float range is refused
 
 When the GNR is flat the f_max parameterization degenerates (S is zero
 for every f_max); ``waterlevel_solve`` is the designated path for flat or
@@ -62,6 +65,7 @@ from .linkchain import (
     _read_csv,
     _write_csv,
     is_monotone_decreasing,
+    monotone_limit,
 )
 
 _LN2 = math.log(2.0)
@@ -175,15 +179,22 @@ def sigma2_of_fmax(g: MagSqPoleZeroGnr, gap, f_max: float) -> float:
 
 
 def dsigma2_dfmax(g: MagSqPoleZeroGnr, gap, f_max: float) -> float:
-    """Analytic d(sigma2)/d(f_max); strictly positive for decreasing GNR."""
+    """Analytic d(sigma2)/d(f_max); strictly positive for decreasing GNR.
+
+    A term 1/(corner^2 + f_max^2) whose denominator underflows to 0 is
+    past the float range, +inf, so the derivative is then inf or nan, which
+    ``newton_fmax`` takes as an unusable step.
+    """
     gamma = _gamma_value(gap)
     f_max = _check_positive("f_max", f_max)
     bracket = 0.0
     u = f_max * f_max
     for fp in g.poles:
-        bracket += 1.0 / (fp * fp + u)
+        d = fp * fp + u
+        bracket += 1.0 / d if d else math.inf
     for fz in g.zeros:
-        bracket -= 1.0 / (fz * fz + u)
+        d = fz * fz + u
+        bracket -= 1.0 / d if d else math.inf
     return 2.0 * gamma * u * bracket / _gnr_at_fmax(g, gamma, f_max)[0]
 
 
@@ -197,44 +208,46 @@ def rate_closed_form(g: MagSqPoleZeroGnr, f_max):
     The modulation gap and gnr0 cancel out of the optimal rate, so the
     result depends only on the corner frequencies and no gap is taken.
 
-    ``f_max`` may also be a 1-D array of frequencies (an f_max sweep).  The
-    result is then the array of the scalar calls' rates, bit for bit, from
-    one check of the points and one monotone check at the largest point; a
-    failing check raises the first failing scalar call's error.
+    ``f_max`` may also be a 1-D array of frequencies (an f_max sweep); a
+    number is checked by ``_check_positive`` (0 passes) and taken as a
+    one-point array, whose rate comes back as a float.  The points are
+    checked at once, with one monotone check at the largest point; the
+    first point that is not finite and >= 0, or lies above
+    ``monotone_limit(g)``, is refused, and so is the first rate that passes
+    the float range.
     """
-    if np.ndim(f_max):
-        points = np.asarray(f_max, dtype=float)
-        if points.ndim != 1:
-            raise ValueError(f"f_max must be a number or a 1-D array, got shape {points.shape}")
-        top = float(points.max(initial=0.0))
-        if not (
-            np.all(np.isfinite(points) & (points >= 0.0))
-            and (top == 0.0 or is_monotone_decreasing(g, top))
-        ):
-            for f in points.tolist():
-                rate_closed_form(g, f)  # raises at the first failing point
-        rates = _closed_form(g, points)
-        rates[points == 0.0] = 0.0
-        return rates
-    if f_max == 0.0:
-        return 0.0
-    f_max = _check_positive("f_max", f_max)
-    _require_monotone(g, f_max, "rate_closed_form")
-    return float(_closed_form(g, np.array([f_max]))[0])
+    scalar = not np.ndim(f_max)
+    if scalar and f_max != 0.0:
+        f_max = _check_positive("f_max", f_max)
+    points = np.array(f_max, dtype=float, ndmin=1)
+    if points.ndim != 1:
+        raise ValueError(f"f_max must be a number or a 1-D array, got shape {points.shape}")
+    finite = np.isfinite(points) & (points >= 0.0)
+    top = float(points.max(initial=0.0))
+    if not (finite.all() and (top == 0.0 or is_monotone_decreasing(g, top))):
+        first = float(points[np.argmax(~finite | (points > monotone_limit(g)))])
+        _check_positive("f_max", first)
+        _require_monotone(g, first, "rate_closed_form")
+    rates = _closed_form(g, points)
+    rates[points == 0.0] = 0.0
+    over = np.flatnonzero(~np.isfinite(rates))
+    if over.size:
+        raise ValueError(f"rate at f_max={points[over[0]]:g} Hz passes the float range")
+    return float(rates[0]) if scalar else rates
 
 
 def _closed_form(g: MagSqPoleZeroGnr, f: np.ndarray) -> np.ndarray:
     """``rate_closed_form``'s sum at each point, term by term in the scalar
     order: zeros first, then poles, each arctangent from ``math.atan``.  A
     ratio f/corner past the float range is inf, whose arctangent pi/2 is the
-    exact limit, so that overflow warns nothing."""
-    total = (len(g.poles) - len(g.zeros)) * f
-    with np.errstate(over="ignore"):
+    exact limit, and a sum past it is inf, both without a warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = (len(g.poles) - len(g.zeros)) * f
         for fz in g.zeros:
             total += fz * np.array(list(map(math.atan, (f / fz).tolist())))
         for fp in g.poles:
             total -= fp * np.array(list(map(math.atan, (f / fp).tolist())))
-    return (2.0 / _LN2) * total
+        return (2.0 / _LN2) * total
 
 
 # ---------------------------------------------------------------------------
@@ -484,8 +497,9 @@ def waterlevel_solve(grid: SubcarrierGrid, gap, sigma2_budget: float) -> Waterfi
     set (Palomar & Fonollosa, IEEE TSP 2005): with w = Gamma/GNR sorted,
     the j cheapest cells are active, j the count of the sorted w's power
     curve values within budget, and the level spends the rest evenly over
-    them, v = w_(j) + (budget - power(j)) / j / Delta_B.  Zero-power
-    intervals below f_max are reported as islands.
+    them, v = w_(j) + (budget - power(j)) / j / Delta_B, refused with
+    ``ValueError`` past the float range.  Zero-power intervals below f_max
+    are reported as islands.
     """
     gamma = _gamma_value(gap)
     _check_budget(sigma2_budget)
@@ -499,6 +513,8 @@ def waterlevel_solve(grid: SubcarrierGrid, gap, sigma2_budget: float) -> Waterfi
     # the curve's running sum rounds off more with every term
     spent = delta * float(np.sum(top - w_sorted[:j]))
     v = top + (sigma2_budget - spent) / j / delta
+    if not math.isfinite(v):
+        raise ValueError(f"water level overflows: budget {sigma2_budget:g} V^2 over {j} cells of {delta:g} Hz")
 
     psd = np.maximum(0.0, v - w)
     active = np.flatnonzero(psd)

@@ -117,7 +117,7 @@ class TestRateCurve:
         # yet subcarrier 1 is loaded
         grid = owclb.SubcarrierGrid.from_model(model, 64, 2e8)
         budgets = np.geomspace(1e4, 1e9, 6)
-        psd, n_flat = cli._flat_band_psd(model, grid, budgets)
+        psd, n_flat, _ = cli._flat_band_psd(model, grid, budgets)
         assert n_flat == 1
         assert np.all(psd * grid.delta_b * n_flat <= budgets * (1.0 + 1e-15))
 
@@ -239,7 +239,7 @@ class TestRateCurve:
         budgets, flat = _read_csv(out)[2][:, [0, 3]].T
         g = owclb.reduce_to_polezero(owclb.load_chain(path))
         grid = owclb.SubcarrierGrid.from_model(g, 1024, 200e6)
-        psd, n_flat = cli._flat_band_psd(g, grid, budgets)
+        psd, n_flat, _ = cli._flat_band_psd(g, grid, budgets)
         with mpmath.workdps(30):
             want = [grid.delta_b * float(mpmath.fsum(
                 mpmath.log(1 + mpmath.mpf(p) * mpmath.mpf(x), 2) for x in grid.gnr_k[:n_flat]
@@ -252,6 +252,34 @@ class TestRateCurve:
         assert finite.sum() == 11 and finite[:11].all()
         plain = grid.delta_b * np.sum(np.log2(1.0 + snr[finite]), axis=1) / 1e6
         assert flat[finite].tobytes() == plain.tobytes()
+
+    def test_power_sweep_flat_psd_past_the_float_range(self, tmp_path):
+        # budget / f_chip passes the largest float from the second budget on;
+        # there log2(psd) is log2(budget) - log2(f_chip)
+        path = tmp_path / "flat.json"
+        path.write_text(json.dumps({"stages": [{"kind": "FlatGain", "params": {"gain": 1.0}}],
+                                    "noise": {"floor": 1.0}}))
+        out = tmp_path / "sweep.csv"
+        proc = run_cli_process(["rate-curve", "--channel", str(path), "--sweep", "power:1:1.7e308:3:log",
+                                "--fchip", "1e-300", "--k", "2", "--out", str(out)])
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert "inf" not in out.read_text()
+        budgets, flat = _read_csv(out)[2][:, [0, 3]].T
+        # GNR 1 on both subcarriers: the rate is f_chip * log2(1 + budget / f_chip)
+        with mpmath.workdps(30):
+            want = [float(mpmath.mpf(1e-300) * mpmath.log(1 + mpmath.mpf(b) / mpmath.mpf(1e-300), 2)) / 1e6
+                    for b in budgets.tolist()]
+        np.testing.assert_allclose(flat, want, rtol=1e-13)
+        # the first budget's PSD 1e300 is finite and keeps the plain log2(1 + snr) sum
+        assert flat[0] == 5e-301 * float(np.sum(np.log2(1.0 + np.full(2, 1e300)))) / 1e6
+
+    def test_fmax_sweep_rate_past_the_float_range_is_refused(self, tmp_path):
+        out = tmp_path / "fmax.csv"
+        proc = run_cli_process(["rate-curve", "--channel", str(DATA / "fit_ref.json"),
+                                "--sweep", "fmax:1e300:1e308:3:log", "--out", str(out)])
+        assert proc.returncode == 1
+        assert proc.stderr == "owclb: rate-curve failed: rate at f_max=1e+308 Hz passes the float range\n"
+        assert not out.exists()
 
     def test_fmax_sweep_does_not_depend_on_the_gap(self, channel_path, tmp_path):
         # the gap cancels out of the closed-form rate
@@ -1043,6 +1071,15 @@ PROPERTY_ARGVS = [
     ["optimize-hh", "--budget", "1"],
     ["optimize-hh", "--naive", "--budget", "1"],
     ["compare", "--budget", "1"],
+    # the ends of the flags' range: rates and PSDs past the float range,
+    # corners and frequencies whose squares underflow together
+    ["rate-curve", "--sweep", "fmax:1e300:1.7e308:3:log"],
+    ["rate-curve", "--sweep", "power:1:1.7e308:3:log", "--fchip", "1e-300", "--k", "2"],
+    ["optimize-newton", "--budget", "1", "--fchip", "1e-300"],
+    ["compare", "--budget", "1", "--fchip", "1e-300"],
+    ["rate-curve", "--sweep", "power:1e-300:1.7e308:5:log", "--fchip", "1e150"],
+    ["optimize-newton", "--budget", "1.7e308", "--fchip", "1e150"],
+    ["compare", "--budget", "1.7e308", "--fchip", "1e150"],
 ]
 PROPERTY_FIT_FLAGS = [[], ["--db"], ["--zeros", "1", "--poles", "2"], ["--scan-orders", "--poles", "2"]]
 
@@ -1050,7 +1087,8 @@ PROPERTY_FIT_FLAGS = [[], ["--db"], ["--zeros", "1", "--poles", "2"], ["--scan-o
 def _property_faults(capsys, argv, out) -> list[str]:
     """Run one command in-process and name every property it breaks: exit
     0, 1 or 2, no exception, no warning, no nan in stdout or the output
-    file, one stderr line on a failure and none on success."""
+    file, no inf in the output file, one stderr line on a failure and none
+    on success."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
@@ -1065,6 +1103,8 @@ def _property_faults(capsys, argv, out) -> list[str]:
         faults.append(f"exit {rc}")
     if "nan" in (stdout + written).lower():
         faults.append("nan in the output")
+    if "inf" in written.lower():
+        faults.append("inf in the output file")
     if stderr.count("\n") != (0 if rc == 0 else 1) or "Traceback" in stderr:
         faults.append(f"stderr {stderr!r}")
     return [f"{argv[:-4]} {fault}" for fault in faults]

@@ -578,6 +578,39 @@ class TestReduce:
         assert g.zeros == (1e6, 5e7)
         assert g.poles == (2e6, 4e6, 9e6)
 
+    def test_first_order_chain_equals_its_reduction(self):
+        # one pole-zero product: |H|^2 over a unit floor is the reduced GNR, bit for bit
+        rng = np.random.default_rng(27)
+        f = np.geomspace(1e3, 1e10, 481)
+        for _ in range(100):
+            stage = owclb.FirstOrderLowPass(dc_gain=float(10.0 ** rng.uniform(-3, 3)),
+                                            corner=float(10.0 ** rng.uniform(4, 9)))
+            chain = owclb.LinkChain(stages=(stage,), noise=owclb.NoiseSpectrum(floor=1.0))
+            got = owclb.gnr_eval(chain, f)
+            assert got.tobytes() == owclb.reduce_to_polezero(chain)(f).tobytes()
+            same = owclb.RationalPoleZero(dc_gain=stage.dc_gain, poles=(stage.corner,))
+            assert stage.magsq(f).tobytes() == same.magsq(f).tobytes()
+
+    def test_a_new_rational_kind_needs_only_its_polezero(self):
+        @dataclasses.dataclass(frozen=True)
+        class TwinPole(linkchain._PoleZeroStage):
+            dc_gain: "float"  # as linkchain declares its fields, by name
+            corner: "float"
+
+            @property
+            def polezero(self):
+                return self.dc_gain, (), (self.corner, self.corner)
+
+        stage = TwinPole(dc_gain=3.0, corner=2e6)
+        with pytest.raises(ValueError, match="^corner "):
+            TwinPole(dc_gain=3.0, corner=-1.0)
+        chain = owclb.LinkChain(stages=(stage,), noise=owclb.NoiseSpectrum(floor=0.5))
+        assert owclb.reduce_to_polezero(chain) == owclb.MagSqPoleZeroGnr(
+            gnr0=18.0, poles=(2e6, 2e6))
+        f = np.geomspace(1e3, 1e9, 30)
+        same = owclb.RationalPoleZero(dc_gain=3.0, poles=(2e6, 2e6))
+        assert stage.magsq(f).tobytes() == same.magsq(f).tobytes()
+
     @pytest.mark.parametrize(
         "stage",
         [

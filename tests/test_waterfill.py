@@ -221,6 +221,14 @@ class TestRateClosedFormArray:
             owclb.rate_closed_form(bump_model, np.array(f))
         assert str(batch.value) == str(scalar.value)
 
+    @pytest.mark.parametrize("f", [1e308, [1e300, 1e304, 1e308, 0.0]], ids=["scalar", "array"])
+    def test_rate_past_the_float_range_is_refused(self, ref_model, f):
+        # (N - M) f_max * 2/ln 2 passes the largest float: a ValueError naming f_max, no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^rate at f_max=1e\+308 Hz passes the float range$"):
+                owclb.rate_closed_form(ref_model, f)
+
     @pytest.mark.parametrize("zeros", [(), (1e-250,)], ids=["pole", "zero-and-pole"])
     def test_corner_far_below_1_hz_warns_nothing(self, zeros):
         # f/corner passes the float range, and atan(inf) = pi/2 is its exact limit
@@ -260,6 +268,17 @@ class TestDerivative:
                 lambda x: owclb.sigma2_of_fmax(ref_model, gap, x), f, f * 1e-4
             )
             assert owclb.dsigma2_dfmax(ref_model, gap, f) == pytest.approx(fd, rel=1e-6)
+
+    @pytest.mark.parametrize("zeros", [(), (1e-300,)], ids=["pole", "zero-and-pole"])
+    def test_denominator_that_underflows_is_no_zero_division(self, zeros):
+        # 1e-300^2 + f_max^2 is 0 at f_max = 1e-300: the term is inf, the derivative no number
+        g = owclb.MagSqPoleZeroGnr(gnr0=1.0, zeros=zeros, poles=(1e-300, 1e-299, 1e6))
+        assert math.isnan(owclb.dsigma2_dfmax(g, 1.0, 1e-300))
+        # which Newton takes as unusable: it ends at the power curve's exact count
+        grid = owclb.SubcarrierGrid.from_model(g, 64, 1e-300)
+        sol = owclb.newton_fmax(g, 1.0, 1e-303, grid)
+        n = owclb.waterfill.newton_sweep(g, 1.0, [1e-303], grid)[0]
+        assert sol.iterations == 1 and n[0] > 1 and sol.f_max == grid.f_k[n[0] - 1]
 
     def test_positive_for_strictly_decreasing_gnr(self):
         rng = np.random.default_rng(5)
@@ -725,6 +744,12 @@ class TestWaterlevel:
         assert sol.iterations == 0
         assert sol.water_level > 1.0 / float(g(grid.f_k[0]))
         assert sol.sigma2 == pytest.approx(1e-9, rel=1e-6)
+
+    def test_level_past_the_float_range_is_refused(self):
+        # (budget - power(j)) / j / Delta_B = 1e10 / 2 / 5e-301 passes the largest float
+        grid = owclb.SubcarrierGrid(K=2, f_chip=1e-300, gnr_k=np.array([1.0, 0.5]))
+        with pytest.raises(ValueError, match=r"^water level overflows: budget 1e\+10 V\^2 over 2 cells of 5e-301 Hz$"):
+            owclb.waterlevel_solve(grid, 1.0, 1e10)
 
     def test_budget_lost_in_rounding_has_no_active_cell(self):
         g = owclb.MagSqPoleZeroGnr(gnr0=1e6, poles=(1e7,))
