@@ -2,9 +2,9 @@
 
 Under a total-power constraint the optimal transmit PSD is the classic
 waterfilling shape S(f) = [v - Gamma/GNR(f)]^+.  For a monotonically
-decreasing GNR the water level is pinned by the highest occupied
-frequency, v = Gamma/GNR(f_max), which collapses the optimization to a
-one-dimensional search over f_max:
+decreasing GNR the continuous water level is pinned by the highest
+occupied frequency, v = Gamma/GNR(f_max), which collapses the
+optimization to a one-dimensional search over f_max:
 
 * ``sigma2_of_fmax``   total signal power as a function of f_max, by
                        fixed Gauss-Legendre on octave panels
@@ -19,31 +19,32 @@ one-dimensional search over f_max:
                        ``bitload`` all run on it
 * ``newton_fmax``      grid-snapped Newton search for f_max given a budget,
                        one bracketed loop over the grid's power curve that
-                       takes the curve's exact count once Newton is unusable
+                       takes the curve's exact count once Newton is unusable,
+                       then the exact water level over the cells it loads
 * ``newton_sweep``     ``newton_fmax``'s f_max and rate for a batch of
                        budgets, one ``searchsorted`` on the same curve
                        (the ``rate-curve`` power sweep)
 * ``waterlevel_solve`` exact water level for arbitrary (also
                        non-monotone) GNR samples on the grid's equal
-                       Delta_B cells, with island reporting; a level
-                       past the float range is refused
+                       Delta_B cells, with island reporting
+
+``newton_fmax`` and ``waterlevel_solve`` end in one finish (``_finish``),
+whose rate formula (``_exact_rates``) the sweep shares: on a nondecreasing
+Gamma/GNR_k the three give the same bits.
 
 When the GNR is flat the f_max parameterization degenerates (S is zero
 for every f_max); ``waterlevel_solve`` is the designated path for flat or
 non-monotone channels.
 
-Newton stop rule: the textbook formulation stops once the update no
-longer moves the snapped frequency across a subcarrier boundary while the
-accumulated discrete power stays within budget.  That mixes a grid
-quantity with a continuous one, so it is interpreted here as: iterate
-until the snapped index is pinned between a within-budget grid point and
-its over-budget successor (a one-cell feasibility bracket).  Every Newton
-probe lies strictly inside the bracket.  Once Newton is unusable the
-search takes the count of power curve values within budget, the one
-index the bracket can end at, since the curve (``_power_curve``) is
-nondecreasing in floating point.  So the search ends with the exact
-contract: sigma2 <= budget, and loading one more grid step would exceed
-it.  ``iterations`` counts Newton attempts.
+Newton stop rule: the textbook "the update no longer crosses a subcarrier
+boundary with the power within budget" mixes a grid quantity with a
+continuous one, so the search iterates until the snapped index n is
+pinned between a within-budget point of the power curve (``_power_curve``,
+nondecreasing in floating point) and its over-budget successor; once
+Newton is unusable it takes the curve's count of values within budget,
+the one index the bracket can end at.  It then ends at the exact level
+over those n cells, which spends the rest of the budget:
+w_n <= v < w_(n+1).  ``iterations`` counts Newton attempts.
 
 All power budgets are signal variances in V^2.  Every ``gap`` argument is
 the modulation gap Gamma as a plain linear number >= 1, 10**(dB/10).
@@ -155,6 +156,7 @@ def sigma2_of_fmax(g: MagSqPoleZeroGnr, gap, f_max: float) -> float:
 
     One path for every model: 20-node Gauss-Legendre on octave panels of
     W(f_max) - W(f), evaluated as W(f_max) * -expm1(log(W(f)/W(f_max))).
+    A power that is no finite float is refused with ``ValueError``.
     """
     gamma = _gamma_value(gap)
     if f_max == 0.0:
@@ -168,14 +170,19 @@ def sigma2_of_fmax(g: MagSqPoleZeroGnr, gap, f_max: float) -> float:
     lo = np.append(hi[1:], 0.0)[:, None]
     half = 0.5 * (hi - lo)
     f = 0.5 * (hi + lo) + half * _GL_NODES
-    dist = (f_max - f) * (f_max + f)  # F^2 - f^2 without cancellation
+    r = f / f_max  # (F^2 - f^2) / (c^2 + f^2) in units of F: no 0/0 far below 1 Hz
+    dist = (1.0 - r) * (1.0 + r)
     log_ratio = np.zeros_like(f)
-    for fz in g.zeros:
-        log_ratio += np.log1p(dist / (fz * fz + f * f))
-    for fp in g.poles:
-        log_ratio -= np.log1p(dist / (fp * fp + f * f))
-    integral = np.sum(half * _GL_WEIGHTS * -np.expm1(log_ratio))
-    return float(_gnr_at_fmax(g, gamma, f_max)[1] * integral)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for fz in g.zeros:
+            log_ratio += np.log1p(dist / (np.square(fz / f_max) + r * r))
+        for fp in g.poles:
+            log_ratio -= np.log1p(dist / (np.square(fp / f_max) + r * r))
+        integral = np.sum(half * _GL_WEIGHTS * -np.expm1(log_ratio))
+        sigma2 = float(_gnr_at_fmax(g, gamma, f_max)[1] * integral)
+    if not math.isfinite(sigma2):
+        raise ValueError(f"sigma2 at f_max={f_max:g} Hz is not finite in floating point")
+    return sigma2
 
 
 def dsigma2_dfmax(g: MagSqPoleZeroGnr, gap, f_max: float) -> float:
@@ -314,22 +321,65 @@ def _check_budget(sigma2_budget: float) -> None:
         raise ValueError(f"sigma2_budget must be > 0, got {float(sigma2_budget)!r}")
 
 
-def _solution(
-    grid: SubcarrierGrid, gamma: float, level: float, psd, n: int, sigma2: float, **extra
-) -> WaterfillSolution:
-    """The solution whose PSD loads the first n subcarriers of the grid; its
-    rate is Delta_B * sum_k log2(1 + S_k GNR_k / Gamma) over them."""
-    f_k, gnr_k = grid.f_k, grid.gnr_k
-    return WaterfillSolution(
-        f_max=float(f_k[n - 1]),
-        water_level=level,
-        f_hz=f_k,
-        psd=psd,
-        gnr=gnr_k,
-        sigma2=sigma2,
-        rate=grid.delta_b * float(np.sum(np.log2(1.0 + psd[:n] * gnr_k[:n] / gamma))),
-        **extra,
-    )
+# The most terms one elementwise pass of _exact_rates holds, unless a single
+# budget loads more: 8192 doubles keep each temporary at 64 KiB, in cache,
+# and the memory a sweep takes O(K) for any number of budgets.
+_SWEEP_PASS = 8192
+
+
+def _exact_rates(w: np.ndarray, gnr: np.ndarray, gamma: float, delta: float, n, budgets):
+    """Per budget, the exact level's lift above w_(n), the n cheapest cells
+    active (``w``, ``gnr`` in nondecreasing cost), and its rate.  With
+    power(n) = Delta_B * sum_i max(0, w_(n) - w_(i)) summed pairwise, lift =
+    (budget - power(n)) / n / Delta_B and, as log2(v / w_(i)) = log2(w_(n) /
+    w_(i)) + log2(1 + lift / w_(n)), rate = Delta_B * [sum_i log2(1 + max(0,
+    w_(n) - w_(i)) GNR_(i) / Gamma) + n log2(1 + lift / w_(n))], with log2 of
+    its parts where 1 + x overflows.  ``_SWEEP_PASS // K`` budgets a pass."""
+    sums = []
+    run = max(1, _SWEEP_PASS // w.size)
+    for start in range(0, n.size, run):
+        batch = n[start : start + run].tolist()
+        t = np.empty((2, sum(batch)))
+        depth, terms = t
+        top = np.repeat(w[n[start : start + run] - 1], batch)
+        np.maximum(0.0, top - np.concatenate([w[:c] for c in batch]), out=depth)
+        np.multiply(depth, np.concatenate([gnr[:c] for c in batch]), out=terms)
+        np.log2(terms / gamma + 1.0, out=terms)
+        end = 0
+        for c in batch:  # each row the same pairwise sum as np.sum, bit for bit
+            sums.append(t[:, end : end + c].sum(axis=1))
+            end += c
+    spent, pinned = np.array(sums).T
+    power, top = delta * spent, w[n - 1]
+    with np.errstate(over="ignore"):
+        lift = (budgets - power) / n / delta
+        part = np.log2(1.0 + lift / top)
+    over = np.flatnonzero(np.isinf(part))
+    if over.size:
+        part[over] = (np.log2(budgets[over] - power[over]) - np.log2(n[over])
+                      - math.log2(delta) - np.log2(top[over]))
+    return lift, delta * (pinned + n * part)
+
+
+def _finish(grid: SubcarrierGrid, gamma: float, w: np.ndarray, order, n: int, budget: float):
+    """(level, psd, sigma2, rate) of the exact water level with the first n
+    cells of ``order``, the grid's cells in nondecreasing cost w, active:
+    ``_exact_rates``'s level, rounded down until Delta_B * sum_k S_k <=
+    budget, S_k = max(0, v - w_k) on those cells.  A level or power past the
+    float range is refused."""
+    delta, cells = grid.delta_b, order[:n]
+    lift, rate = _exact_rates(w[order], grid.gnr_k[order], gamma, delta,
+                              np.array([n]), np.array([budget]))
+    v = float(w[cells[-1]]) + float(lift[0])
+    psd = np.zeros(grid.K)
+    while True:
+        psd[cells] = np.maximum(0.0, v - w[cells])
+        sigma2 = delta * float(np.sum(psd))
+        if not (math.isfinite(v) and math.isfinite(sigma2)):
+            raise ValueError(f"water level overflows: budget {budget:g} V^2 over {n} cells of {delta:g} Hz")
+        if sigma2 <= budget:
+            return v, psd, sigma2, float(rate[0])
+        v = math.nextafter(v, -math.inf)
 
 
 def _nearest_index(f: float, delta: float, k_max: int) -> int:
@@ -349,12 +399,9 @@ def newton_fmax(
 ) -> WaterfillSolution:
     """Find the grid-snapped f_max whose waterfilling PSD meets the budget.
 
-    ``grid`` holds g sampled on the K subcarriers
-    (``SubcarrierGrid.from_model(g, K, f_chip)``); the discrete power curve
-    is built from its samples (``_power_curve``), and g itself gives the
-    monotonicity check and the derivative.
-
-    One bracketed loop over the subcarrier index: ``lo`` is feasible (the
+    ``grid`` holds g sampled on the K subcarriers, whose power curve
+    (``_power_curve``) the search reads; g gives the monotone check and the
+    derivative.  One bracketed loop over the subcarrier index: ``lo`` is feasible (the
     curve's power(lo), with f_max at subcarrier lo, is within budget;
     power(1) = 0) and ``hi`` is not.  Each round probes one index strictly
     between them and moves ``lo`` or ``hi`` to it.  The probe is a Newton
@@ -366,11 +413,10 @@ def newton_fmax(
     within budget, the one index the bracket can end at, and the loop
     stops.  ``iterations`` counts Newton attempts, a failed one included.
     A budget larger than the full-band power saturates at f_chip (flagged
-    on the returned solution).  The exit contract holds on the curve:
-    sigma2 = power(lo) <= budget, and loading one more grid step would
-    exceed the budget.  sigma2 equals Delta_B * sum_k S_k up to rounding
-    when w_k = Gamma/GNR_k is nondecreasing, and bounds it from above
-    otherwise.
+    on the returned solution).  On the curve, power(lo) <= budget and one
+    more grid step would exceed it.  The solution is ``_finish``'s exact
+    level over the first lo subcarriers (sigma2 <= budget), on a
+    nondecreasing Gamma/GNR_k ``waterlevel_solve``'s, bit for bit.
     """
     gamma, w_k, power = _newton_setup(g, gap, [sigma2_budget], grid)
     K, delta = grid.K, grid.delta_b
@@ -396,10 +442,10 @@ def newton_fmax(
         else:
             hi = ks
         f_cur = ks * delta
-    psd = np.zeros(K)
-    psd[:lo] = np.maximum(0.0, w_k[lo - 1] - w_k[:lo])  # S_k = max(0, w_n - w_k)
-    level, sigma2 = float(w_k[lo - 1]), float(power[lo - 1])
-    return _solution(grid, gamma, level, psd, lo, sigma2, saturated=lo == K, iterations=iters)
+    level, psd, sigma2, rate = _finish(grid, gamma, w_k, np.arange(K), lo, sigma2_budget)
+    return WaterfillSolution(f_max=float(grid.f_k[lo - 1]), water_level=level, f_hz=grid.f_k,
+                             psd=psd, gnr=grid.gnr_k, sigma2=sigma2, rate=rate,
+                             saturated=lo == K, iterations=iters)
 
 
 def _power_curve(w: np.ndarray, delta: float) -> np.ndarray:
@@ -428,25 +474,6 @@ def _newton_setup(g: MagSqPoleZeroGnr, gap, budgets, grid: SubcarrierGrid):
     return gamma, w, _power_curve(w, grid.delta_b)
 
 
-# The most terms one elementwise pass of newton_sweep holds, unless a single
-# budget loads more: 8192 doubles keep each temporary at 64 KiB, in cache,
-# and the memory a sweep takes O(K) for any number of budgets.
-_SWEEP_PASS = 8192
-
-
-def _passes(counts: list[int]):
-    """(start, stop) of runs of consecutive counts summing to at most
-    ``_SWEEP_PASS``; a count above it runs alone."""
-    start = 0
-    while start < len(counts):
-        stop, size = start + 1, counts[start]
-        while stop < len(counts) and size + counts[stop] <= _SWEEP_PASS:
-            size += counts[stop]
-            stop += 1
-        yield start, stop
-        start = stop
-
-
 def newton_sweep(g: MagSqPoleZeroGnr, gap, budgets, grid: SubcarrierGrid):
     """``newton_fmax`` for a batch of budgets on one grid, checked once.
 
@@ -455,31 +482,13 @@ def newton_sweep(g: MagSqPoleZeroGnr, gap, budgets, grid: SubcarrierGrid):
     Both read the same nondecreasing power curve, on which Newton's exit
     contract power(n) <= budget < power(n + 1), or n = K when the full band
     fits (saturated), has exactly one answer: the count of curve values
-    within budget.  The rates come from one elementwise pass over the
-    loaded subcarriers of consecutive budgets (``_passes``), in
-    ``_solution``'s operation order, and one sum per budget over its own
-    contiguous terms, the same pairwise sum as ``_solution``'s ``np.sum``.
+    within budget.  The rates are ``_exact_rates``', the ones
+    ``newton_fmax`` finishes with, for all budgets at once.
     """
-    budgets = [float(b) for b in budgets]
-    gamma, w, power = _newton_setup(g, gap, budgets, grid)
+    budgets = np.array(budgets, dtype=float, ndmin=1)
+    gamma, w, power = _newton_setup(g, gap, budgets.tolist(), grid)
     n = np.searchsorted(power, budgets, "right")  # power[0] = 0 < b, so n >= 1
-    counts = n.tolist()
-    sums = []
-    for start, stop in _passes(counts):
-        batch = counts[start:stop]
-        # _solution's terms log2(1 + max(0, w_n - w_k) * GNR_k / Gamma), budget after budget
-        t = np.repeat(w[n[start:stop] - 1], batch)
-        t -= np.concatenate([w[:c] for c in batch])
-        np.maximum(0.0, t, out=t)
-        t *= np.concatenate([grid.gnr_k[:c] for c in batch])
-        t /= gamma
-        t += 1.0
-        np.log2(t, out=t)
-        end = 0
-        for c in batch:  # ndarray.sum is np.sum: the same pairwise sum, bit for bit
-            sums.append(float(t[end : end + c].sum()))
-            end += c
-    return n, grid.delta_b * np.array(sums)
+    return n, _exact_rates(w, grid.gnr_k, gamma, grid.delta_b, n, budgets)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -489,34 +498,23 @@ def newton_sweep(g: MagSqPoleZeroGnr, gap, budgets, grid: SubcarrierGrid):
 def waterlevel_solve(grid: SubcarrierGrid, gap, sigma2_budget: float) -> WaterfillSolution:
     """Solve the water level exactly so the allocated power meets the budget.
 
-    ``grid`` holds the GNR sampled on the K subcarriers; no monotonicity is
-    assumed.  The PSD is S_k = max(0, v - Gamma/GNR_k) on K equal cells of
-    width Delta_B: the power is the direct sum Delta_B * sum_k S_k, which
-    ``newton_fmax``'s power curve equals up to rounding on a monotone grid,
-    and the rate is the same log2 sum.  The level comes from the active
-    set (Palomar & Fonollosa, IEEE TSP 2005): with w = Gamma/GNR sorted,
-    the j cheapest cells are active, j the count of the sorted w's power
-    curve values within budget, and the level spends the rest evenly over
-    them, v = w_(j) + (budget - power(j)) / j / Delta_B, refused with
-    ``ValueError`` past the float range.  Zero-power intervals below f_max
-    are reported as islands.
+    ``grid`` holds the GNR sampled on K equal cells of width Delta_B; no
+    monotonicity is assumed.  With w = Gamma/GNR sorted (stably), the j
+    cheapest cells are active (Palomar & Fonollosa, IEEE TSP 2005), j the
+    count of the sorted w's power curve values within budget, and
+    ``_finish`` spends the rest evenly over them: S_k = max(0, v - w_k),
+    v = w_(j) + (budget - power(j)) / j / Delta_B, Delta_B * sum_k S_k <=
+    budget.  On a nondecreasing w this is ``newton_fmax``'s solution, bit
+    for bit.  Zero-power intervals below f_max are reported as islands.
     """
     gamma = _gamma_value(gap)
     _check_budget(sigma2_budget)
     delta = grid.delta_b
     w = _gamma_over_gnr(grid, gamma)
 
-    w_sorted = np.sort(w)
-    j = int(np.searchsorted(_power_curve(w_sorted, delta), sigma2_budget, "right"))
-    top = float(w_sorted[j - 1])
-    # power(j) = Delta_B * sum_i (w_(j) - w_(i)) once more as one pairwise sum:
-    # the curve's running sum rounds off more with every term
-    spent = delta * float(np.sum(top - w_sorted[:j]))
-    v = top + (sigma2_budget - spent) / j / delta
-    if not math.isfinite(v):
-        raise ValueError(f"water level overflows: budget {sigma2_budget:g} V^2 over {j} cells of {delta:g} Hz")
-
-    psd = np.maximum(0.0, v - w)
+    order = np.argsort(w, kind="stable")
+    j = int(np.searchsorted(_power_curve(w[order], delta), sigma2_budget, "right"))
+    level, psd, sigma2, rate = _finish(grid, gamma, w, order, j, sigma2_budget)
     active = np.flatnonzero(psd)
     if active.size == 0:
         raise RuntimeError("no active frequencies at the water level: budget too small")
@@ -525,8 +523,8 @@ def waterlevel_solve(grid: SubcarrierGrid, gap, sigma2_budget: float) -> Waterfi
     # reported as the frequencies of subcarriers start+1 and stop
     edges = np.flatnonzero(np.diff(np.concatenate(([0], psd[:last] == 0.0, [0])))).tolist()
     islands = tuple((delta * (a + 1), delta * b) for a, b in zip(edges[::2], edges[1::2]))
-    sigma2 = delta * float(np.sum(psd))
-    return _solution(grid, gamma, v, psd, last + 1, sigma2, island=islands)
+    return WaterfillSolution(f_max=float(grid.f_k[last]), water_level=level, f_hz=grid.f_k,
+                             psd=psd, gnr=grid.gnr_k, sigma2=sigma2, rate=rate, island=islands)
 
 
 # ---------------------------------------------------------------------------

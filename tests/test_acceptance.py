@@ -281,3 +281,23 @@ def test_criterion_9_figure5_qualitative():
         )
         tx_band = np.array([owclb.rate_closed_form(tx_model, f) for f in band])
         assert np.all(tx_band < full_band)
+
+
+def test_criterion_10_newton_spends_the_budget():
+    with criterion(10, "Newton's exact level bounds HH from above and equals the water level"):
+        for k in (64, 256, 1024):
+            grid = owclb.SubcarrierGrid.from_model(REF_MODEL, k, 200e6)
+            w = GAP / grid.gnr_k
+            assert np.all(np.diff(w) >= 0.0)
+            power_2 = grid.delta_b * (float(w[1]) - float(w[0]))
+            # six decades up to the full-band power, and budgets below power(2)
+            full = grid.delta_b * float(np.sum(w[-1] - w))
+            budgets = list(np.geomspace(full * 1e-6, full, 13)) + [power_2 * 0.5, power_2 * 1e-3]
+            for budget in map(float, budgets):
+                sol = owclb.newton_fmax(REF_MODEL, GAP, budget, grid)
+                exact = owclb.waterlevel_solve(grid, GAP, budget)
+                assert sol.water_level == exact.water_level and sol.rate == exact.rate, (k, budget)
+                assert sol.sigma2 <= budget
+                for cap in (owclb.DEFAULT_BIT_CAP, 50):
+                    plan = owclb.hh_accelerated(grid, GAP, budget, bit_cap=cap)
+                    assert sol.rate >= plan.rate * (1.0 - 1e-12), (k, budget, cap)
