@@ -17,7 +17,9 @@ Each command takes only its own flags (``COMMANDS``); every one takes
 
 ``--gamma-db`` is the modulation gap in dB, 0 to 3000; the library takes it
 as the plain linear number 10**(G/10).  The ``fmax`` sweep's closed-form
-rate does not depend on it.
+rate does not depend on it.  The ``power`` sweep's ``rate_newton_mbit_s``
+column is the exact water level's rate on any grid (on a monotone one,
+``optimize-newton``'s rate).
 Without ``--out``, gnr-eval, rate-curve and compare write their CSV to stdout.
 Set OWCLB_LOG=debug (or info/warning) for diagnostics on stderr.
 """
@@ -162,11 +164,6 @@ def _flat_band_psd(g, grid: waterfill.SubcarrierGrid, budgets: np.ndarray):
         return budgets / width, n_flat, width
 
 
-def _require_newton_k(k: int) -> None:
-    if k < 2:
-        raise CliError(f"k must be >= 2 for the Newton search, got {k}")
-
-
 def cmd_gnr_eval(args) -> int:
     variable, freqs = _parse_sweep(args.sweep or "fmax:1e3:1e10:481:log")
     if variable != "fmax":
@@ -200,15 +197,11 @@ def cmd_rate_curve(args) -> int:
             print(f"rate-curve: {rates.size} points, peak {rates.max() / 1e6:.3f} Mbit/s")
         return 0
 
-    _require_newton_k(args.k)
     budgets = points
     if budgets[0] <= 0.0:
         raise CliError(f"sweep budgets must be > 0 V^2, got {float(budgets[0])}")
     g, gamma, grid = _load_grid(args)
-    newton = waterfill.newton_sweep(g, gamma, budgets, grid)[1]
-    # the sorted pass needs no monotone grid, but the sweep keeps the refusal
-    # hh_accelerated made; a rising model has already failed Newton above
-    bitload.require_monotone_grid(grid)
+    newton = waterfill.waterlevel_sweep(grid, gamma, budgets)[1]
     hh = grid.delta_b * bitload.hh_sorted_prefix(grid, gamma, budgets).astype(float)
     psd, n_flat, width = _flat_band_psd(g, grid, budgets)
     gnr = grid.gnr_k[:n_flat]
@@ -239,7 +232,8 @@ def cmd_rate_curve(args) -> int:
 def cmd_optimize_newton(args) -> int:
     if args.budget is None or args.budget <= 0.0:
         raise CliError("budget must be a positive V^2 value for optimize-newton")
-    _require_newton_k(args.k)
+    if args.k < 2:
+        raise CliError(f"k must be >= 2 for the Newton search, got {args.k}")
     g, gamma, grid = _load_grid(args)
     sol = waterfill.newton_fmax(g, gamma, args.budget, grid)
     if args.out:

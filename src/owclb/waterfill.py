@@ -21,16 +21,15 @@ optimization to a one-dimensional search over f_max:
                        one bracketed loop over the grid's power curve that
                        takes the curve's exact count once Newton is unusable,
                        then the exact water level over the cells it loads
-* ``newton_sweep``     ``newton_fmax``'s f_max and rate for a batch of
-                       budgets, one ``searchsorted`` on the same curve
-                       (the ``rate-curve`` power sweep)
 * ``waterlevel_solve`` exact water level for arbitrary (also
                        non-monotone) GNR samples on the grid's equal
                        Delta_B cells, with island reporting
+* ``waterlevel_sweep`` ``waterlevel_solve``'s rate for a batch of budgets
+                       on any grid (the ``rate-curve`` power sweep)
 
-``newton_fmax`` and ``waterlevel_solve`` end in one finish (``_finish``),
-whose rate formula (``_exact_rates``) the sweep shares: on a nondecreasing
-Gamma/GNR_k the three give the same bits.
+All three read one core (``_levels``): each budget's count on the power
+curve of the cells in cost order, and the level's rate over those cells;
+on a nondecreasing Gamma/GNR_k they give the same bits.
 
 When the GNR is flat the f_max parameterization degenerates (S is zero
 for every f_max); ``waterlevel_solve`` is the designated path for flat or
@@ -175,14 +174,22 @@ def sigma2_of_fmax(g: MagSqPoleZeroGnr, gap, f_max: float) -> float:
     log_ratio = np.zeros_like(f)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for fz in g.zeros:
-            log_ratio += np.log1p(dist / (np.square(fz / f_max) + r * r))
+            log_ratio += _log1p_ratio(dist, fz / f_max, r)
         for fp in g.poles:
-            log_ratio -= np.log1p(dist / (np.square(fp / f_max) + r * r))
+            log_ratio -= _log1p_ratio(dist, fp / f_max, r)
         integral = np.sum(half * _GL_WEIGHTS * -np.expm1(log_ratio))
         sigma2 = float(_gnr_at_fmax(g, gamma, f_max)[1] * integral)
     if not math.isfinite(sigma2):
         raise ValueError(f"sigma2 at f_max={f_max:g} Hz is not finite in floating point")
     return sigma2
+
+
+def _log1p_ratio(dist: np.ndarray, c: float, r: np.ndarray) -> np.ndarray:
+    """log1p(dist / (c^2 + r^2)), as log(dist) - 2 log(hypot(c, r)) where the ratio overflows."""
+    ratio = dist / (np.square(c) + r * r)
+    out, over = np.log1p(ratio), np.isinf(ratio)
+    out[over] = np.log(dist[over]) - 2.0 * np.log(np.hypot(c, r[over]))
+    return out
 
 
 def dsigma2_dfmax(g: MagSqPoleZeroGnr, gap, f_max: float) -> float:
@@ -321,6 +328,19 @@ def _check_budget(sigma2_budget: float) -> None:
         raise ValueError(f"sigma2_budget must be > 0, got {float(sigma2_budget)!r}")
 
 
+def _power_curve(w: np.ndarray, delta: float) -> np.ndarray:
+    """The discrete power curve of the cell costs w, in their order.
+
+    power[n-1] fills the first n cells up to w_n: power(1) = 0 and
+    power(n+1) = power(n) + Delta_B * n * max(0, w_n+1 - w_n).  A running
+    sum of nonnegative terms, it is nondecreasing in floating point; a
+    tail that overflows is +inf, above every finite budget.
+    """
+    with np.errstate(over="ignore"):
+        steps = delta * np.arange(1, w.size) * np.maximum(0.0, np.diff(w))
+        return np.concatenate(([0.0], np.cumsum(steps)))
+
+
 # The most terms one elementwise pass of _exact_rates holds, unless a single
 # budget loads more: 8192 doubles keep each temporary at 64 KiB, in cache,
 # and the memory a sweep takes O(K) for any number of budgets.
@@ -361,22 +381,31 @@ def _exact_rates(w: np.ndarray, gnr: np.ndarray, gamma: float, delta: float, n, 
     return lift, delta * (pinned + n * part)
 
 
-def _finish(grid: SubcarrierGrid, gamma: float, w: np.ndarray, order, n: int, budget: float):
-    """(level, psd, sigma2, rate) of the exact water level with the first n
-    cells of ``order``, the grid's cells in nondecreasing cost w, active:
-    ``_exact_rates``'s level, rounded down until Delta_B * sum_k S_k <=
-    budget, S_k = max(0, v - w_k) on those cells.  A level or power past the
-    float range is refused."""
-    delta, cells = grid.delta_b, order[:n]
-    lift, rate = _exact_rates(w[order], grid.gnr_k[order], gamma, delta,
-                              np.array([n]), np.array([budget]))
+def _levels(grid: SubcarrierGrid, gamma: float, w: np.ndarray, order, budgets: np.ndarray):
+    """Per budget, the count n of power curve values within it of the
+    grid's cells taken in ``order``, nondecreasing cost w, and the exact
+    level's lift and rate with the first n active (``_exact_rates``)."""
+    w, gnr, delta = w[order], grid.gnr_k[order], grid.delta_b
+    n = np.searchsorted(_power_curve(w, delta), budgets, "right")  # power[0] = 0 < b, so n >= 1
+    return (n, *_exact_rates(w, gnr, gamma, delta, n, budgets))
+
+
+def _finish(grid: SubcarrierGrid, gamma: float, w: np.ndarray, order, budget: float):
+    """(level, psd, sigma2, rate) of the exact water level over the grid's
+    cells taken in ``order``, nondecreasing cost w: ``_levels``' level,
+    rounded down until Delta_B * sum_k S_k <= budget, S_k = max(0, v - w_k)
+    on its active cells.  A level or power past the float range is refused."""
+    delta = grid.delta_b
+    n, lift, rate = _levels(grid, gamma, w, order, np.array([budget]))
+    cells = order[: int(n[0])]
     v = float(w[cells[-1]]) + float(lift[0])
     psd = np.zeros(grid.K)
     while True:
         psd[cells] = np.maximum(0.0, v - w[cells])
         sigma2 = delta * float(np.sum(psd))
         if not (math.isfinite(v) and math.isfinite(sigma2)):
-            raise ValueError(f"water level overflows: budget {budget:g} V^2 over {n} cells of {delta:g} Hz")
+            raise ValueError(f"water level overflows: budget {budget:g} V^2 "
+                             f"over {cells.size} cells of {delta:g} Hz")
         if sigma2 <= budget:
             return v, psd, sigma2, float(rate[0])
         v = math.nextafter(v, -math.inf)
@@ -418,8 +447,14 @@ def newton_fmax(
     level over the first lo subcarriers (sigma2 <= budget), on a
     nondecreasing Gamma/GNR_k ``waterlevel_solve``'s, bit for bit.
     """
-    gamma, w_k, power = _newton_setup(g, gap, [sigma2_budget], grid)
+    gamma = _gamma_value(gap)
     K, delta = grid.K, grid.delta_b
+    if K < 2:
+        raise ValueError(f"K must be an integer >= 2, got {K!r}")
+    _check_budget(sigma2_budget)
+    _require_monotone(g, grid.f_chip, "newton_fmax")
+    w_k = _gamma_over_gnr(grid, gamma)
+    power = _power_curve(w_k, delta)
     lo, hi = 1, K
     f_cur, p_cur = grid.f_chip, float(power[K - 1])
     if p_cur <= sigma2_budget:
@@ -442,53 +477,10 @@ def newton_fmax(
         else:
             hi = ks
         f_cur = ks * delta
-    level, psd, sigma2, rate = _finish(grid, gamma, w_k, np.arange(K), lo, sigma2_budget)
+    level, psd, sigma2, rate = _finish(grid, gamma, w_k, np.arange(K), sigma2_budget)
     return WaterfillSolution(f_max=float(grid.f_k[lo - 1]), water_level=level, f_hz=grid.f_k,
                              psd=psd, gnr=grid.gnr_k, sigma2=sigma2, rate=rate,
                              saturated=lo == K, iterations=iters)
-
-
-def _power_curve(w: np.ndarray, delta: float) -> np.ndarray:
-    """The discrete power curve of the cell costs w, in their order.
-
-    power[n-1] fills the first n cells up to w_n: power(1) = 0 and
-    power(n+1) = power(n) + Delta_B * n * max(0, w_n+1 - w_n).  A running
-    sum of nonnegative terms, it is nondecreasing in floating point; a
-    tail that overflows is +inf, above every finite budget.
-    """
-    with np.errstate(over="ignore"):
-        steps = delta * np.arange(1, w.size) * np.maximum(0.0, np.diff(w))
-        return np.concatenate(([0.0], np.cumsum(steps)))
-
-
-def _newton_setup(g: MagSqPoleZeroGnr, gap, budgets, grid: SubcarrierGrid):
-    """``newton_fmax``'s checks, each budget's included, then (Gamma, w_k,
-    power), with the power curve of w_k in subcarrier order."""
-    gamma = _gamma_value(gap)
-    if grid.K < 2:
-        raise ValueError(f"K must be an integer >= 2, got {grid.K!r}")
-    for b in budgets:
-        _check_budget(b)
-    _require_monotone(g, grid.f_chip, "newton_fmax")
-    w = _gamma_over_gnr(grid, gamma)
-    return gamma, w, _power_curve(w, grid.delta_b)
-
-
-def newton_sweep(g: MagSqPoleZeroGnr, gap, budgets, grid: SubcarrierGrid):
-    """``newton_fmax`` for a batch of budgets on one grid, checked once.
-
-    Returns ``(n, rates)``: per budget, the number of loaded subcarriers
-    (f_max = n * Delta_B) and the rate, both equal to ``newton_fmax``'s.
-    Both read the same nondecreasing power curve, on which Newton's exit
-    contract power(n) <= budget < power(n + 1), or n = K when the full band
-    fits (saturated), has exactly one answer: the count of curve values
-    within budget.  The rates are ``_exact_rates``', the ones
-    ``newton_fmax`` finishes with, for all budgets at once.
-    """
-    budgets = np.array(budgets, dtype=float, ndmin=1)
-    gamma, w, power = _newton_setup(g, gap, budgets.tolist(), grid)
-    n = np.searchsorted(power, budgets, "right")  # power[0] = 0 < b, so n >= 1
-    return n, _exact_rates(w, grid.gnr_k, gamma, grid.delta_b, n, budgets)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -511,10 +503,7 @@ def waterlevel_solve(grid: SubcarrierGrid, gap, sigma2_budget: float) -> Waterfi
     _check_budget(sigma2_budget)
     delta = grid.delta_b
     w = _gamma_over_gnr(grid, gamma)
-
-    order = np.argsort(w, kind="stable")
-    j = int(np.searchsorted(_power_curve(w[order], delta), sigma2_budget, "right"))
-    level, psd, sigma2, rate = _finish(grid, gamma, w, order, j, sigma2_budget)
+    level, psd, sigma2, rate = _finish(grid, gamma, w, np.argsort(w, kind="stable"), sigma2_budget)
     active = np.flatnonzero(psd)
     if active.size == 0:
         raise RuntimeError("no active frequencies at the water level: budget too small")
@@ -525,6 +514,20 @@ def waterlevel_solve(grid: SubcarrierGrid, gap, sigma2_budget: float) -> Waterfi
     islands = tuple((delta * (a + 1), delta * b) for a, b in zip(edges[::2], edges[1::2]))
     return WaterfillSolution(f_max=float(grid.f_k[last]), water_level=level, f_hz=grid.f_k,
                              psd=psd, gnr=grid.gnr_k, sigma2=sigma2, rate=rate, island=islands)
+
+
+def waterlevel_sweep(grid: SubcarrierGrid, gap, budgets):
+    """``(n_active, rates)``: per budget, the cells the exact level loads
+    and ``waterlevel_solve``'s rate, on any grid, from one stable sort of
+    the costs.  On a nondecreasing Gamma/GNR_k, n_active * Delta_B and the
+    rate are ``newton_fmax``'s f_max and rate."""
+    gamma = _gamma_value(gap)
+    budgets = np.array(budgets, dtype=float, ndmin=1)
+    for b in budgets.tolist():
+        _check_budget(b)
+    w = _gamma_over_gnr(grid, gamma)
+    n, _, rates = _levels(grid, gamma, w, np.argsort(w, kind="stable"), budgets)
+    return n, rates
 
 
 # ---------------------------------------------------------------------------

@@ -166,8 +166,8 @@ class TestRateCurve:
         assert sampled == [256]
 
     def test_power_sweep_reads_one_power_curve(self, channel_path, monkeypatch):
-        # every budget is read off the grid's power curve: no per-budget
-        # Newton search, and one monotone check for the whole sweep
+        # every budget is read off the sorted cells' power curve: no Newton
+        # search, and no monotone check, since the water level needs none
         counts = {"newton_fmax": 0, "is_monotone_decreasing": 0}
 
         def counted(name):
@@ -186,24 +186,27 @@ class TestRateCurve:
             "--k", "256", "--fchip", "2e8",
         )
         assert rc == 0
-        assert counts == {"newton_fmax": 0, "is_monotone_decreasing": 1}
+        assert counts == {"newton_fmax": 0, "is_monotone_decreasing": 0}
 
-    def test_power_sweep_refuses_rising_channel(self, tmp_path, capsys):
+    def test_power_sweep_fills_rising_channel(self, tmp_path, capsys):
+        # the exact column is the water level on any grid, the GNR's rise included
         chain = owclb.LinkChain(
             stages=(owclb.RationalPoleZero(dc_gain=1.0, zeros=(10e6, 50e6), poles=(1e6, 100e6, 1e9)),),
             noise=owclb.NoiseSpectrum(floor=1e-15),
         )
-        path = tmp_path / "bump.json"
+        path, out = tmp_path / "bump.json", tmp_path / "rp.csv"
         owclb.save_chain(chain, path)
         rc = run_cli(
             "rate-curve", "--channel", str(path), "--sweep", "power:1e4:1e9:6:log",
-            "--k", "64", "--fchip", "2e8",
+            "--k", "64", "--fchip", "2e8", "--out", str(out),
         )
-        assert rc == 1
-        assert capsys.readouterr().err == (
-            "owclb: rate-curve failed: newton_fmax requires GNR non-increasing up to "
-            "2e+08 Hz; use waterlevel_solve for non-monotone channels\n"
-        )
+        assert rc == 0
+        assert capsys.readouterr().err == ""
+        grid = owclb.SubcarrierGrid.from_model(owclb.reduce_to_polezero(chain), 64, 2e8)
+        assert not grid.is_monotone_nonincreasing()
+        rows = _read_csv(out)[2]
+        for b, exact in rows[:, :2].tolist():
+            assert exact == owclb.waterlevel_solve(grid, 1.0, b).rate / 1e6
 
     def test_power_sweep_overflowing_curve_is_silent(self, tmp_path, capsys):
         # Gamma/GNR_k = 1e300 * (1 + (f/1e6)^2) is finite on every subcarrier,
@@ -767,11 +770,10 @@ class TestValidationAndDeterminism:
     @pytest.mark.parametrize(
         "sweep, message",
         [
-            (["--sweep", "power:1e4:1e9:4:log", "--k", "1"],
-             "k must be >= 2 for the Newton search, got 1"),
             (["--sweep", "power:0:1e9:4"], "sweep budgets must be > 0 V^2, got 0.0"),
+            (["--sweep", "power:1e4:1e9:4:log", "--k", "0"], "k must be >= 1, got 0"),
         ],
-        ids=["k", "budget"],
+        ids=["budget", "k"],
     )
     def test_power_sweep_checks_flags_before_the_channel(self, tmp_path, capsys, sweep, message):
         # the channel is not reducible, which fails with exit 1 once it is read
@@ -835,9 +837,8 @@ class TestValidationAndDeterminism:
         "argv",
         [
             ["optimize-newton", "--budget", "1e6"],
-            ["rate-curve", "--sweep", "power:1e4:1e9:4:log"],
         ],
-        ids=["optimize-newton", "power-sweep"],
+        ids=["optimize-newton"],
     )
     def test_k_below_2_is_flag_error_for_newton(self, channel_path, capsys, argv):
         assert run_cli(*argv, "--channel", channel_path, "--k", "1") == 2
@@ -851,8 +852,9 @@ class TestValidationAndDeterminism:
             ["optimize-hh", "--budget", "1e6"],
             ["compare", "--budget", "1e6"],
             ["rate-curve", "--sweep", "fmax:1e6:1e8:4:log"],
+            ["rate-curve", "--sweep", "power:1e4:1e9:4:log"],
         ],
-        ids=["optimize-hh", "compare", "fmax-sweep"],
+        ids=["optimize-hh", "compare", "fmax-sweep", "power-sweep"],
     )
     def test_k_1_still_accepted_without_newton(self, channel_path, argv):
         assert run_cli(*argv, "--channel", channel_path, "--k", "1") == 0

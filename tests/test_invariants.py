@@ -100,13 +100,26 @@ def _meta(path, key):
 def test_cli_power_sweep_agrees_with_single_commands(tmp_path, capsys, k):
     rng = np.random.default_rng(k)
     out = tmp_path / "out.csv"
-    for _ in range(2):
-        channel = _channel(tmp_path / "ch.json", random_monotone_model(rng))
+    for g in (random_monotone_model(rng), random_monotone_model(rng), BUMP):
+        channel = _channel(tmp_path / "ch.json", g)
         for gamma_db in GAMMAS_DB:
             flags = ["--channel", channel, "--gamma-db", repr(gamma_db), "--k", str(k), "--fchip", "2e8"]
             assert main(["rate-curve", *flags, "--sweep", "power:1e-12:1e9:7:log", "--out", str(out)]) == 0
             rows = _read_csv(out)[2]
             assert np.all(np.diff(rows[:, 1:], axis=0) >= 0.0)
+            if g is BUMP:
+                # a rising GNR: no Newton search and no table search, so the
+                # exact column is checked against waterlevel_solve on the same grid
+                gamma = 10.0 ** (gamma_db / 10.0)
+                grid = owclb.SubcarrierGrid.from_model(
+                    owclb.reduce_to_polezero(owclb.load_chain(channel)), k, 2e8)
+                assert not grid.is_monotone_nonincreasing()
+                for b, exact, hh in rows[:, :3].tolist():
+                    assert exact == owclb.waterlevel_solve(grid, gamma, b).rate / 1e6
+                    assert main(["optimize-hh", *flags, "--naive", "--budget", repr(b), "--out", str(out)]) == 0
+                    assert _meta(out, "rate_bit_s") / 1e6 == hh
+                    assert hh <= exact * (1.0 + 1e-12)
+                continue
             for b, newton, hh in rows[:, :3].tolist():
                 single = ["--budget", repr(b), "--out", str(out)]
                 assert main(["optimize-newton", *flags, *single]) == 0

@@ -124,13 +124,14 @@ class TestSigma2Oracle:
         want = 1e-300 * _oracles.mp_sigma2(scaled, 1.0, f_max * 1e300)
         assert got == pytest.approx(want, rel=1e-12)
 
-    def test_power_that_is_no_float_is_refused(self):
-        # a zero and a pole far below every node: both ratios are 0/0 in floating point
+    def test_zero_and_pole_far_below_every_node(self):
+        # (c/F)^2 + r^2 underflows to 0 for both corners, so each log1p of
+        # dist / 0 is inf; the terms are taken as log(dist) - 2 log(hypot(c/F, r))
         g = owclb.MagSqPoleZeroGnr(gnr0=1.0, zeros=(1e-200,), poles=(1e-210, 1.0))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match=r"^sigma2 at f_max=1e\+06 Hz is not finite"):
-                owclb.sigma2_of_fmax(g, 1.0, 1e6)
+            got = owclb.sigma2_of_fmax(g, 1.0, 1e6)
+        assert got == pytest.approx(_oracles.mp_sigma2(g, 1.0, 1e6), rel=1e-12)
 
     def test_corners_spread_over_decades(self):
         for f_max in (1e3, 72477.97, 1e6, 3e7):
@@ -297,7 +298,7 @@ class TestDerivative:
         # which Newton takes as unusable: it ends at the power curve's exact count
         grid = owclb.SubcarrierGrid.from_model(g, 64, 1e-300)
         sol = owclb.newton_fmax(g, 1.0, 1e-303, grid)
-        n = owclb.waterfill.newton_sweep(g, 1.0, [1e-303], grid)[0]
+        n = owclb.waterlevel_sweep(grid, 1.0, [1e-303])[0]
         assert sol.iterations == 1 and n[0] > 1 and sol.f_max == grid.f_k[n[0] - 1]
 
     def test_positive_for_strictly_decreasing_gnr(self):
@@ -540,10 +541,12 @@ def sweep_budgets(rng, power, exact_count=48):
     return [float(b) for b in budgets if b > 0.0]
 
 
-class TestNewtonSweep:
+class TestWaterlevelSweep:
     @staticmethod
     def assert_matches_newton(g, gamma, budgets, grid):
-        n, rates = owclb.newton_sweep(g, gamma, budgets, grid)
+        # on a nondecreasing Gamma/GNR_k the sweep's stable sort keeps the subcarrier order
+        assert np.all(np.diff(gamma / grid.gnr_k) >= 0.0)
+        n, rates = owclb.waterlevel_sweep(grid, gamma, budgets)
         curve = np.array(_oracles.power_curve_in_order(grid, gamma))
         assert np.all(np.diff(curve) >= 0.0)
         for b, lo, rate in zip(budgets, n.tolist(), rates.tolist()):
@@ -598,7 +601,18 @@ class TestNewtonSweep:
         # above, up to the rounding of two sums of K nonnegative terms
         curve = np.array(_oracles.power_curve_in_order(grid, 2.0))
         assert np.all(curve >= power * (1.0 - 2.0 * (k + 4) * 2.0**-52))
-        self.assert_matches_newton(g, 2.0, budgets, grid)
+        # w also falls by an ulp here and there, so the sweep's cost order is
+        # not the subcarrier order: its rates are waterlevel_solve's, and
+        # newton_fmax keeps its exit contract on the subcarrier-order curve
+        assert np.any(np.diff(w) < 0.0)
+        rates = owclb.waterlevel_sweep(grid, 2.0, budgets)[1]
+        for b, rate in zip(budgets, rates.tolist()):
+            lo = round(owclb.newton_fmax(g, 2.0, b, grid).f_max / grid.delta_b)
+            assert curve[lo - 1] <= b and (lo == k or curve[lo] > b)
+            try:
+                assert rate == owclb.waterlevel_solve(grid, 2.0, b).rate
+            except RuntimeError:  # the budget is lost in rounding next to w_(1)
+                pass
 
     def test_random_models(self):
         rng = np.random.default_rng(1407)
@@ -615,7 +629,7 @@ class TestNewtonSweep:
         grid = subcarriers(ref_model, k, 200e6)
         full = float(power_curve(grid, gap)[-1])
         budgets = [full * f for f in np.geomspace(1e-6, 0.9, 6)] + [2.0 * full] * 10
-        n, rates = owclb.newton_sweep(ref_model, gap, budgets, grid)
+        n, rates = owclb.waterlevel_sweep(grid, gap, budgets)
         if k == 1024:
             assert int(n.sum()) > owclb.waterfill._SWEEP_PASS
         if k > owclb.waterfill._SWEEP_PASS:
@@ -625,14 +639,48 @@ class TestNewtonSweep:
             assert lo * grid.delta_b == sol.f_max
             assert rate.tobytes() == np.float64(sol.rate).tobytes()
 
-    def test_refusals_are_newton_fmax_ones(self, ref_model, bump_model, gap):
+    def test_refuses_a_budget_that_is_not_positive(self, ref_model, gap):
+        # the gap and an overflowing Gamma/GNR_k are refused as by every solver (below)
         grid = subcarriers(ref_model, 64, 200e6)
-        with pytest.raises(ValueError, match=r"^sigma2_budget must be > 0, got 0.0$"):
-            owclb.newton_sweep(ref_model, gap, [1.0, 0.0], grid)
-        with pytest.raises(ValueError, match=r"^K must be an integer >= 2, got 1$"):
-            owclb.newton_sweep(ref_model, gap, [1.0], subcarriers(ref_model, 1, 200e6))
-        with pytest.raises(owclb.NonMonotoneGnrError, match=r"^newton_fmax requires"):
-            owclb.newton_sweep(bump_model, 1.0, [1e6], subcarriers(bump_model, 64, 1e9))
+        for bad in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match=rf"^sigma2_budget must be > 0, got {bad!r}$"):
+                owclb.waterlevel_sweep(grid, gap, [1.0, bad])
+
+    @pytest.mark.parametrize("kind", ["monotone", "bump", "shuffled", "plateau"])
+    def test_rates_are_waterlevel_solve_ones(self, bump_model, kind):
+        # any grid, K 1 to 1024: each rate is waterlevel_solve's, and on a
+        # nondecreasing Gamma/GNR_k of a monotone model f_max and rate are newton_fmax's
+        rng = np.random.default_rng(["monotone", "bump", "shuffled", "plateau"].index(kind) + 29)
+        solved = newton = 0
+        for _ in range(30):
+            k = int(rng.choice([1, 2, 3, 8, 64, 256, 1024]))
+            f_chip = float(10.0 ** rng.uniform(6.0, 9.5))
+            g = random_monotone_model(rng) if kind != "bump" else bump_model
+            grid = subcarriers(g, k, f_chip if kind != "bump" else 1e9)
+            if kind == "shuffled":
+                grid = owclb.SubcarrierGrid(K=k, f_chip=f_chip, gnr_k=rng.permutation(grid.gnr_k))
+            elif kind == "plateau":
+                values = 10.0 ** rng.uniform(-3.0, 3.0, int(rng.integers(1, 5)))
+                grid = owclb.SubcarrierGrid(K=k, f_chip=f_chip, gnr_k=rng.choice(values, k))
+            gamma = float(10.0 ** rng.uniform(0.0, 1.0))
+            budgets = level_budgets(rng, grid, gamma)
+            n, rates = owclb.waterlevel_sweep(grid, gamma, budgets)
+            monotone = (kind == "monotone" and k >= 2 and owclb.is_monotone_decreasing(g, f_chip)
+                        and np.all(np.diff(gamma / grid.gnr_k) >= 0.0))
+            for b, lo, rate in zip(budgets, n.tolist(), rates):
+                try:
+                    sol = owclb.waterlevel_solve(grid, gamma, b)
+                except RuntimeError:  # the budget is lost in rounding next to w_(1)
+                    continue
+                solved += 1
+                assert rate.tobytes() == np.float64(sol.rate).tobytes(), (kind, k, b)
+                if monotone:
+                    newton += 1
+                    sol = owclb.newton_fmax(g, gamma, b, grid)
+                    assert lo * grid.delta_b == sol.f_max
+                    assert rate.tobytes() == np.float64(sol.rate).tobytes(), (k, b)
+        assert solved > 200
+        assert (newton > 100) == (kind == "monotone")
 
 
 def level_grid(rng, kind: str) -> owclb.SubcarrierGrid:
@@ -855,8 +903,8 @@ GAP_CALLS = {
     "sigma2_of_fmax": lambda g, grid, gap: owclb.sigma2_of_fmax(g, gap, 5e7),
     "dsigma2_dfmax": lambda g, grid, gap: owclb.dsigma2_dfmax(g, gap, 5e7),
     "newton_fmax": lambda g, grid, gap: owclb.newton_fmax(g, gap, 1e7, grid).rate,
-    "newton_sweep": lambda g, grid, gap: owclb.newton_sweep(g, gap, [1e7], grid)[1][0],
     "waterlevel_solve": lambda g, grid, gap: owclb.waterlevel_solve(grid, gap, 1e7).rate,
+    "waterlevel_sweep": lambda g, grid, gap: owclb.waterlevel_sweep(grid, gap, [1e7])[1][0],
     "hh_naive": lambda g, grid, gap: owclb.hh_naive(grid, gap, 1e7).rate,
     "hh_accelerated": lambda g, grid, gap: owclb.hh_accelerated(grid, gap, 1e7).rate,
     "hh_sorted_prefix": lambda g, grid, gap: owclb.hh_sorted_prefix(grid, gap, [1e7])[0],
@@ -901,9 +949,9 @@ def test_gamma_over_gnr_overflow_at_fmax_is_value_error():
     [
         lambda grid: owclb.newton_fmax(OVERFLOW_MODEL, 1.0, 1.0, grid),
         lambda grid: owclb.waterlevel_solve(grid, 1.0, 1.0),
-        lambda grid: owclb.newton_sweep(OVERFLOW_MODEL, 1.0, [1.0, 2.0], grid),
+        lambda grid: owclb.waterlevel_sweep(grid, 1.0, [1.0, 2.0]),
     ],
-    ids=["newton_fmax", "waterlevel_solve", "newton_sweep"],
+    ids=["newton_fmax", "waterlevel_solve", "waterlevel_sweep"],
 )
 def test_gamma_over_gnr_overflow_on_grid_names_the_subcarrier(solve):
     grid = subcarriers(OVERFLOW_MODEL, 64, 1e7)
@@ -925,7 +973,7 @@ def test_power_curve_overflow_is_above_every_budget():
     for b in budgets:
         sol = owclb.newton_fmax(g, 1.0, b, grid)
         assert sol.f_max == grid.delta_b and sol.sigma2 == 0.0 and sol.rate == 0.0
-    n, rates = owclb.newton_sweep(g, 1.0, budgets, grid)
+    n, rates = owclb.waterlevel_sweep(grid, 1.0, budgets)
     assert n.tolist() == [1] * 4 and rates.tolist() == [0.0] * 4
     assert np.isinf(owclb.waterfill._power_curve(1.0 / grid.gnr_k, grid.delta_b)[-1])
 
