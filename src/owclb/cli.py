@@ -273,7 +273,7 @@ def cmd_fit(args) -> int:
         n_zeros=args.zeros,
         n_poles=args.poles,
         f_range=f_range,
-        multistarts=16,
+        multistarts=32,
         seed=args.seed,
     )
     fits = {}

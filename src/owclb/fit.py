@@ -12,16 +12,25 @@ keeps every corner positive without explicit constraints and weights the
 decades of a wideband response evenly.  The damping factor follows the
 usual Levenberg schedule: start 1e-3, x10 on a rejected step, /10 on an
 accepted one.  The landscape is nonconvex with permutation symmetry, so
-the solve is multistarted from seed-controlled log-uniform corner draws
-and the best start wins; corners are reported sorted ascending.
+the solve is multistarted from seed-controlled log-uniform corner draws,
+in two phases (Rinnooy Kan & Timmer, Math. Programming 39, 1987):
 
-The starts run in lockstep on (starts, rows) arrays: each round makes one
-damped trial per live start, with its own damping factor and accept test,
-and a start drops out where a loop over that start alone would stop.  The
-per-start arithmetic is the same as such a loop's (stacked matmul and
-solve, corner weights through math.exp, the offset's mean row by row), so
-every start ends on the same bytes; ``tests/_oracles.gauss_newton_serial``
-is that loop.
+* screen: every draw runs for at most _SCREEN_ITERS accepted steps;
+* polish: the _POLISHED draws of lowest screened cost (ranked stably in
+  draw order, non-finite costs last) run on from their screened corners
+  to the full stop rule, with the damping and the offset started afresh.
+
+The best polished start wins; corners are reported sorted ascending.
+Starts that crawl toward the step cap along a near-cancelling corner pair
+rank low after the screen and cost no further rounds.
+
+Each phase runs its starts in lockstep on (starts, rows) arrays: each
+round makes one damped trial per live start, with its own damping factor
+and accept test, and a start drops out where a loop over that start alone
+would stop.  The per-start arithmetic is the same as such a loop's
+(stacked matmul and solve, corner weights through math.exp, the offset's
+mean row by row), so every start ends on the same bytes;
+``tests/_oracles.gauss_newton_serial`` is that loop.
 
 Layout: elementwise work runs corner-major, on (starts, M+N, rows) arrays,
 so every ufunc's inner loop walks a contiguous row of the table.  The
@@ -51,6 +60,8 @@ from .linkchain import (
 _Q10 = 10.0 / math.log(10.0)  # dB per natural-log unit
 _DAMP_TRIES = 25  # rejected damped trials in a row before a start stops
 _MAX_ITERS = 200  # accepted steps before a start stops
+_SCREEN_ITERS = 10  # accepted steps every draw gets before the ranking
+_POLISHED = 4  # best-ranked draws run on to _MAX_ITERS
 _MARGIN = 16.0  # a corner may leave f_range by this many nepers
 # so the solve's corner weights exp(2 l) and ratios f^2/weight are normal
 # floats for an f_range inside these limits, spanning at most _F_FIT_MAX
@@ -65,7 +76,7 @@ class FitConfig:
     n_zeros: int
     n_poles: int
     f_range: tuple[float, float]
-    multistarts: int = 16
+    multistarts: int = 32
     seed: int = 0
 
     def __post_init__(self):
@@ -252,9 +263,12 @@ def fit_polezero(data: ResponseTable, cfg: FitConfig) -> FitResult:
 
     m = cfg.n_zeros
     rng = np.random.default_rng(cfg.seed)
-    # row by row: the start's zeros, then its poles
+    # row by row: the draw's zeros, then its poles
     logs0 = rng.uniform(math.log(lo), math.log(hi), (cfg.multistarts, m + cfg.n_poles))
-    cost, cs, logs, rs = _lockstep_lm(u, y_data, logs0, m, l_bounds, _MAX_ITERS)
+    cost, _, logs, _ = _lockstep_lm(u, y_data, logs0, m, l_bounds, _SCREEN_ITERS)
+    # stable in draw order; a NaN cost sorts last, so map +inf there too
+    ranked = np.argsort(np.where(np.isfinite(cost), cost, np.nan), kind="stable")
+    cost, cs, logs, rs = _lockstep_lm(u, y_data, logs[ranked[:_POLISHED]], m, l_bounds, _MAX_ITERS)
     finite = np.flatnonzero(np.isfinite(cost))
     if not finite.size:
         raise RuntimeError("all fit starts diverged")

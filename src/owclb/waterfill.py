@@ -20,7 +20,7 @@ optimization to a one-dimensional search over f_max:
 * ``newton_fmax``      grid-snapped Newton search for f_max given a budget,
                        one bracketed loop over the grid's power curve that
                        takes the curve's exact count once Newton is unusable,
-                       then the exact water level over the cells it loads
+                       then ``waterlevel_solve``'s exact water level
 * ``waterlevel_solve`` exact water level for arbitrary (also
                        non-monotone) GNR samples on the grid's equal
                        Delta_B cells, with island reporting
@@ -28,8 +28,8 @@ optimization to a one-dimensional search over f_max:
                        on any grid (the ``rate-curve`` power sweep)
 
 All three read one core (``_levels``): each budget's count on the power
-curve of the cells in cost order, and the level's rate over those cells;
-on a nondecreasing Gamma/GNR_k they give the same bits.
+curve of the cells in stable-sorted cost order, and the level's rate over
+those cells; they give the same rate bits on any grid.
 
 When the GNR is flat the f_max parameterization degenerates (S is zero
 for every f_max); ``waterlevel_solve`` is the designated path for flat or
@@ -42,8 +42,9 @@ pinned between a within-budget point of the power curve (``_power_curve``,
 nondecreasing in floating point) and its over-budget successor; once
 Newton is unusable it takes the curve's count of values within budget,
 the one index the bracket can end at.  It then ends at the exact level
-over those n cells, which spends the rest of the budget:
-w_n <= v < w_(n+1).  ``iterations`` counts Newton attempts.
+over the stably sorted cells (on a nondecreasing Gamma/GNR_k, those n
+cells), which spends the rest of the budget: w_n <= v < w_(n+1).
+``iterations`` counts Newton attempts.
 
 All power budgets are signal variances in V^2.  Every ``gap`` argument is
 the modulation gap Gamma as a plain linear number >= 1, 10**(dB/10).
@@ -443,9 +444,12 @@ def newton_fmax(
     stops.  ``iterations`` counts Newton attempts, a failed one included.
     A budget larger than the full-band power saturates at f_chip (flagged
     on the returned solution).  On the curve, power(lo) <= budget and one
-    more grid step would exceed it.  The solution is ``_finish``'s exact
-    level over the first lo subcarriers (sigma2 <= budget), on a
-    nondecreasing Gamma/GNR_k ``waterlevel_solve``'s, bit for bit.
+    more grid step would exceed it.  ``f_max``, ``saturated`` and
+    ``iterations`` come from that bracket.  The PSD, level and rate are
+    ``_finish``'s exact level over the stable cost order (sigma2 <=
+    budget), ``waterlevel_solve``'s bit for bit: on a grid whose
+    Gamma/GNR_k falls by an ulp in places, as the monotone check's
+    tolerance allows, that is not the subcarrier order.
     """
     gamma = _gamma_value(gap)
     K, delta = grid.K, grid.delta_b
@@ -477,7 +481,8 @@ def newton_fmax(
         else:
             hi = ks
         f_cur = ks * delta
-    level, psd, sigma2, rate = _finish(grid, gamma, w_k, np.arange(K), sigma2_budget)
+    level, psd, sigma2, rate = _finish(grid, gamma, w_k, np.argsort(w_k, kind="stable"),
+                                       sigma2_budget)
     return WaterfillSolution(f_max=float(grid.f_k[lo - 1]), water_level=level, f_hz=grid.f_k,
                              psd=psd, gnr=grid.gnr_k, sigma2=sigma2, rate=rate,
                              saturated=lo == K, iterations=iters)

@@ -623,6 +623,17 @@ class TestFitCommand:
         back = owclb.reduce_to_polezero(chain)
         assert back.poles == pytest.approx(model.poles, rel=1e-3)
 
+    # two reducible fit-pipeline benchmark tables (run seeds 907 and 9, jobs
+    # 150 and 530) whose best 16 draws stopped in a local minimum at 0.178
+    # and 0.154 dB, above the benchmark's 0.13 dB bound for 0.1 dB noise
+    @pytest.mark.parametrize("table, seed", [("fit_table_s907_j150.csv", "150"),
+                                             ("fit_table_s9_j530.csv", "530")])
+    def test_fit_escapes_the_local_minimum(self, capsys, table, seed):
+        argv = ["fit", "--channel", str(DATA / table), "--zeros", "1", "--poles", "4", "--seed", seed]
+        assert run_cli(*argv) == 0
+        rms = float(re.search(r"rms=(\S+) dB", capsys.readouterr().out).group(1))
+        assert rms <= 0.13
+
     def test_fit_db_input(self, tmp_path):
         model = owclb.MagSqPoleZeroGnr(gnr0=50.0, poles=(5e6,))
         freqs = np.geomspace(1e4, 1e9, 80)

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -422,3 +423,92 @@ class TestKernelsMatchSerial:
             assert got.shape[0] == 16
             for row in got:
                 assert np.asarray(row).tobytes() == np.asarray(want[0]).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the two-phase multistart against a serial composition of the per-start loop
+
+
+def _serial_fit(table, cfg):
+    """fit_polezero as plain loops over gauss_newton_serial: every draw for
+    _SCREEN_ITERS accepted steps, a stable ranking by cost with non-finite
+    costs last, then the best _POLISHED draws from their screened corners
+    for _MAX_ITERS steps.  Returns the polished starts' first corners, one
+    row each, and (cost, offset, log zeros, log poles, residuals) of the
+    first polished start of least cost."""
+    lo, hi = cfg.f_range
+    u = np.square(table.frequencies)
+    y_data = 10.0 * np.log10(table.values)
+    l_bounds = (math.log(lo) - 16.0, math.log(hi) + 16.0)
+    m = cfg.n_zeros
+    draws = np.random.default_rng(cfg.seed).uniform(
+        math.log(lo), math.log(hi), (cfg.multistarts, m + cfg.n_poles)
+    )
+    screened = [
+        _oracles.gauss_newton_serial(u, y_data, d[:m], d[m:], l_bounds, 10) for d in draws
+    ]
+    costs = [s[0] for s in screened]
+    ranked = sorted(range(len(costs)), key=lambda i: (
+        not math.isfinite(costs[i]), costs[i] if math.isfinite(costs[i]) else 0.0))
+    starts = np.array([np.concatenate(screened[i][2:4]) for i in ranked[:4]])
+    polished = [
+        _oracles.gauss_newton_serial(u, y_data, s[:m], s[m:], l_bounds, 200) for s in starts
+    ]
+    return starts, min((p for p in polished if math.isfinite(p[0])), key=lambda p: p[0])
+
+
+@pytest.fixture
+def lm_calls(monkeypatch):
+    """(max_iters, start corners) of every _lockstep_lm call, in order."""
+    calls = []
+    real = fit._lockstep_lm
+
+    def spy(u, y_data, logs0, m, l_bounds, max_iters):
+        calls.append((max_iters, logs0.copy()))
+        return real(u, y_data, logs0, m, l_bounds, max_iters)
+
+    monkeypatch.setattr(fit, "_lockstep_lm", spy)
+    return calls
+
+
+class TestTwoPhaseMatchesSerial:
+    def test_phase_sizes(self):
+        assert (fit._SCREEN_ITERS, fit._POLISHED, fit._MAX_ITERS) == (10, 4, 200)
+        assert owclb.FitConfig(n_zeros=0, n_poles=1, f_range=(1.0, 2.0)).multistarts == 32
+
+    @pytest.mark.parametrize("multistarts", [1, 3, 32])
+    @pytest.mark.parametrize("m, n", [(0, 4), (1, 4), (2, 3)])
+    def test_fit_is_the_serial_composition(self, lm_calls, m, n, multistarts):
+        rng = np.random.default_rng(5000 + 10 * m + n)
+        model = owclb.MagSqPoleZeroGnr(
+            gnr0=10.0 ** rng.uniform(2, 10),
+            zeros=tuple(10.0 ** rng.uniform(5.5, 8.5, m)),
+            poles=tuple(10.0 ** rng.uniform(5.5, 8.5, n)),
+        )
+        freqs = np.geomspace(_LO, _HI, 300)
+        table = owclb.ResponseTable(
+            frequencies=freqs, values=model(freqs) * 10.0 ** (rng.normal(0.0, 0.1, 300) / 10.0)
+        )
+        cfg = owclb.FitConfig(n_zeros=m, n_poles=n, f_range=(_LO, _HI), multistarts=multistarts,
+                              seed=int(rng.integers(1000)))
+        got = owclb.fit_polezero(table, cfg)
+        starts, (cost, c, log_z, log_p, r) = _serial_fit(table, cfg)
+        # the polish starts from the ranked draws' screened corners
+        assert [k for k, _ in lm_calls] == [10, 200]
+        assert lm_calls[1][1].tobytes() == starts.tobytes()
+        assert got.per_point_residuals.tobytes() == r.tobytes()
+        assert got.rms_db_error == float(np.sqrt(np.mean(np.square(r))))
+        assert got.model.gnr0 == 10.0 ** (c / 10.0)
+        assert got.model.zeros == tuple(float(np.exp(l)) for l in np.sort(log_z))
+        assert got.model.poles == tuple(float(np.exp(l)) for l in np.sort(log_p))
+
+    def test_first_16_of_32_draws_are_the_16_draws(self, lm_calls):
+        # the screen is handed the generator's draws row by row, so 32 draws
+        # extend 16 and a fit can only gain from the added ones
+        table = owclb.read_response_table(Path(__file__).parent / "data" / "fit_table_ref300.csv")
+        for starts in (16, 32):
+            cfg = owclb.FitConfig(n_zeros=1, n_poles=4, f_range=(1e5, 1e9), multistarts=starts, seed=150)
+            owclb.fit_polezero(table, cfg)
+        screens = [logs0 for k, logs0 in lm_calls if k == fit._SCREEN_ITERS]
+        assert [s.shape for s in screens] == [(16, 5), (32, 5)]
+        assert screens[1][:16].tobytes() == screens[0].tobytes()

@@ -614,6 +614,32 @@ class TestWaterlevelSweep:
             except RuntimeError:  # the budget is lost in rounding next to w_(1)
                 pass
 
+    def test_newton_finishes_on_the_stable_cost_order(self):
+        # w falls by an ulp at 17 places, inside the monotone check's
+        # tolerance; Newton's level, PSD and rate are still the exact level's
+        # over the stably sorted cells, at the plateau test's budgets and on
+        # and just above every point of the sorted power curve
+        g = owclb.MagSqPoleZeroGnr(gnr0=5e6, zeros=(1.2e7,), poles=(7e6, 6e7))
+        grid = subcarriers(g, 256, 1.0)
+        w = 2.0 / grid.gnr_k
+        assert np.sum(np.diff(w) < 0.0) == 17
+        budgets = sweep_budgets(np.random.default_rng(256), power_curve(grid, 2.0), exact_count=256)
+        points = np.unique(owclb.waterfill._power_curve(np.sort(w, kind="stable"), grid.delta_b))
+        points = points[points > 0.0]
+        budgets += points.tolist() + np.nextafter(points, np.inf).tolist()
+        rates = owclb.waterlevel_sweep(grid, 2.0, budgets)[1]
+        for b, rate in zip(budgets, rates.tolist()):
+            sol = owclb.newton_fmax(g, 2.0, b, grid)
+            assert sol.rate == rate, b
+            try:
+                want = owclb.waterlevel_solve(grid, 2.0, b)
+            except RuntimeError:  # the budget is lost in rounding next to w_(1)
+                assert not np.any(sol.psd)
+                continue
+            assert sol.rate == want.rate, b
+            assert (sol.water_level, sol.sigma2) == (want.water_level, want.sigma2)
+            assert sol.psd.tobytes() == want.psd.tobytes()
+
     def test_random_models(self):
         rng = np.random.default_rng(1407)
         for _ in range(40):
