@@ -20,12 +20,13 @@ the lowest-numbered ones that cost exactly that, stably sorted by cost.
 Both report the FLOPs and search rounds of the two
 Hughes-Hartogs searches the paper compares: a scan of all K subcarriers
 per round, and a search of a lookup table of block heads, one per
-populated bit level.  The table search is exact only on
-monotone channels, where subcarriers carrying equal bit counts form
-contiguous blocks, so ``hh_accelerated`` refuses a grid whose GNR rises.
-Both give the same bits on any grid they accept.  The CLI uses
-``hh_accelerated`` for ``optimize-hh`` and ``compare`` and ``hh_naive`` for
-``optimize-hh --naive`` and as the reference in ``compare``.
+populated bit level.  The table search walks the subcarriers in the stable
+order of their first-bit costs Delta_B * Gamma / GNR_k, in which the ones
+holding equal bit counts form contiguous blocks on any grid; where the GNR
+does not rise, that is the subcarrier order.  Both give the same bits on
+any grid.  The CLI uses ``hh_accelerated`` for ``optimize-hh`` and
+``compare`` and ``hh_naive`` for ``optimize-hh --naive`` and as the
+reference in ``compare``.
 
 Power bookkeeping uses the closed form
 
@@ -44,7 +45,9 @@ comparisons, plus 2 for the budget check (one add, one compare) when a
 finite candidate is left; each accepted bit costs 6 (marginal doubling,
 closed-form power refresh, running-total add).  L grants take L + 1
 rounds, the last one rejecting.  The scan has K candidates per round, the
-table one per populated level below the cap.
+table one per populated level below the cap.  Where the cost order is not
+the subcarrier order, the table search also pays K * ceil(log2 K)
+comparisons to sort the subcarriers (a merge sort's bound).
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linkchain import ChannelFormatError, _read_csv, _write_csv
+from .linkchain import ChannelFormatError, _is_integer, _read_csv, _write_csv
 from .waterfill import SubcarrierGrid, _gamma_value
 
 DEFAULT_BIT_CAP = 12
@@ -71,9 +74,9 @@ class BitLoadPlan:
     ``rate`` is delta_b * sum(bits) in bit/s.  ``iterations`` counts
     search rounds including the final rejecting one; ``flops`` follows the
     convention documented in the module docstring.  ``hh_accelerated``
-    sets ``group_table[b]`` to the lowest-index subcarrier (1-based)
-    carrying exactly b bits, or 0 when none does; level 0 heads the still
-    unloaded subcarriers.
+    sets ``group_table[b]`` to the cheapest subcarrier (1-based) carrying
+    exactly b bits, the lowest-numbered among equal costs, or 0 when none
+    does; level 0 heads the still unloaded subcarriers.
     """
 
     bits: np.ndarray
@@ -89,21 +92,28 @@ class BitLoadPlan:
     group_table: tuple[int, ...] | None = None
 
 
+def _marginal(grid: SubcarrierGrid, gamma: float) -> np.ndarray:
+    """Each subcarrier's first-bit cost delta_b*gamma/gnr_k: one multiply
+    and one divide.  A cost past the largest float is inf, as in scalar code."""
+    with np.errstate(over="ignore"):
+        return grid.delta_b * gamma / grid.gnr_k
+
+
 def _costs(grid: SubcarrierGrid, gamma: float, budgets, bit_cap: int):
     """The checked budgets and every (subcarrier, bit) increment's cost.
 
     Increments are numbered subcarrier-major, k * bit_cap + b for 0-based
     subcarrier k raised from b to b+1 bits, and each costs
-    (delta_b*gamma/gnr_k) * 2^b: one multiply, one divide and then exact
-    doublings.  A cost past the largest float is inf, as in scalar code.
+    ``_marginal`` * 2^b, by exact doublings.
     """
+    if not (_is_integer(bit_cap) and bit_cap >= 0):
+        raise ValueError(f"bit_cap must be an integer >= 0, got {bit_cap!r}")
     budgets = np.atleast_1d(np.asarray(budgets, dtype=float))
     bad = budgets[~(budgets >= 0.0)]  # NaN too; inf loads every carrier to the cap
     if bad.size:
         raise ValueError(f"sigma2_budget must be >= 0, got {float(bad[0])!r}")
     with np.errstate(over="ignore"):
-        marginal = grid.delta_b * gamma / grid.gnr_k
-        return budgets, (marginal[:, None] * 2.0 ** np.arange(bit_cap)).ravel()
+        return budgets, (_marginal(grid, gamma)[:, None] * 2.0 ** np.arange(bit_cap)).ravel()
 
 
 def _sorted_counts(grid: SubcarrierGrid, gamma: float, budgets, bit_cap: int):
@@ -153,14 +163,14 @@ def _table_search_flops(old_levels: np.ndarray, K: int, bit_cap: int) -> int:
     """Comparisons the lookup-table search makes over every round.
 
     A round compares the heads of the populated levels below the cap, so
-    it costs their count minus one; it sees at least one unless every
-    carrier sits at the cap.  Grant i moves a carrier from level
-    ``old_levels[i]`` to the next one, so the departures from level b-1
-    are the arrivals at level b, and all K carriers arrive at level 0 at
-    index -1.  A level holds a carrier from its first arrival on, except
-    after its j-th departure until its (j+1)-th arrival, or until the last
-    round L (the grant count) when no arrival is left.  All levels are
-    counted in one pass over the grants grouped by level.
+    it costs their count minus one, or nothing when every carrier sits at
+    the cap (a full load's last round, or the one round at cap 0).  Grant
+    i moves a carrier from level ``old_levels[i]`` to the next one, so the
+    departures from level b-1 are the arrivals at level b, and all K
+    carriers arrive at level 0 at index -1.  A level holds a carrier from
+    its first arrival on, except after its j-th departure until its
+    (j+1)-th arrival, or until the last round L (the grant count) when no
+    arrival is left.  All levels are counted in one pass over the grants.
     """
     L = old_levels.size
     # grant indices by old level, ascending within a level (levels fit a
@@ -176,7 +186,7 @@ def _table_search_flops(old_levels: np.ndarray, K: int, bit_cap: int) -> int:
     paired = np.where(nxt < hi, arrivals[np.minimum(nxt, K + L - 1)], L)
     gaps = int(np.maximum(paired - by_level, 0).sum())
     first = arrivals[bounds[1:-2][bounds[1:-2] < bounds[2:-1]]]  # of each level b >= 1 reached
-    return int((L - first).sum()) - gaps + (L == K * bit_cap)
+    return int((L - first).sum()) - gaps + (0 < L == K * bit_cap)
 
 
 def _plan(grid, gamma, sigma2_budget, bits, finite_left, search_flops, algorithm, table=None):
@@ -238,15 +248,6 @@ def hh_naive(
     return _plan(grid, gamma, sigma2_budget, bits, loads < finite, search, "hh_naive")
 
 
-def require_monotone_grid(grid: SubcarrierGrid) -> None:
-    """Refuse a grid whose GNR rises somewhere, as ``hh_accelerated`` does."""
-    if not grid.is_monotone_nonincreasing():
-        raise ValueError(
-            "hh_accelerated requires gnr_k non-increasing in k; "
-            "sort the grid or use hh_naive"
-        )
-
-
 def hh_accelerated(
     grid: SubcarrierGrid,
     gap,
@@ -254,24 +255,27 @@ def hh_accelerated(
     *,
     bit_cap: int = DEFAULT_BIT_CAP,
 ) -> BitLoadPlan:
-    """Greedy loader, costed as a lookup-table search, for monotone channels.
+    """Greedy loader, costed as a lookup-table search, on any grid.
 
-    Requires gnr_k non-increasing in k, which guarantees the grouping
-    property: per bit level only the block head can be the cheapest
-    candidate, so each round searches at most bit_cap entries instead of
-    K.  Produces exactly the same bits and powers as ``hh_naive``, and
-    ``group_table`` holds the block heads at the end.  Subcarriers that
-    reach the bit cap leave the candidate set.
+    The search walks the subcarriers in the stable order of their first-bit
+    costs, in which Gamma/GNR_k is nondecreasing.  That guarantees the
+    grouping property: per bit level only the block head can be the
+    cheapest candidate, so each round searches at most bit_cap entries
+    instead of K.  Produces exactly the same bits and powers as
+    ``hh_naive``, and ``group_table`` holds the block heads at the end.
+    Subcarriers that reach the bit cap leave the candidate set.
     """
     gamma = _gamma_value(gap)
     grants, finite = _greedy(grid, gamma, sigma2_budget, bit_cap)
-    require_monotone_grid(grid)
     carrier, old_level = np.divmod(grants, bit_cap)
     bits = np.bincount(carrier, minlength=grid.K)
+    order = np.argsort(_marginal(grid, gamma), kind="stable")  # ties as the greedy breaks them
     search = _table_search_flops(old_level, grid.K, bit_cap)
+    if np.any(order != np.arange(grid.K)):
+        search += grid.K * (grid.K - 1).bit_length()  # K * ceil(log2 K) to sort
     heads = np.zeros(bit_cap + 1, dtype=np.int64)
-    held, first = np.unique(bits, return_index=True)
-    heads[held] = first + 1  # 1-based first carrier holding exactly b bits
+    held, first = np.unique(bits[order], return_index=True)
+    heads[held] = order[first] + 1  # 1-based cheapest carrier holding exactly b bits
     table = tuple(heads.tolist())
     finite_left = grants.size < finite
     return _plan(grid, gamma, sigma2_budget, bits, finite_left, search, "hh_accelerated", table)

@@ -306,10 +306,6 @@ class SubcarrierGrid:
         f_chip = _check_size(K, f_chip)
         return cls(K=K, f_chip=f_chip, gnr_k=g(f_chip / K * np.arange(1, K + 1)))
 
-    def is_monotone_nonincreasing(self) -> bool:
-        g = self.gnr_k
-        return bool(np.all(g[1:] <= g[:-1] * (1.0 + 1e-12)))
-
 
 def _gamma_over_gnr(grid: SubcarrierGrid, gamma: float) -> np.ndarray:
     """Gamma/GNR_k per subcarrier; the first one that overflows is refused."""

@@ -15,7 +15,6 @@ from scipy.integrate import quad
 
 import owclb
 from owclb import waterfill
-from owclb.bitload import require_monotone_grid
 from owclb.waterfill import _gamma_value
 
 
@@ -244,37 +243,39 @@ def hh_accelerated_loop(
 ):
     """Search only the head of each populated bit level (a lookup table).
 
-    On a non-increasing grid the head is the cheapest carrier of its level,
-    so the loop grants what the full scan grants.  On a grid that rises by
-    less than the monotone check's 1e-12 tolerance it need not be, and this
-    loop can grant out of greedy order there.
+    The carriers are walked in the stable order of their first-bit costs,
+    a Python sort; where that is not the subcarrier order, sorting is
+    charged K * ceil(log2 K) comparisons.  In that order the carriers at
+    one bit level form a block, and the block's head is its cheapest
+    carrier, so the loop grants what the full scan grants.  Ties between
+    heads go to the lowest subcarrier index, as in the full scan.
     """
     gamma = _gamma_value(gap)
     _check_budget(sigma2_budget)
-    require_monotone_grid(grid)
+    state = _LoadState(grid, gamma)
+    order = sorted(range(grid.K), key=lambda k: float(state.marginal[k]))
+    rank = {k: pos for pos, k in enumerate(order)}
     if sigma2_budget == 0.0:
-        empty = tuple([1] + [0] * bit_cap)  # level 0 heads the grid
+        empty = tuple([order[0] + 1] + [0] * bit_cap)  # level 0 heads the grid
         return _loop_plan(None, grid, gamma, 0.0, 0, 0, "hh_accelerated", empty)
 
-    state = _LoadState(grid, gamma)
+    if order != list(range(grid.K)):
+        state.flops += grid.K * math.ceil(math.log2(grid.K))
     levels = [0] * (bit_cap + 1)
-    levels[0] = 1
+    levels[0] = order[0] + 1
     iterations = 0
     while True:
         iterations += 1
-        # Scan populated levels from highest b to lowest so candidates come
-        # out in ascending subcarrier order; strict < keeps ties on the
-        # lowest index, matching the naive scan.
         best_k = 0
         best_m = math.inf
         n_candidates = 0
-        for b in range(bit_cap - 1, -1, -1):
+        for b in range(bit_cap):
             head = levels[b]
             if head == 0:
                 continue
             n_candidates += 1
             m = float(state.marginal[head - 1])
-            if m < best_m:
+            if m < best_m or (m == best_m and head < best_k):
                 best_m = m
                 best_k = head
         if n_candidates:
@@ -291,8 +292,9 @@ def hh_accelerated_loop(
         b_new = b_old + 1
         if levels[b_new] == 0:
             levels[b_new] = best_k  # new bit level
-        if best_k < grid.K and int(state.bits[idx + 1]) == b_old:
-            levels[b_old] = best_k + 1  # shift old level to the successor
+        pos = rank[idx] + 1
+        if pos < grid.K and int(state.bits[order[pos]]) == b_old:
+            levels[b_old] = order[pos] + 1  # shift old level to the successor
         else:
             levels[b_old] = 0  # old level emptied
         if on_load is not None:

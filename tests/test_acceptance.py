@@ -158,7 +158,9 @@ def test_criterion_5_hh_equivalence_and_optimality():
     with criterion(5, "accelerated HH equals naive HH; naive matches exhaustive search"):
         t0 = time.perf_counter()
         rng = np.random.default_rng(31)
-        # 100 randomized monotone grids split across K in {8, 64, 512}
+        shuffle = np.random.default_rng(131)
+        # 100 randomized monotone grids split across K in {8, 64, 512}, each
+        # also in a seeded shuffle of its subcarriers
         for trial in range(100):
             k = (8, 64, 512)[trial % 3]
             gnr = 10.0 ** rng.uniform(2, 6) * 10.0 ** (
@@ -170,6 +172,10 @@ def test_criterion_5_hh_equivalence_and_optimality():
             )
             a = owclb.hh_naive(grid, GAP, budget)
             b = owclb.hh_accelerated(grid, GAP, budget)
+            np.testing.assert_array_equal(a.bits, b.bits)
+            mixed = owclb.SubcarrierGrid(K=k, f_chip=2e8, gnr_k=shuffle.permutation(gnr))
+            a = owclb.hh_naive(mixed, GAP, budget)
+            b = owclb.hh_accelerated(mixed, GAP, budget)
             np.testing.assert_array_equal(a.bits, b.bits)
 
         # exhaustive optimality: every K <= 4 instance, bit cap 3, 50 budgets
@@ -185,6 +191,21 @@ def test_criterion_5_hh_equivalence_and_optimality():
                     feasible = totals <= budget
                     best = grid.delta_b * float(np.max(bits[feasible]))
                     assert plan.rate == best
+        # and on unsorted GNRs, where the table search walks the cost order
+        rising = 0
+        for k in (2, 3, 4):
+            for _ in range(3):
+                gnr = 10.0 ** rng.uniform(0.0, 2.0, k)
+                rising += bool(np.any(np.diff(gnr) > 0.0))
+                grid = owclb.SubcarrierGrid(K=k, f_chip=float(k), gnr_k=gnr)
+                totals, bits = _oracles.exhaustive_table(grid, 1.0, bit_cap=3)
+                max_power = float(np.max(totals))
+                for _ in range(50):
+                    budget = float(rng.uniform(0.0, 1.1 * max_power))
+                    best = grid.delta_b * float(np.max(bits[totals <= budget]))
+                    for loader in (owclb.hh_naive, owclb.hh_accelerated):
+                        assert loader(grid, 1.0, budget, bit_cap=3).rate == best
+        assert rising > 0
         elapsed = time.perf_counter() - t0
         assert elapsed < 30.0, f"took {elapsed:.2f}s"
 
@@ -209,9 +230,10 @@ def test_criterion_6_discretization_sandwich():
 
 def test_criterion_7_flop_trend():
     with criterion(7, "accelerated HH saves FLOPs, gap widening with K"):
+        rng = np.random.default_rng(7)
         for target_rate in (100e6, 1e9):
             budget = continuous_budget_for_rate(target_rate)
-            gaps = []
+            gaps, shuffled_gaps = [], []
             for k in (64, 128, 256, 512):
                 grid = owclb.SubcarrierGrid.from_model(REF_MODEL, k, 200e6)
                 naive = owclb.hh_naive(grid, GAP, budget)
@@ -219,7 +241,16 @@ def test_criterion_7_flop_trend():
                 np.testing.assert_array_equal(naive.bits, accel.bits)
                 assert accel.flops < naive.flops, (target_rate, k)
                 gaps.append(naive.flops - accel.flops)
+                # the same carriers shuffled: same bits, plus K*ceil(log2 K) to sort
+                perm = rng.permutation(k)
+                mixed = owclb.SubcarrierGrid(K=k, f_chip=200e6, gnr_k=grid.gnr_k[perm])
+                shuffled = owclb.hh_accelerated(mixed, GAP, budget)
+                np.testing.assert_array_equal(shuffled.bits, accel.bits[perm])
+                assert shuffled.flops == accel.flops + k * math.ceil(math.log2(k)), (target_rate, k)
+                shuffled_gaps.append(owclb.hh_naive(mixed, GAP, budget).flops - shuffled.flops)
             assert all(g2 > g1 for g1, g2 in zip(gaps, gaps[1:])), (target_rate, gaps)
+            assert all(g2 > g1 for g1, g2 in zip(shuffled_gaps, shuffled_gaps[1:])), (
+                target_rate, shuffled_gaps)
 
 
 def test_criterion_8_fit_round_trip():

@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import owclb
 
@@ -145,10 +145,20 @@ class TestNaive:
 
 
 class TestAccelerated:
-    def test_rejects_non_monotone_grid(self):
+    def test_loads_rising_grid(self):
+        # the middle carrier is the cheapest, so the table search walks the
+        # carriers in cost order 2, 1, 3 and pays 3 * ceil(log2 3) to sort them
         grid = owclb.SubcarrierGrid(K=3, f_chip=3.0, gnr_k=np.array([1.0, 2.0, 1.0]))
-        with pytest.raises(ValueError, match="hh_naive"):
-            owclb.hh_accelerated(grid, 1.0, 1.0)
+        ranked = owclb.SubcarrierGrid(K=3, f_chip=3.0, gnr_k=np.array([2.0, 1.0, 1.0]))
+        plan = owclb.hh_accelerated(grid, 1.0, 5.0)
+        naive = owclb.hh_naive(grid, 1.0, 5.0)
+        assert plan.bits.tolist() == naive.bits.tolist() == [1, 2, 1]
+        assert plan.power_k.tobytes() == naive.power_k.tobytes()
+        assert plan.total_power == naive.total_power == 3.5
+        assert plan.iterations == naive.iterations == 5
+        assert plan.group_table[:4] == (0, 1, 2, 0)  # carrier 1 heads level 1, carrier 2 level 2
+        assert plan.flops == owclb.hh_accelerated(ranked, 1.0, 5.0).flops + 3 * 2
+        assert_same_plan(plan, _oracles.hh_accelerated_loop(grid, 1.0, 5.0))
 
     def test_equivalent_to_naive_randomized(self):
         rng = np.random.default_rng(7)
@@ -255,11 +265,33 @@ def decreasing_grids(draw):
     return owclb.SubcarrierGrid(K=k, f_chip=draw(st.sampled_from([float(k), 2e8])), gnr_k=gnr)
 
 
+@st.composite
+def any_grids(draw):
+    """Grids in any order: random GNRs, power-of-two GNRs with delta_b = 1
+    (ties within and across bit levels), and runs of equal GNR in any
+    order; K = 1 among them."""
+    k = draw(st.integers(min_value=1, max_value=40))
+    kind = draw(st.sampled_from(["random", "powers", "plateaus"]))
+    if kind == "random":
+        exps = draw(st.lists(st.floats(min_value=-3.0, max_value=6.0), min_size=k, max_size=k))
+        f_chip = draw(st.sampled_from([float(k), 2e8]))
+        return owclb.SubcarrierGrid(K=k, f_chip=f_chip, gnr_k=10.0 ** np.asarray(exps))
+    if kind == "powers":
+        gnr = 2.0 ** np.asarray(draw(st.lists(st.integers(-6, 6), min_size=k, max_size=k)), dtype=float)
+    else:
+        levels = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=5))
+        runs = draw(st.lists(st.integers(1, 8), min_size=len(levels), max_size=len(levels)))
+        gnr = np.repeat(2.0 ** np.asarray(levels, dtype=float), runs)
+    return owclb.SubcarrierGrid(K=gnr.size, f_chip=float(gnr.size), gnr_k=gnr)
+
+
 def budgets_for(grid, gamma, bit_cap):
     """Zero, infinite, anywhere up to past the full load, or exactly the
     cost of the n cheapest increments, which puts the cut between two of them."""
     costs = grid.delta_b * gamma / grid.gnr_k[:, None] * 2.0 ** np.arange(bit_cap)
     spent = np.cumsum(np.sort(costs, axis=None))
+    if not spent.size:  # bit cap 0: nothing to buy at any budget
+        return st.sampled_from([0.0, 1.0, math.inf])
     return st.one_of(
         st.sampled_from([0.0, math.inf]),
         st.floats(min_value=0.0, max_value=1.2).map(lambda frac: frac * float(spent[-1])),
@@ -286,6 +318,21 @@ class TestAgainstLoops:
             plan = loader(grid, gamma, budget, bit_cap=bit_cap)
             assert_same_plan(plan, loop(grid, gamma, budget, bit_cap=bit_cap))
 
+    @settings(deadline=None, max_examples=200)
+    @given(
+        grid=any_grids(),
+        gamma=st.sampled_from([1.0, 4.03645392967605]),
+        bit_cap=st.sampled_from([0, 1, 3, 12]),
+        data=st.data(),
+    )
+    def test_accelerated_equals_the_loop_on_any_grid(self, grid, gamma, bit_cap, data):
+        budget = data.draw(budgets_for(grid, gamma, bit_cap))
+        plan = owclb.hh_accelerated(grid, gamma, budget, bit_cap=bit_cap)
+        assert_same_plan(plan, _oracles.hh_accelerated_loop(grid, gamma, budget, bit_cap=bit_cap))
+        naive = owclb.hh_naive(grid, gamma, budget, bit_cap=bit_cap)
+        np.testing.assert_array_equal(plan.bits, naive.bits)
+        assert plan.iterations == naive.iterations
+
     def test_reference_channel_plans_equal_the_loops(self, ref_model, gap):
         for k, budget in ((64, 3.5e7), (512, 1e7), (256, 1e12)):
             grid = owclb.SubcarrierGrid.from_model(ref_model, k, 200e6)
@@ -303,12 +350,11 @@ class TestAgainstLoops:
     )
     def test_accelerated_equals_naive_on_every_accepted_grid(self, exps, rises, bit_cap, data):
         # power-of-two steps down, each carrier then nudged up by at most
-        # 1e-12: the grid may rise a little and still pass the monotone check,
-        # and the nudges split the ties the steps create
+        # 1e-12: the grid may rise a little, which puts its cost order out of
+        # subcarrier order, and the nudges split the ties the steps create
         k = len(exps)
         base = 2.0 ** np.sort(np.asarray(exps, dtype=float))[::-1]
         grid = owclb.SubcarrierGrid(K=k, f_chip=float(k), gnr_k=base * (1.0 + np.asarray(rises[:k])))
-        assume(grid.is_monotone_nonincreasing())
         budget = data.draw(budgets_for(grid, 1.0, bit_cap))
         naive = owclb.hh_naive(grid, 1.0, budget, bit_cap=bit_cap)
         accel = owclb.hh_accelerated(grid, 1.0, budget, bit_cap=bit_cap)
@@ -384,7 +430,7 @@ class TestGrantOrder:
             assert count == _oracles.table_search_flops_loop(old, k, bit_cap)
 
     def test_full_load_and_single_carrier(self):
-        for k, bit_cap in ((1, 1), (1, 12), (5, 1), (4, 12)):
+        for k, bit_cap in ((1, 1), (1, 12), (5, 1), (4, 12), (3, 0)):
             old = np.tile(np.arange(bit_cap), k).reshape(k, bit_cap).T.ravel()  # round robin
             assert owclb.bitload._table_search_flops(old, k, bit_cap) == (
                 _oracles.table_search_flops_loop(old, k, bit_cap))
@@ -398,14 +444,12 @@ class TestSortedPrefix:
     def check(grid, gamma, budgets, bit_cap=owclb.DEFAULT_BIT_CAP):
         counts = owclb.hh_sorted_prefix(grid, gamma, budgets, bit_cap=bit_cap)
         rates = grid.delta_b * counts.astype(float)  # as the power sweep writes them
-        monotone = grid.is_monotone_nonincreasing()
         for i, budget in enumerate(budgets):
             ref = owclb.hh_naive(grid, gamma, budget, bit_cap=bit_cap)
             assert counts[i] == int(ref.bits.sum())
             assert rates[i].tobytes() == np.float64(ref.rate).tobytes()
-            if monotone:
-                acc = owclb.hh_accelerated(grid, gamma, budget, bit_cap=bit_cap)
-                assert rates[i].tobytes() == np.float64(acc.rate).tobytes()
+            acc = owclb.hh_accelerated(grid, gamma, budget, bit_cap=bit_cap)
+            assert rates[i].tobytes() == np.float64(acc.rate).tobytes()
         return counts
 
     @staticmethod
@@ -425,7 +469,7 @@ class TestSortedPrefix:
         rng = np.random.default_rng(12)
         for k in (5, 40, 200):
             grid = owclb.SubcarrierGrid(K=k, f_chip=2e8, gnr_k=10.0 ** rng.uniform(1, 5, k))
-            assert not grid.is_monotone_nonincreasing()
+            assert np.any(np.diff(grid.gnr_k) > 0.0)
             budgets = np.sort(rng.uniform(0.0, 1.1, 6)) * self.full_load(grid, 1.0, bit_cap=5)
             self.check(grid, 1.0, budgets, bit_cap=5)
 
@@ -479,6 +523,19 @@ class TestSortedPrefix:
             load(rising, 1.0, budget)
         with pytest.raises(ValueError, match="sigma2_budget must be >= 0, got nan"):
             load(rising, 1.0, float("nan"))
+
+    @pytest.mark.parametrize("bit_cap", [-1, 2.5, True, "3"], ids=repr)
+    @pytest.mark.parametrize("loader", ["hh_naive", "hh_accelerated", "hh_sorted_prefix"])
+    def test_bit_cap_must_be_an_integer_at_least_zero(self, loader, bit_cap):
+        load, grid = getattr(owclb, loader), flat_grid(4)
+        message = rf"^bit_cap must be an integer >= 0, got {re.escape(repr(bit_cap))}$"
+        with pytest.raises(ValueError, match=message):
+            load(grid, 1.0, 5.0, bit_cap=bit_cap)
+        numpy_cap, plain_cap = (load(grid, 1.0, 5.0, bit_cap=cap) for cap in (np.int64(3), 3))
+        if loader == "hh_sorted_prefix":
+            assert numpy_cap.tolist() == plain_cap.tolist() == [4]
+        else:
+            assert_same_plan(numpy_cap, plain_cap)
 
     @pytest.mark.parametrize("loader", ["hh_naive", "hh_accelerated", "hh_sorted_prefix"])
     def test_nan_budget_rejected_inf_loads_to_cap(self, loader):
@@ -541,6 +598,22 @@ class TestFlopReport:
         naive = owclb.hh_naive(grid, 1.0, 0.0)
         accel = owclb.hh_accelerated(grid, 1.0, 0.0)
         assert naive.flops == accel.flops
+
+    def test_shuffled_grid_pays_the_sort(self, ref_model, gap):
+        # the same carriers in another order load the same bits, head the
+        # same levels and cost K * ceil(log2 K) more comparisons
+        rng = np.random.default_rng(5)
+        for k in (64, 256):
+            grid = owclb.SubcarrierGrid.from_model(ref_model, k, 200e6)
+            perm = rng.permutation(k)
+            shuffled = owclb.SubcarrierGrid(K=k, f_chip=200e6, gnr_k=grid.gnr_k[perm])
+            ranked, plan = owclb.hh_accelerated(grid, gap, 1e7), owclb.hh_accelerated(shuffled, gap, 1e7)
+            np.testing.assert_array_equal(plan.bits, ranked.bits[perm])
+            assert plan.power_k.tobytes() == ranked.power_k[perm].tobytes()
+            assert plan.flops == ranked.flops + k * math.ceil(math.log2(k))
+            position = np.argsort(perm)  # where each ranked carrier went
+            heads = tuple(int(position[h - 1]) + 1 if h else 0 for h in ranked.group_table)
+            assert plan.group_table == heads
 
     def test_savings_grow_with_k(self, ref_model, gap):
         gaps = []

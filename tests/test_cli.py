@@ -16,9 +16,19 @@ from owclb import cli
 from owclb.cli import COMMANDS, main
 from owclb.linkchain import _read_csv
 
+import _oracles
 from conftest import build_reference_chain
 
 DATA = Path(__file__).parent / "data"
+
+
+def _bump_chain(path) -> str:
+    """Save a channel whose GNR rises between its two zeros; returns the path."""
+    owclb.save_chain(owclb.LinkChain(
+        stages=(owclb.RationalPoleZero(dc_gain=1.0, zeros=(10e6, 50e6), poles=(1e6, 100e6, 1e9)),),
+        noise=owclb.NoiseSpectrum(floor=1e-15),
+    ), path)
+    return str(path)
 
 
 @pytest.fixture
@@ -190,20 +200,15 @@ class TestRateCurve:
 
     def test_power_sweep_fills_rising_channel(self, tmp_path, capsys):
         # the exact column is the water level on any grid, the GNR's rise included
-        chain = owclb.LinkChain(
-            stages=(owclb.RationalPoleZero(dc_gain=1.0, zeros=(10e6, 50e6), poles=(1e6, 100e6, 1e9)),),
-            noise=owclb.NoiseSpectrum(floor=1e-15),
-        )
-        path, out = tmp_path / "bump.json", tmp_path / "rp.csv"
-        owclb.save_chain(chain, path)
+        path, out = _bump_chain(tmp_path / "bump.json"), tmp_path / "rp.csv"
         rc = run_cli(
-            "rate-curve", "--channel", str(path), "--sweep", "power:1e4:1e9:6:log",
+            "rate-curve", "--channel", path, "--sweep", "power:1e4:1e9:6:log",
             "--k", "64", "--fchip", "2e8", "--out", str(out),
         )
         assert rc == 0
         assert capsys.readouterr().err == ""
-        grid = owclb.SubcarrierGrid.from_model(owclb.reduce_to_polezero(chain), 64, 2e8)
-        assert not grid.is_monotone_nonincreasing()
+        grid = owclb.SubcarrierGrid.from_model(owclb.reduce_to_polezero(owclb.load_chain(path)), 64, 2e8)
+        assert np.any(np.diff(grid.gnr_k) > 0.0)
         rows = _read_csv(out)[2]
         for b, exact in rows[:, :2].tolist():
             assert exact == owclb.waterlevel_solve(grid, 1.0, b).rate / 1e6
@@ -392,7 +397,7 @@ class TestCompare:
     def test_grid_rising_below_tolerance(self, tmp_path, capsys):
         # the pole-zero pair 3.7e-9 apart (just outside the cancellation
         # tolerance) lifts the GNR by less than 1e-12 between subcarriers,
-        # so the grid passes the monotone check without being monotone
+        # so the grid's cost order is not its subcarrier order
         path = tmp_path / "rise.json"
         path.write_text(json.dumps({
             "stages": [{"kind": "RationalPoleZero", "params": {
@@ -410,6 +415,28 @@ class TestCompare:
             plans.append(owclb.read_plan_csv(out))
         np.testing.assert_array_equal(plans[0]["bits"], plans[1]["bits"])
         np.testing.assert_array_equal(plans[0]["power_v2"], plans[1]["power_v2"])
+
+    def test_rising_channel_loads_in_cost_order(self, tmp_path, capsys):
+        # the table search walks the rising grid in cost order: same plan as
+        # the full scan, and the per-bit loop's FLOPs, sort included
+        path = _bump_chain(tmp_path / "bump.json")
+        argv = ["--channel", path, "--budget", "1e-5", "--k", "64", "--fchip", "2e8"]
+        plans = []
+        for extra in ([], ["--naive"]):
+            out = tmp_path / "plan.csv"
+            assert run_cli("optimize-hh", *argv, *extra, "--out", str(out)) == 0
+            assert capsys.readouterr().err == ""
+            plans.append(owclb.read_plan_csv(out))
+        np.testing.assert_array_equal(plans[0]["bits"], plans[1]["bits"])
+        assert plans[0]["power_v2"].tobytes() == plans[1]["power_v2"].tobytes()
+        out = tmp_path / "cmp.csv"
+        assert run_cli("compare", *argv, "--out", str(out)) == 0
+        assert capsys.readouterr().err == ""
+        header, rows = _read_csv(out)[1:]
+        grid = owclb.SubcarrierGrid.from_model(owclb.reduce_to_polezero(owclb.load_chain(path)), 64, 2e8)
+        loop = _oracles.hh_accelerated_loop(grid, 1.0, 1e-5)
+        assert rows[0, header.index("accel_flops")] == loop.flops == plans[0]["flops"]
+        assert loop.bits.tolist() == plans[0]["bits"].tolist()
 
     def test_zero_budget(self, channel_path, tmp_path):
         out = tmp_path / "cmp.csv"
