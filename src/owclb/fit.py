@@ -9,9 +9,13 @@ dB-domain squared error
 
 over {log gnr0, log fz_m, log fp_n}.  Working in dB with log parameters
 keeps every corner positive without explicit constraints and weights the
-decades of a wideband response evenly.  The damping factor follows the
-usual Levenberg schedule: start 1e-3, x10 on a rejected step, /10 on an
-accepted one.  The landscape is nonconvex with permutation symmetry, so
+decades of a wideband response evenly.  The damping factor starts at 1e-3
+and follows Nielsen's gain-ratio rule (Madsen, Nielsen & Tingleff 2004,
+Alg. 3.16): x nu on a rejected trial, then nu doubles (from 2); on an
+accepted one x max(1/3, 1 - (2 rho - 1)^3), rho being the cost's fall over
+the damped linear model's, and nu is 2 again.  As with MINPACK's ftol
+(More 1978), a start also stops once a step lowers its cost by at most
+1e-12 of it.  The landscape is nonconvex with permutation symmetry, so
 the solve is multistarted from seed-controlled log-uniform corner draws,
 in two phases (Rinnooy Kan & Timmer, Math. Programming 39, 1987):
 
@@ -60,6 +64,7 @@ from .linkchain import (
 _Q10 = 10.0 / math.log(10.0)  # dB per natural-log unit
 _DAMP_TRIES = 25  # rejected damped trials in a row before a start stops
 _MAX_ITERS = 200  # accepted steps before a start stops
+_FTOL = 1e-12  # an accepted step that lowers the cost by at most this share stops a start
 _SCREEN_ITERS = 10  # accepted steps every draw gets before the ranking
 _POLISHED = 4  # best-ranked draws run on to _MAX_ITERS
 _MARGIN = 16.0  # a corner may leave f_range by this many nepers
@@ -181,8 +186,9 @@ def _lockstep_lm(u, y_data, logs0, m, l_bounds, max_iters):
     logs0 holds one start per row: M log zero corners, then N log pole
     corners.  Each round makes one damped trial per live start.  A start
     leaves after _DAMP_TRIES rejected trials in a row, after an accepted
-    step below 1e-13, or after max_iters accepted steps.  Returns per
-    start the cost, the offset, the log corners and the residuals.
+    step below 1e-13 or lowering the cost by at most _FTOL of it, or after
+    max_iters accepted steps.  Returns per start the cost, the offset, the
+    log corners and the residuals.
     """
     s, p = logs0.shape[0], logs0.shape[1] + 1
     lo, hi = l_bounds
@@ -194,11 +200,11 @@ def _lockstep_lm(u, y_data, logs0, m, l_bounds, max_iters):
     cost = _row_dots(r)
     eqs = _normal_equations(w, m, u, r)
     # x, r, cost and eqs hold the live starts' rows, in the order of
-    # `live`.  Damping factor, rejections in a row and accepted steps are
-    # Python numbers per start: at a few live starts, a numpy call per
-    # update would cost more than the update.
+    # `live`.  Damping factor, its growth nu, rejections in a row and
+    # accepted steps are Python numbers per start: at a few live starts, a
+    # numpy call per update would cost more than the update.
     live = list(range(s))
-    lam, tries, iters = [1e-3] * s, [0] * s, [0] * s
+    lam, nu, tries, iters = [1e-3] * s, [2.0] * s, [0] * s, [0] * s
     out_cost, out_x, out_r = np.empty(s), np.empty_like(x), np.empty_like(r)
     while live:
         lhs = eqs[:, :, :p].copy()
@@ -213,15 +219,23 @@ def _lockstep_lm(u, y_data, logs0, m, l_bounds, max_iters):
         r_t = _model_db(x_t[:, 0], w_t, m, u) - y_data
         cost_t = _row_dots(r_t)
         ok, moved, done = [], [], []
-        trials = zip(live, cost_t.tolist(), cost.tolist(), step.tolist())
-        for k, (i, c_t, c, st) in enumerate(trials):
+        trials = zip(live, cost_t.tolist(), cost.tolist(), step.tolist(),
+                     eqs[:, :, p].tolist(), eqs[:, :, p + 1].tolist())
+        for k, (i, c_t, c, st, g, d) in enumerate(trials):
             ok.append(math.isfinite(c_t) and c_t <= c)
             if ok[k]:
-                lam[i], tries[i], iters[i] = max(lam[i] / 10.0, 1e-14), 0, iters[i] + 1
-                stop = iters[i] == max_iters or max(map(abs, st)) < 1e-13
+                # gain ratio: the cost's fall over the fall the damped
+                # linear model predicts, h^T (lam D h - J^T r)
+                pred = math.fsum(h * (lam[i] * dj * h + gj) for h, dj, gj in zip(st, d, g))
+                rho = (c - c_t) / pred if pred > 0.0 else 0.0
+                t = 2.0 * rho - 1.0
+                lam[i] = max(lam[i] * max(1.0 / 3.0, 1.0 - t * t * t), 1e-14)
+                nu[i], tries[i], iters[i] = 2.0, 0, iters[i] + 1
+                stop = (iters[i] == max_iters or max(map(abs, st)) < 1e-13
+                        or c - c_t <= _FTOL * c)
                 (done if stop else moved).append(k)
             else:
-                lam[i], tries[i] = min(lam[i] * 10.0, 1e12), tries[i] + 1
+                lam[i], nu[i], tries[i] = min(lam[i] * nu[i], 1e12), 2.0 * nu[i], tries[i] + 1
                 if tries[i] == _DAMP_TRIES:
                     done.append(k)
         if any(ok):
@@ -281,8 +295,8 @@ def fit_polezero(data: ResponseTable, cfg: FitConfig) -> FitResult:
         raise RuntimeError(f"fitted gnr0 of {c:.6g} dB is past the float range")
     model = MagSqPoleZeroGnr(
         gnr0=gnr0,
-        zeros=tuple(float(np.exp(l)) for l in np.sort(log_z)),
-        poles=tuple(float(np.exp(l)) for l in np.sort(log_p)),
+        zeros=tuple(map(math.exp, np.sort(log_z).tolist())),
+        poles=tuple(map(math.exp, np.sort(log_p).tolist())),
     )
     notes = []
     for name, corners in (("zero", model.zeros), ("pole", model.poles)):

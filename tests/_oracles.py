@@ -511,7 +511,10 @@ def _serial_jacobian(log_z: np.ndarray, log_p: np.ndarray, u: np.ndarray) -> np.
 
 def gauss_newton_serial(u, y_data, log_z0, log_p0, l_bounds, max_iters):
     """The per-start damped Gauss-Newton loop the lockstep fit replaced:
-    one start at a time, (cost, offset, log zeros, log poles, residuals)."""
+    one start at a time, (cost, offset, log zeros, log poles, residuals).
+    The damping follows Nielsen's gain-ratio rule; a start stops after 25
+    rejected trials in a row, or after an accepted step below 1e-13 or
+    lowering the cost by at most 1e-12 of it."""
     m = log_z0.size
     log_z = log_z0.copy()
     log_p = log_p0.copy()
@@ -519,19 +522,19 @@ def gauss_newton_serial(u, y_data, log_z0, log_p0, l_bounds, max_iters):
     c = float(np.mean(y_data - _serial_model_db(0.0, log_z, log_p, u)))
     r = _serial_model_db(c, log_z, log_p, u) - y_data
     cost = float(r @ r)
-    lam = 1e-3
+    lam, nu = 1e-3, 2.0
     for _ in range(max_iters):
         jac = _serial_jacobian(log_z, log_p, u)
         a = jac.T @ jac
         gvec = jac.T @ r
         diag = np.diag(a).copy()
         diag[diag <= 0.0] = 1.0
-        accepted = False
+        accepted = converged = False
         for _damp in range(25):
             try:
                 step = np.linalg.solve(a + lam * np.diag(diag), -gvec)
             except np.linalg.LinAlgError:
-                lam = min(lam * 10.0, 1e12)
+                lam, nu = min(lam * nu, 1e12), 2.0 * nu
                 continue
             c_t = c + step[0]
             log_z_t = np.clip(log_z + step[1 : 1 + m], *l_bounds)
@@ -539,11 +542,18 @@ def gauss_newton_serial(u, y_data, log_z0, log_p0, l_bounds, max_iters):
             r_t = _serial_model_db(c_t, log_z_t, log_p_t, u) - y_data
             cost_t = float(r_t @ r_t)
             if math.isfinite(cost_t) and cost_t <= cost:
+                # predicted fall h^T (lam D h - J^T r), summed exactly
+                terms = zip(step.tolist(), diag.tolist(), (-gvec).tolist())
+                pred = math.fsum(h * (lam * d * h + g) for h, d, g in terms)
+                rho = (cost - cost_t) / pred if pred > 0.0 else 0.0
+                t = 2.0 * rho - 1.0
+                lam = max(lam * max(1.0 / 3.0, 1.0 - t * t * t), 1e-14)
+                nu = 2.0
+                converged = cost - cost_t <= 1e-12 * cost
                 c, log_z, log_p, r, cost = c_t, log_z_t, log_p_t, r_t, cost_t
-                lam = max(lam / 10.0, 1e-14)
                 accepted = True
                 break
-            lam = min(lam * 10.0, 1e12)
-        if not accepted or float(np.max(np.abs(step))) < 1e-13:
+            lam, nu = min(lam * nu, 1e12), 2.0 * nu
+        if not accepted or converged or float(np.max(np.abs(step))) < 1e-13:
             break
     return cost, c, log_z, log_p, r

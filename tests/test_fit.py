@@ -499,8 +499,8 @@ class TestTwoPhaseMatchesSerial:
         assert got.per_point_residuals.tobytes() == r.tobytes()
         assert got.rms_db_error == float(np.sqrt(np.mean(np.square(r))))
         assert got.model.gnr0 == 10.0 ** (c / 10.0)
-        assert got.model.zeros == tuple(float(np.exp(l)) for l in np.sort(log_z))
-        assert got.model.poles == tuple(float(np.exp(l)) for l in np.sort(log_p))
+        assert got.model.zeros == tuple(math.exp(l) for l in sorted(log_z))
+        assert got.model.poles == tuple(math.exp(l) for l in sorted(log_p))
 
     def test_first_16_of_32_draws_are_the_16_draws(self, lm_calls):
         # the screen is handed the generator's draws row by row, so 32 draws
@@ -512,3 +512,47 @@ class TestTwoPhaseMatchesSerial:
         screens = [logs0 for k, logs0 in lm_calls if k == fit._SCREEN_ITERS]
         assert [s.shape for s in screens] == [(16, 5), (32, 5)]
         assert screens[1][:16].tobytes() == screens[0].tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the gain-ratio damping against the fixed x10 / /10 schedule it replaced
+
+_DATA = Path(__file__).parent / "data"
+# (table, M, seed): rms of the x10 / /10 schedule's fit at N = 4 over the
+# table's whole range, recorded before the gain-ratio rule replaced it
+_X10_RMS = {
+    ("fit_table_s907_j150.csv", 1, 150): 0.10545989113672836,
+    ("fit_table_s9_j530.csv", 1, 530): 0.09934639982493138,
+    ("fit_table_ref300.csv", 1, 150): 0.09004641972077708,
+    ("fit_table_ref300.csv", 0, 7): 0.6765552596562187,
+}
+# damped trials (rows handed to _damped_steps) of that schedule on the two
+# fit_table_ref300.csv cases: 661 at M=1 seed 150, 816 at M=0 seed 7,
+# counted the way test_gain_ratio_damping_saves_trials counts them
+_X10_TRIALS = 661 + 816
+
+
+def _table_fit(name, m, seed):
+    table = owclb.read_response_table(_DATA / name)
+    f_range = (float(table.frequencies[0]), float(table.frequencies[-1]))
+    return owclb.fit_polezero(table, owclb.FitConfig(n_zeros=m, n_poles=4, f_range=f_range, seed=seed))
+
+
+class TestGainRatioDamping:
+    def test_gain_ratio_damping_saves_trials(self, monkeypatch):
+        trials = []
+        real = fit._damped_steps
+
+        def spy(lhs, rhs):
+            trials.append(lhs.shape[0])
+            return real(lhs, rhs)
+
+        monkeypatch.setattr(fit, "_damped_steps", spy)
+        for m, seed in ((1, 150), (0, 7)):
+            _table_fit("fit_table_ref300.csv", m, seed)
+        assert sum(trials) <= 0.8 * _X10_TRIALS
+
+    @pytest.mark.parametrize("case", sorted(_X10_RMS))
+    def test_same_minima_as_the_x10_schedule(self, case):
+        rms = _table_fit(*case).rms_db_error
+        assert rms == pytest.approx(_X10_RMS[case], rel=1e-8, abs=0.0)
